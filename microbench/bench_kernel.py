@@ -1,0 +1,66 @@
+"""Micro-benchmarks of the polynomial kernel (pytest-benchmark).
+
+    PYTHONPATH=src python -m pytest microbench/bench_kernel.py
+
+The file name does not match test_*.py, so a plain `pytest` run does not
+collect it; it runs only when named on the command line.
+
+The inputs are the flat-basic instances of one wide 7-node tree (a root
+with five children, one of which has a child), reduced modulo the tree's
+basis of J, as `Verifier.check_flat_basic` does.
+"""
+
+import pytest
+
+from lpdeform import MonomialOrder, Polynomial, Verifier, parse_poset
+from lpdeform.groebner import _divide
+
+WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
+
+
+@pytest.fixture(scope="module")
+def wide():
+    verifier = Verifier(parse_poset(WIDE_TREE))
+    basis = verifier.basis
+    instances = []
+    # record the membership queries of the check instead of answering them
+    verifier._in_ideal = lambda f: instances.append(f) or Polynomial.zero()
+    verifier.check_flat_basic()
+    monomials = sorted({m for f in instances for m in f.terms}, key=repr)
+    return basis, instances, monomials
+
+
+def test_divide_flat_basic(benchmark, wide):
+    basis, instances, _ = wide
+    leads, order = basis._leads, basis.order
+
+    def reduce_all():
+        return [_divide(f, leads, order) for f in instances]
+
+    remainders = benchmark(reduce_all)
+    assert all(r.is_zero for r in remainders)
+
+
+def test_monomial_mul(benchmark, wide):
+    monomials = wide[2][:60]
+
+    def multiply_all():
+        return [a.mul(b) for a in monomials for b in monomials]
+
+    products = benchmark(multiply_all)
+    assert len(products) == len(monomials) ** 2
+
+
+def test_order_key_uncached(benchmark, wide):
+    basis, _, monomials = wide
+    variables = basis.order.variables
+    weights = basis.order.weights
+
+    def fresh_order():
+        return (MonomialOrder(variables, weights),), {}
+
+    def key_all(order):
+        return [order.key(m) for m in monomials]
+
+    keys = benchmark.pedantic(key_all, setup=fresh_order, rounds=50)
+    assert len(set(keys)) == len(monomials)

@@ -215,6 +215,18 @@ def _cmd_info(args):
     return EXIT_OK if agree else EXIT_FAIL
 
 
+def _degree(text):
+    """argparse type for --max-degree: a nonnegative int.  A negative
+    degree would compare empty Hilbert functions and pass vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lp",
@@ -237,13 +249,13 @@ def build_parser():
     p = sub.add_parser("check", help="run the verification suite")
     p.add_argument("poset")
     p.add_argument("--suite", choices=["basic", "full"], default="basic")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_degree, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("hilbert", help="compare truncated Hilbert functions")
     p.add_argument("poset")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_degree, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hilbert)
 

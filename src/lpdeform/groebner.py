@@ -1,11 +1,26 @@
 """Buchberger's algorithm, reduced bases, and normal forms.
 
+Buchberger's algorithm is the textbook one: normal selection strategy
+(smallest S-pair lcm first), the coprime-leading-term criterion, full tail
+reduction at the end.  Two budgets turn runaway computations into
+ResourceLimitError instead of hangs: a cap on processed S-pairs and a cap
+on the weighted degree of any monomial created during reduction.
+
 The verifier reduces many structured polynomials modulo one fixed basis, so
-this is the plain textbook algorithm: normal selection strategy (smallest
-S-pair lcm first), the coprime-leading-term criterion, full tail reduction
-at the end.  Two budgets turn runaway computations into ResourceLimitError
-instead of hangs: a cap on processed S-pairs and a cap on the weighted
-degree of any monomial created during reduction.
+the division kernel `_divide` is where the time goes.  It reduces exactly
+like the textbook division (largest term first, first dividing lead in
+basis order, so the remainder and every intermediate coefficient are the
+same) but:
+
+  * the next term comes from a heap keyed on the single-int order key
+    (MonomialOrder.key), pushed once when a monomial enters the working
+    set; entries cancelled since are skipped;
+  * the weight budget compares keys against MonomialOrder.weight_bound_key,
+    for every monomial created, including the head that cancels;
+  * integral coefficients are held as int, with Fraction only where a
+    non-integer appears, and remainders go back to Fraction;
+  * each lead's term list is prepared once by `_lead`, per GroebnerBasis
+    and per lead Buchberger adds.
 """
 
 from __future__ import annotations
@@ -25,37 +40,61 @@ def _monic(f, order):
     return f * (Fraction(1) / c) if c != 1 else f
 
 
+def _int_if_integral(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _lead(g, order):
+    """The (leading monomial, terms) entry of monic g that _divide takes,
+    with integral coefficients as int."""
+    terms = tuple((m, _int_if_integral(c)) for m, c in g.terms.items())
+    return order.leading_monomial(g), terms
+
+
 def _divide(f, leads, order, max_weight=None):
-    """Complete division remainder of f by the (lm, poly) list `leads`."""
-    work = dict(f.terms)
-    remainder = {}
+    """Complete division remainder of f by the _lead entries `leads` (see
+    the module docstring)."""
     key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        hit = None
-        for lm, g in leads:
+    limit = None if max_weight is None else order.weight_bound_key(max_weight)
+    work = {m: _int_if_integral(c) for m, c in f.terms.items()}
+    # keys are unique per monomial, so heap entries only ever tie on
+    # duplicates of one monomial (cancelled, then created again)
+    heap = [(-key(m), m) for m in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    remainder = {}
+    while heap:
+        m = pop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue  # cancelled after it was pushed
+        for lm, terms in leads:
             if lm.divides(m):
-                hit = (lm, g)
                 break
-        if hit is None:
-            remainder[m] = c
+        else:
+            remainder[m] = c if isinstance(c, Fraction) else Fraction(c)
             del work[m]
             continue
-        lm, g = hit
         q = m.div(lm)
-        # g is monic, so the head term cancels exactly
-        for gm, gc in g.terms.items():
+        # the lead is monic, so the head term cancels exactly
+        for gm, gc in terms:
             t = gm.mul(q)
-            if max_weight is not None and key(t)[0] > max_weight:
-                raise ResourceLimitError(
-                    f"monomial weight exceeded {max_weight} during reduction"
-                )
-            s = work.get(t, Fraction(0)) - c * gc
-            if s:
-                work[t] = s
+            s = work.get(t)
+            if s is None or limit is not None:
+                k = key(t)
+                if limit is not None and k >= limit:
+                    raise ResourceLimitError(
+                        f"monomial weight exceeded {max_weight} during reduction"
+                    )
+            if s is None:
+                work[t] = -c * gc
+                push(heap, (-k, t))
             else:
-                work.pop(t, None)
+                s -= c * gc
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
     return Polynomial(remainder)
 
 
@@ -77,7 +116,7 @@ class GroebnerBasis:
     def __init__(self, polys, order):
         self.order = order
         self.polys = tuple(_monic(g, order) for g in polys)
-        self._leads = [(order.leading_monomial(g), g) for g in self.polys]
+        self._leads = [_lead(g, order) for g in self.polys]
 
     def __iter__(self):
         return iter(self.polys)
@@ -126,8 +165,8 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     if not G:
         raise DomainError("no nonzero generators")
 
-    lm = [order.leading_monomial(g) for g in G]
-    leads = list(zip(lm, G))
+    leads = [_lead(g, order) for g in G]
+    lm = [l for l, _ in leads]
     heap = []
     for i in range(len(G)):
         for j in range(i):
@@ -149,8 +188,8 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         r = _monic(r, order)
         k = len(G)
         G.append(r)
-        lm.append(order.leading_monomial(r))
-        leads.append((lm[k], r))
+        leads.append(_lead(r, order))
+        lm.append(leads[k][0])
         for t in range(k):
             heapq.heappush(heap, (order.key(lm[k].lcm(lm[t])), t, k))
 
@@ -163,7 +202,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     # tail-reduce each survivor against the others
     reduced = []
     for i in kept:
-        others = [(lm[j], G[j]) for j in kept if j != i]
+        others = [leads[j] for j in kept if j != i]
         reduced.append(_divide(G[i], others, order) if others else G[i])
     reduced.sort(key=lambda g: order.key(order.leading_monomial(g)))
     return GroebnerBasis(reduced, order)

@@ -30,7 +30,7 @@ from .errors import (
 class XVar:
     """The letterplace variable x_{place, element}."""
 
-    __slots__ = ("place", "element", "_hash")
+    __slots__ = ("place", "element", "_hash", "_skey")
 
     def __init__(self, place, element):
         if place not in (1, 2):
@@ -38,6 +38,10 @@ class XVar:
         self.place = place
         self.element = element
         self._hash = hash(("x", place, element))
+        # storage key: a ring-independent total order on all variables,
+        # used only for canonical monomial storage; equal keys mean equal
+        # variables
+        self._skey = (0, element, place)
 
     def render(self):
         return f"{self.element}{self.place}"
@@ -60,12 +64,14 @@ class UVar:
     """The deformation parameter u_{upper, lower}; upper=None is the empty
     slot reserved for the root."""
 
-    __slots__ = ("upper", "lower", "_hash")
+    __slots__ = ("upper", "lower", "_hash", "_skey")
 
     def __init__(self, upper, lower):
         self.upper = upper
         self.lower = lower
         self._hash = hash(("u", upper, lower))
+        # the empty slot sorts before every element name
+        self._skey = (1, lower, 0, "") if upper is None else (1, lower, 1, upper)
 
     def render(self):
         return f"u[{self.upper if self.upper is not None else '0'},{self.lower}]"
@@ -82,13 +88,6 @@ class UVar:
 
     def __repr__(self):
         return self.render()
-
-
-def _storage_key(v):
-    # Ring-independent total order used only for canonical monomial storage.
-    if isinstance(v, XVar):
-        return (0, v.element, v.place)
-    return (1, v.lower, v.upper if v.upper is not None else "")
 
 
 class Monomial:
@@ -110,7 +109,7 @@ class Monomial:
             if e < 0:
                 raise DomainError(f"negative exponent on {v!r}")
         items = [(v, e) for v, e in acc.items() if e != 0]
-        items.sort(key=lambda p: _storage_key(p[0]))
+        items.sort(key=lambda p: p[0]._skey)
         return Monomial(tuple(items))
 
     @staticmethod
@@ -139,32 +138,35 @@ class Monomial:
 
     def mul(self, other):
         a, b = self.pairs, other.pairs
+        na, nb = len(a), len(b)
         i = j = 0
         out = []
-        while i < len(a) and j < len(b):
-            ka, kb = _storage_key(a[i][0]), _storage_key(b[j][0])
+        while i < na and j < nb:
+            pa, pb = a[i], b[j]
+            ka, kb = pa[0]._skey, pb[0]._skey
             if ka == kb:
-                out.append((a[i][0], a[i][1] + b[j][1]))
+                out.append((pa[0], pa[1] + pb[1]))
                 i += 1
                 j += 1
             elif ka < kb:
-                out.append(a[i])
+                out.append(pa)
                 i += 1
             else:
-                out.append(b[j])
+                out.append(pb)
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return Monomial(tuple(out))
+        return Monomial(out)
 
     def divides(self, other):
         j = 0
         ob = other.pairs
+        n = len(ob)
         for v, e in self.pairs:
-            k = _storage_key(v)
-            while j < len(ob) and _storage_key(ob[j][0]) < k:
+            k = v._skey
+            while j < n and ob[j][0]._skey < k:
                 j += 1
-            if j >= len(ob) or ob[j][0] != v or ob[j][1] < e:
+            if j >= n or ob[j][0]._skey != k or ob[j][1] < e:
                 return False
         return True
 
@@ -176,7 +178,7 @@ class Monomial:
         for v, e in other.pairs:
             quo[v] -= e
         items = [(v, e) for v, e in quo.items() if e]
-        items.sort(key=lambda p: _storage_key(p[0]))
+        items.sort(key=lambda p: p[0]._skey)
         return Monomial(tuple(items))
 
     def lcm(self, other):
@@ -184,7 +186,7 @@ class Monomial:
         for v, e in other.pairs:
             if acc.get(v, 0) < e:
                 acc[v] = e
-        items = sorted(acc.items(), key=lambda p: _storage_key(p[0]))
+        items = sorted(acc.items(), key=lambda p: p[0]._skey)
         return Monomial(tuple(items))
 
     def __eq__(self, other):
@@ -376,7 +378,7 @@ class Polynomial:
             return "0"
         bits = []
         for m in sorted(
-            self.terms, key=lambda m: [(_storage_key(v), e) for v, e in m.pairs]
+            self.terms, key=lambda m: [(v._skey, e) for v, e in m.pairs]
         ):
             c = self.terms[m]
             bits.append(f"{c}*{m!r}" if not m.is_one else f"{c}")
@@ -411,21 +413,39 @@ class MonomialOrder:
             raise UnknownVariableError(f"{exc.args[0]!r} is not in this ring") from None
 
     def key(self, mono):
-        """Sort key: bigger key = bigger monomial."""
+        """Sort key: bigger key = bigger monomial.
+
+        One int that sorts like the pair (weight w, exponents from the last
+        variable back, negated).  With n variables and base b = w + 1 it is
+        the base-b numeral whose leading digit is w, followed by the digits
+        w - e for the exponents e from the last variable back:
+
+            key = w * b**n + sum_i (w - e_i) * b**i = b**(n+1) - 1 - sum_i e_i * b**i
+
+        Weights are positive integers, so every exponent is at most w and
+        each digit lies in 0..w.  Every key of weight w lies in
+        [w * b**n, b**(n+1)), below every key of weight w + 1.  A single int
+        costs far less memory in heaps and caches than a tuple of n
+        exponents.  Keys are cached per monomial.
+        """
         k = self._key_cache.get(mono)
         if k is not None:
             return k
-        dense = [0] * len(self.variables)
+        index, weights = self.index, self.weights
         w = 0
         for v, e in mono.pairs:
-            i = self.index.get(v)
-            if i is None:
+            if v not in index:
                 raise UnknownVariableError(f"{v!r} is not in this ring")
-            dense[i] = e
-            w += self.weights[v] * e
-        k = (w, tuple(-x for x in reversed(dense)))
+            w += weights[v] * e
+        b = w + 1
+        k = b ** (len(index) + 1) - 1 - sum(e * b ** index[v] for v, e in mono.pairs)
         self._key_cache[mono] = k
         return k
+
+    def weight_bound_key(self, max_weight):
+        """The smallest key of any monomial of weight > max_weight: a
+        monomial has weight <= max_weight iff its key is below this."""
+        return (max_weight + 1) * (max_weight + 2) ** len(self.variables)
 
     def greater(self, m1, m2):
         return self.key(m1) > self.key(m2)

@@ -32,6 +32,13 @@ def star_tree(m):
     return tree_from("\n".join(f"a < {x}" for x in names))
 
 
+def tuple_order_key(order, mono):
+    """The term order as a (weight, revlex tuple) pair: weighted degree,
+    then the exponents from the last variable back, negated."""
+    dense = [mono.exponent(v) for v in order.variables]
+    return (order.weight(mono), tuple(-e for e in reversed(dense)))
+
+
 def brute_force_order_ideals(poset):
     """Count downward-closed subsets by filtering the whole power set."""
     elems = poset.elements

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from lpdeform import Verifier
 from lpdeform.cli import run
 
@@ -175,6 +177,30 @@ def test_bad_arguments(capsys):
     assert run(["gens", fixture_path("chain2.poset")]) == 2  # --ideal required
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["hilbert", "--max-degree", "-1"],
+    ["check", "--suite", "full", "--max-degree", "-1"],
+    ["hilbert", "--max-degree", "two"],
+])
+def test_bad_max_degree_is_a_usage_error(args, capsys):
+    assert run([args[0], fixture_path("chain2.poset")] + args[1:]) == 2
+    captured = capsys.readouterr()
+    assert "--max-degree" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_hilbert_degree_zero(capsys):
+    assert run(["hilbert", fixture_path("chain2.poset"), "--max-degree", "0"]) == 0
+    assert out_lines(capsys) == ["J: [1]", "L: [1]", "PASS"]
+
+
+def test_underscore_in_element_name_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "underscore.poset"
+    bad.write_text("a_b < c\n")
+    assert run(["info", str(bad)]) == 2
+    assert "lp:" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(capsys):

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from lpdeform import (
     DomainError,
     GroebnerBasis,
+    Monomial,
     MonomialOrder,
     Polynomial,
     ResourceLimitError,
@@ -17,7 +19,9 @@ from lpdeform import (
     s_polynomial,
 )
 
-from conftest import chain_tree, star_tree
+from lpdeform.groebner import _divide, _lead
+
+from conftest import chain_tree, star_tree, tuple_order_key
 
 X, Y = XVar(1, "x"), XVar(1, "y")
 VARS = [X, Y]
@@ -97,6 +101,88 @@ def test_remainder_has_no_divisible_monomial():
     leads = basis.leading_monomials()
     for mono in nf.items():
         assert not any(lm.divides(mono[0]) for lm in leads)
+
+
+# -- the division kernel against a textbook oracle ----------------------------------
+
+def textbook_remainder(f, basis, order):
+    """Division remainder by the monic polynomials of `basis`: repeatedly
+    take the largest remaining term by a scan, divide by the first
+    generator whose leading monomial divides it, all in Fraction."""
+    leads = [(order.leading_monomial(g), g) for g in basis]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=lambda t: tuple_order_key(order, t))
+        c = work[m]
+        divisor = next((lg for lg in leads if lg[0].divides(m)), None)
+        if divisor is None:
+            remainder[m] = c
+            del work[m]
+            continue
+        lm, g = divisor
+        q = m.div(lm)
+        for gm, gc in g.terms.items():
+            t = gm.mul(q)
+            s = work.get(t, Fraction(0)) - c * gc
+            if s:
+                work[t] = s
+            else:
+                work.pop(t)
+    return Polynomial(remainder)
+
+
+def random_poly(rng, variables, n_terms, max_exp, denominators=(1, 2, 3, 5)):
+    terms = []
+    for _ in range(n_terms):
+        chosen = rng.sample(variables, rng.randint(0, len(variables)))
+        mono = Monomial.from_pairs((v, rng.randint(0, max_exp)) for v in chosen)
+        num = rng.choice([n for n in range(-6, 7) if n])
+        terms.append((mono, Fraction(num, rng.choice(denominators))))
+    return Polynomial.from_terms(terms)
+
+
+def assert_matches_oracle(basis, f):
+    nf = basis.normal_form(f)
+    assert nf == textbook_remainder(f, basis, basis.order)
+    assert all(type(c) is Fraction for _, c in nf.items())
+
+
+def test_normal_form_matches_oracle_on_random_bases():
+    Z = XVar(1, "z")
+    variables = [X, Y, Z]
+    rng = random.Random(5)
+    for _ in range(12):
+        order = MonomialOrder(variables, {v: rng.randint(1, 2) for v in variables})
+        gens = [random_poly(rng, variables, 3, 2) for _ in range(2)]
+        basis = buchberger(gens, order, max_pairs=200)
+        for _ in range(6):
+            assert_matches_oracle(basis, random_poly(rng, variables, 6, 4))
+
+
+@pytest.mark.parametrize("tree", [chain_tree(3), star_tree(2)], ids=["chain3", "star2"])
+def test_normal_form_matches_oracle_on_deformed_generators(tree):
+    order = monomial_order_for(tree)
+    basis = GroebnerBasis([g for _, g in j_ideal_generators(tree)], order)
+    rng = random.Random(6)
+    for _ in range(10):
+        # random polynomials, and random Fraction combinations of generators
+        f = random_poly(rng, list(order.variables), 5, 2)
+        member = Polynomial.zero()
+        for g in rng.sample(basis.polys, 3):
+            member = member + g * random_poly(rng, list(order.variables), 2, 1)
+        assert_matches_oracle(basis, f)
+        assert_matches_oracle(basis, f + member)
+        assert basis.normal_form(member).is_zero
+
+
+def test_weight_budget_covers_the_cancelled_head():
+    # x^2 is the only monomial over weight 1; it is created once, as the
+    # head that cancels
+    x2, lead = poly("x1^2"), [_lead(poly("x1 - 1"), ORDER)]
+    with pytest.raises(ResourceLimitError):
+        _divide(x2, lead, ORDER, max_weight=1)
+    assert _divide(x2, lead, ORDER, max_weight=2) == Polynomial.one()
 
 
 # -- determinism and budgets ------------------------------------------------------

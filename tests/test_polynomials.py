@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from lpdeform import (
     render_polynomial,
     polynomial_to_json,
 )
+
+from conftest import tuple_order_key
 
 X1, X2 = XVar(1, "x"), XVar(2, "x")
 Y1, Y2 = XVar(1, "y"), XVar(2, "y")
@@ -142,6 +145,53 @@ def test_graded_revlex_classic_sequence():
     for m1, m2 in zip(seq, seq[1:]):
         assert order.greater(m1, m2)
         assert not order.greater(m2, m1)
+
+
+def random_monomials(rng, variables, count, max_exp=3):
+    out = []
+    for _ in range(count):
+        chosen = rng.sample(variables, rng.randint(0, len(variables)))
+        out.append(Monomial.from_pairs((v, rng.randint(1, max_exp)) for v in chosen))
+    return out
+
+
+def test_int_key_sorts_like_weight_then_revlex_tuple():
+    rng = random.Random(11)
+    for _ in range(20):
+        variables = POOL[:]
+        rng.shuffle(variables)
+        order = MonomialOrder(variables, {v: rng.randint(1, 4) for v in variables})
+        monos = random_monomials(rng, variables, 60)
+        assert sorted(monos, key=order.key) == sorted(
+            monos, key=lambda m: tuple_order_key(order, m)
+        )
+        assert all(isinstance(order.key(m), int) for m in monos)
+        # the key is injective on distinct monomials
+        assert len({order.key(m) for m in monos}) == len(set(monos))
+
+
+def test_weight_bound_key_separates_weights():
+    rng = random.Random(12)
+    for _ in range(10):
+        order = MonomialOrder(POOL, {v: rng.randint(1, 3) for v in POOL})
+        monos = random_monomials(rng, POOL, 80)
+        for bound in range(0, 12):
+            limit = order.weight_bound_key(bound)
+            for m in monos:
+                assert (order.key(m) < limit) == (order.weight(m) <= bound)
+    assert ORDER.key(Monomial()) < ORDER.weight_bound_key(0)
+    assert ORDER.key(Monomial.var(X1)) >= ORDER.weight_bound_key(0)
+
+
+def test_mul_and_divides_match_exponent_arithmetic():
+    rng = random.Random(13)
+    monos = random_monomials(rng, POOL + [UVar(None, "y"), UVar("y", "x")], 40)
+    for a in monos:
+        for b in monos:
+            prod = a.mul(b)
+            assert prod == Monomial.from_pairs(list(a.pairs) + list(b.pairs))
+            assert a.divides(b) == all(b.exponent(v) >= e for v, e in a.pairs)
+            assert a.divides(prod) and prod.div(a) == b
 
 
 def test_order_rejects_bad_weights_and_foreign_variables():
