@@ -54,6 +54,7 @@ from .letterplace import (
     comparable_pairs,
     letterplace_generators,
     letterplace_polynomials,
+    parameter_pairs,
     ring_variables,
     u_variables,
     x_variables,
@@ -127,6 +128,7 @@ __all__ = [
     "monomial_degree",
     "monomial_order_for",
     "normal_form",
+    "parameter_pairs",
     "parse_polynomial",
     "parse_poset",
     "polynomial_to_json",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .letterplace import parameter_pairs
 from .posets import as_rooted_tree
 from .polynomials import Monomial, XVar
 
@@ -115,15 +116,9 @@ def t1_generators_tree(tree):
     Produces the same list as t1_generators, in the same order.
     """
     tree = as_rooted_tree(tree)
-    order = tree.linear_extension()
     out = []
-    for p in order:
+    for q, p in parameter_pairs(tree):
         d_set = tree.children(p)
-        if p == tree.root:
-            out.append(T1Generator(p, d_set, (), _image(d_set, ())))
-            continue
-        a = tree.parent(p)
-        for q in order:
-            if q != p and tree.meet(q, p) == a:
-                out.append(T1Generator(p, d_set, (q,), _image(d_set, (q,))))
+        u_set = () if q is None else (q,)
+        out.append(T1Generator(p, d_set, u_set, _image(d_set, u_set)))
     return out

@@ -32,22 +32,26 @@ def letterplace_polynomials(poset):
     return [Polynomial.term(m) for _, m in letterplace_generators(poset)]
 
 
-def u_variables(tree):
-    """The deformation parameters, ordered by (p, then q) along the linear
-    extension; u_{0,root} comes first because the root begins every linear
-    extension."""
+def parameter_pairs(tree):
+    """The index pairs (q, p) of the deformation parameters u_{q,p}, ordered
+    by p, then q, along the linear extension: q runs over the elements other
+    than p whose meet with p is p's parent.  The root, which begins every
+    linear extension, comes first as (None, root)."""
     tree = as_rooted_tree(tree)
     order = tree.linear_extension()
-    out = []
     for p in order:
         if p == tree.root:
-            out.append(UVar(None, p))
+            yield None, p
             continue
         a = tree.parent(p)
         for q in order:
             if q != p and tree.meet(q, p) == a:
-                out.append(UVar(q, p))
-    return out
+                yield q, p
+
+
+def u_variables(tree):
+    """The deformation parameters u_{q,p}, in parameter_pairs order."""
+    return [UVar(q, p) for q, p in parameter_pairs(tree)]
 
 
 def x_variables(poset):

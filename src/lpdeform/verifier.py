@@ -2,21 +2,30 @@
 
 A Verifier owns one rooted tree, its deformation context, the weighted
 monomial order, and a lazily built Groebner basis of J that every
-membership test shares.  Each check returns CheckReport objects carrying a
-verdict, instance counts, a witness on failure, and wall time.
+membership test shares.
 
-The checks:
+Every check is a name paired with a lazy stream of instances; the table
+below lists them.  The stream yields one item per instance, None when the
+instance holds and a witness string when it does not.  One runner, Verifier._run, times the
+stream, counts the instances it draws, stops at the first witness (so a
+FAIL does no further polynomial work) and builds the CheckReport carrying
+the verdict, the count, the witness and the wall time.  Instances are
+tested through three helpers: _member (normal form modulo J is zero),
+_degree (a degree law) and _lift_fault (a relation lift).
+
+The checks, in run_full order:
 
   specialization      u -> 0 sends each g(p,q) to exactly p1*q2
   homogeneity         every g(p,q) is multigraded of degree p1 + q2
-  degree formulas     the T / S / ST / D degree laws, element by element
+  deg-T, deg-S,       the T / S / ST / D degree laws, element by element
+  deg-ST, deg-D
   flat-basic          S_p(b)c2 - b2 S_p(c) lies in J        (all p<=b, p<=c)
   lemma-ts            S_pT_p(q) b2 - T_p(q) S_p(b) lies in J
   lemma-stt           S_pT_p(q) T_p(r) - T_p(q) S_pT_p(r) lies in J
   lemma-sum-dt1..3    the child-sum minor identities lie in J
   flat-p2             a1 T(b) - T(a) R(a,b) b1 lies in J    (all a<=b)
-  relation lifts      the two Koszul-type relation lifts: exact
-                      factorization, membership, and u-positivity
+  relation-lift-x2,   the two Koszul-type relation lifts: exact
+  relation-lift-x1    factorization, u-positivity, and membership
   hilbert             truncated weighted Hilbert functions of J and L agree
 
 The bridging identity used by the flatness induction (parent step composed
@@ -32,6 +41,7 @@ recursion side is recomputed, so a corrupted generator is caught.
 from __future__ import annotations
 
 import time
+from itertools import combinations, permutations, product
 
 from .deformation import DeformationContext
 from .grading import (
@@ -43,7 +53,7 @@ from .grading import (
     truncated_hilbert,
 )
 from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT, buchberger
-from .errors import NotHomogeneousError
+from .errors import DomainError, NotHomogeneousError
 from .letterplace import letterplace_generators, letterplace_polynomials
 from .polynomials import Polynomial, XVar, render_polynomial
 from .posets import as_rooted_tree
@@ -87,6 +97,13 @@ def _clip(s, n=160):
     return s if len(s) <= n else s[: n - 3] + "..."
 
 
+def _require_degree(max_degree):
+    """A negative degree would compare two empty Hilbert functions and
+    pass vacuously."""
+    if max_degree < 0:
+        raise DomainError(f"max_degree must be nonnegative, got {max_degree}")
+
+
 class Verifier:
     def __init__(
         self,
@@ -102,6 +119,7 @@ class Verifier:
         self.max_weight = max_weight
         self._generators = list(generators) if generators is not None else None
         self._basis = None
+        self._pos = {p: i for i, p in enumerate(self.tree.linear_extension())}
 
     @property
     def generators(self):
@@ -127,446 +145,265 @@ class Verifier:
     def _in_ideal(self, f):
         return self.basis.normal_form(f)
 
-    # -- individual checks -------------------------------------------------
+    # -- the runner and its instance tests ---------------------------------
 
-    def check_specialization(self):
-        """u -> 0 must send the generator list onto the letterplace list."""
+    def _run(self, name, faults, count="instances"):
+        """Draw instances from `faults` until the first witness; the report
+        counts the instances drawn, the failing one included."""
         t0 = time.monotonic()
-        expected = letterplace_generators(self.tree)
-        ok = len(expected) == len(self.generators)
-        witness = None
-        if not ok:
-            witness = (
-                f"{len(self.generators)} deformed generators vs "
-                f"{len(expected)} letterplace generators"
-            )
-        if ok:
-            for ((pair, g), (_, mono)) in zip(self.generators, expected):
-                image = Polynomial(
-                    {m: c for m, c in g.terms.items() if m.u_degree() == 0}
-                )
-                target = Polynomial.term(mono)
-                if image != target:
-                    ok = False
-                    diff = image - target
-                    witness = (
-                        f"g{pair}: u->0 gave "
-                        f"{_clip(render_polynomial(image, self.order))}; "
-                        f"difference {_clip(render_polynomial(diff, self.order))}"
-                    )
-                    break
-        return CheckReport(
-            "specialization",
-            ok,
-            {"generators": len(self.generators)},
-            witness,
-            time.monotonic() - t0,
-        )
-
-    def check_homogeneity(self):
-        """Every g(p,q) must be homogeneous of multidegree p1 + q2."""
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for (p, q), g in self.generators:
+        n, witness = 0, None
+        for witness in faults:
             n += 1
-            want = MultiDegree.unit(1, p) + MultiDegree.unit(2, q)
-            try:
-                got = homogeneous_degree(self.tree, g)
-            except NotHomogeneousError as exc:
-                ok, witness = False, f"g({p},{q}): {exc}"
-                break
-            if got != want:
-                ok = False
-                witness = f"g({p},{q}) is homogeneous of {got.render()}, wanted {want.render()}"
+            if witness is not None:
                 break
         return CheckReport(
-            "homogeneity", ok, {"generators": n}, witness, time.monotonic() - t0
+            name, witness is None, {count: n}, witness, time.monotonic() - t0
         )
 
-    def check_degree_formulas(self):
-        """The four degree laws for T, S, sibling ST, and the minors D."""
-        tree, ctx = self.tree, self.ctx
-        reports = []
+    def _member(self, label, f):
+        """None when f lies in J, else the clipped remainder as witness."""
+        rem = self._in_ideal(f)
+        if rem.is_zero:
+            return None
+        return f"{label}: remainder {_clip(render_polynomial(rem, self.order))}"
 
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for p in tree:
-            n += 1
-            want = MultiDegree.unit(1, p) + hat_degree(tree, p)
-            got = homogeneous_degree(tree, ctx.t_full(p))
-            if got != want:
-                ok, witness = False, f"deg T({p}) = {got.render()}, wanted {want.render()}"
-                break
-        reports.append(
-            CheckReport("deg-T", ok, {"instances": n}, witness, time.monotonic() - t0)
-        )
+    def _degree(self, label, f, want):
+        """None when f is homogeneous of multidegree `want`."""
+        got = homogeneous_degree(self.tree, f)
+        if got == want:
+            return None
+        return f"deg {label} = {got.render()}, wanted {want.render()}"
 
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for p in tree:
-            for q in sorted(tree.filter_at_or_above(p)):
-                n += 1
-                want = MultiDegree.unit(2, q) - hat_degree(tree, p)
-                got = homogeneous_degree(tree, ctx.s_op(p, q))
-                if got != want:
-                    ok = False
-                    witness = f"deg S_{p}({q}2) = {got.render()}, wanted {want.render()}"
-                    break
-            if not ok:
-                break
-        reports.append(
-            CheckReport("deg-S", ok, {"instances": n}, witness, time.monotonic() - t0)
-        )
+    def _lift_fault(self, label, lhs, factored):
+        """A relation lift must equal its closed-form factorization, vanish
+        at u = 0 (every monomial carries a u-parameter), and lie in J."""
+        if lhs != factored:
+            return f"{label}: factorization mismatch"
+        mu = lhs.min_u_degree()
+        if mu is not None and mu < 1:
+            return f"{label}: lift has a u-free monomial"
+        return self._member(label, lhs)
 
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for a in tree:
-            kids = tree.children(a)
-            for q in kids:
-                for p in kids:
-                    if p == q:
-                        continue
-                    n += 1
-                    want = (
-                        MultiDegree.unit(1, p)
-                        + hat_degree(tree, p)
-                        - hat_degree(tree, q)
-                    )
-                    got = homogeneous_degree(tree, ctx.st_entry(q, p))
-                    if got != want:
-                        ok = False
-                        witness = (
-                            f"deg S_{q}T_{q}({p}) = {got.render()}, "
-                            f"wanted {want.render()}"
-                        )
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        reports.append(
-            CheckReport("deg-ST", ok, {"instances": n}, witness, time.monotonic() - t0)
-        )
+    # -- shared instance enumerations --------------------------------------
 
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for a in tree:
-            kids = tree.children(a)
-            checks = [(0, MultiDegree.unit(2, a) - hat_degree(tree, a))]
-            for i, b in enumerate(kids, start=1):
-                checks.append((i, hat_degree(tree, b) - hat_degree(tree, a)))
-            for i, want in checks:
-                n += 1
-                got = homogeneous_degree(tree, ctx.minor_d(a, i))
-                if got != want:
-                    ok = False
-                    witness = f"deg D({a})^{i} = {got.render()}, wanted {want.render()}"
-                    break
-            if not ok:
-                break
-        reports.append(
-            CheckReport("deg-D", ok, {"instances": n}, witness, time.monotonic() - t0)
-        )
-        return reports
+    def _above(self, p):
+        """The filter at or above p, in linear-extension order."""
+        return sorted(self.tree.filter_at_or_above(p), key=self._pos.__getitem__)
 
-    def check_flat_basic(self):
-        """S_p(b)c2 - b2 S_p(c) lies in J for all p <= b, p <= c."""
-        t0 = time.monotonic()
-        tree, ctx = self.tree, self.ctx
-        pos = {p: i for i, p in enumerate(tree.linear_extension())}
-        ok, witness, n = True, None, 0
-        for p in tree:
-            above = sorted(tree.filter_at_or_above(p), key=pos.__getitem__)
-            for i, b in enumerate(above):
-                for c in above[i + 1 :]:
-                    n += 1
-                    expr = ctx.s_op(p, b) * self._x(2, c) - self._x(2, b) * ctx.s_op(
-                        p, c
-                    )
-                    rem = self._in_ideal(expr)
-                    if not rem.is_zero:
-                        ok = False
-                        witness = (
-                            f"(p,b,c)=({p},{b},{c}): remainder "
-                            f"{_clip(render_polynomial(rem, self.order))}"
-                        )
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        return CheckReport(
-            "flat-basic", ok, {"instances": n}, witness, time.monotonic() - t0
-        )
+    def _above_pairs(self, p):
+        """The pairs b < c (in linear-extension order) of the filter above p."""
+        return combinations(self._above(p), 2)
 
     def _t_share(self, c, b):
         """T_c(b), reading T_b(b) as T(b)."""
         return self.ctx.t_full(b) if c == b else self.ctx.t_sub(c, b)
 
-    def check_lemma_identities(self):
-        """The sibling-level identities feeding the flatness induction."""
-        tree, ctx = self.tree, self.ctx
-        pos = {p: i for i, p in enumerate(tree.linear_extension())}
-        reports = []
+    def _child_sum(self, a, cols, d):
+        """The sum over the children x of a of D(a)^{cols}_{(x)} T_d(x)."""
+        ctx, expr = self.ctx, Polynomial.zero()
+        for ix, x in enumerate(self.tree.children(a), start=1):
+            expr = expr + ctx.generalized_minor(a, cols, (ix,)) * self._t_share(d, x)
+        return expr
 
-        # S_pT_p(q) b2 - T_p(q) S_p(b) for q in {p} + siblings, b >= p
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for p in tree:
-            if p == tree.root:
+    # -- individual checks -------------------------------------------------
+
+    def _specialization_faults(self):
+        expected = letterplace_generators(self.tree)
+        if len(expected) != len(self.generators):
+            yield (
+                f"{len(self.generators)} deformed generators vs "
+                f"{len(expected)} letterplace generators"
+            )
+            return
+        for (pair, g), (_, mono) in zip(self.generators, expected):
+            image = Polynomial({m: c for m, c in g.terms.items() if m.u_degree() == 0})
+            target = Polynomial.term(mono)
+            if image == target:
+                yield None
                 continue
-            for q in (p,) + tree.siblings(p):
-                for b in sorted(tree.filter_at_or_above(p), key=pos.__getitem__):
-                    n += 1
-                    expr = ctx.st_entry(p, q) * self._x(2, b) - self._t_share(
-                        p, q
-                    ) * ctx.s_op(p, b)
-                    rem = self._in_ideal(expr)
-                    if not rem.is_zero:
-                        ok = False
-                        witness = (
-                            f"(p,q,b)=({p},{q},{b}): remainder "
-                            f"{_clip(render_polynomial(rem, self.order))}"
-                        )
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        reports.append(
-            CheckReport("lemma-ts", ok, {"instances": n}, witness, time.monotonic() - t0)
-        )
-
-        # S_pT_p(q) T_p(r) - T_p(q) S_pT_p(r) within each sibling class
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for a in tree:
-            kids = tree.children(a)
-            for p in kids:
-                for q in kids:
-                    for r in kids:
-                        n += 1
-                        expr = ctx.st_entry(p, q) * self._t_share(p, r) - self._t_share(
-                            p, q
-                        ) * ctx.st_entry(p, r)
-                        rem = self._in_ideal(expr)
-                        if not rem.is_zero:
-                            ok = False
-                            witness = (
-                                f"(p,q,r)=({p},{q},{r}): remainder "
-                                f"{_clip(render_polynomial(rem, self.order))}"
-                            )
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        reports.append(
-            CheckReport("lemma-stt", ok, {"instances": n}, witness, time.monotonic() - t0)
-        )
-
-        # the three child-sum identities on generalized minors
-        def sum_check(name, instances):
-            t0 = time.monotonic()
-            ok, witness, n = True, None, 0
-            for label, expr in instances:
-                n += 1
-                rem = self._in_ideal(expr)
-                if not rem.is_zero:
-                    ok = False
-                    witness = (
-                        f"{label}: remainder "
-                        f"{_clip(render_polynomial(rem, self.order))}"
-                    )
-                    break
-            reports.append(
-                CheckReport(name, ok, {"instances": n}, witness, time.monotonic() - t0)
+            diff = image - target
+            yield (
+                f"g{pair}: u->0 gave "
+                f"{_clip(render_polynomial(image, self.order))}; "
+                f"difference {_clip(render_polynomial(diff, self.order))}"
             )
 
-        def dt1_instances():
-            for a in tree:
-                kids = tree.children(a)
-                m = len(kids)
-                if m < 3:
-                    continue
-                for ib in range(1, m + 1):
-                    for ic in range(ib + 1, m + 1):
-                        for idd in range(1, m + 1):
-                            if idd in (ib, ic):
-                                continue
-                            d = kids[idd - 1]
-                            expr = Polynomial.zero()
-                            for ix in range(1, m + 1):
-                                x = kids[ix - 1]
-                                expr = expr + ctx.generalized_minor(
-                                    a, (ib, ic), (ix,)
-                                ) * self._t_share(d, x)
-                            yield f"a={a} cols=({ib},{ic}) T_{d}", expr
+    def check_specialization(self):
+        """u -> 0 must send the generator list onto the letterplace list."""
+        report = self._run("specialization", self._specialization_faults())
+        # the length of the list, however far the comparison got
+        report.params = {"generators": len(self.generators)}
+        return report
 
-        def dt2_instances():
-            for a in tree:
-                kids = tree.children(a)
-                m = len(kids)
-                if m < 2:
-                    continue
-                for ib in range(1, m + 1):
-                    for ic in range(ib + 1, m + 1):
-                        expr = Polynomial.zero()
-                        for ix in range(1, m + 1):
-                            x = kids[ix - 1]
-                            expr = expr + ctx.generalized_minor(
-                                a, (ib, ic), (ix,)
-                            ) * ctx.t_sub(a, x)
-                        yield f"a={a} cols=({ib},{ic}) T_{a}", expr
+    def _homogeneity_fault(self, p, q, g):
+        want = MultiDegree.unit(1, p) + MultiDegree.unit(2, q)
+        try:
+            got = homogeneous_degree(self.tree, g)
+        except NotHomogeneousError as exc:
+            return f"g({p},{q}): {exc}"
+        if got == want:
+            return None
+        return f"g({p},{q}) is homogeneous of {got.render()}, wanted {want.render()}"
 
-        def dt3_instances():
-            for a in tree:
-                kids = tree.children(a)
-                m = len(kids)
-                if m < 2:
-                    continue
-                for ib in range(1, m + 1):
-                    for ic in range(1, m + 1):
-                        if ic == ib:
-                            continue
-                        c = kids[ic - 1]
-                        expr = Polynomial.zero()
-                        for ix in range(1, m + 1):
-                            x = kids[ix - 1]
-                            expr = expr + ctx.generalized_minor(
-                                a, (0, ib), (ix,)
-                            ) * self._t_share(c, x)
-                        yield f"a={a} cols=(0,{ib}) T_{c}", expr
+    def check_homogeneity(self):
+        """Every g(p,q) must be homogeneous of multidegree p1 + q2."""
+        faults = (self._homogeneity_fault(p, q, g) for (p, q), g in self.generators)
+        return self._run("homogeneity", faults, count="generators")
 
-        sum_check("lemma-sum-dt1", dt1_instances())
-        sum_check("lemma-sum-dt2", dt2_instances())
-        sum_check("lemma-sum-dt3", dt3_instances())
-        return reports
+    def check_degree_formulas(self):
+        """The four degree laws for T, S, sibling ST, and the minors D."""
+        tree, ctx = self.tree, self.ctx
+        unit, hat = MultiDegree.unit, hat_degree
+        deg_t = (
+            self._degree(f"T({p})", ctx.t_full(p), unit(1, p) + hat(tree, p))
+            for p in tree
+        )
+        deg_s = (
+            self._degree(f"S_{p}({q}2)", ctx.s_op(p, q), unit(2, q) - hat(tree, p))
+            for p in tree
+            for q in sorted(tree.filter_at_or_above(p))  # by name, not _above(p)
+        )
+        deg_st = (
+            self._degree(
+                f"S_{q}T_{q}({p})",
+                ctx.st_entry(q, p),
+                unit(1, p) + hat(tree, p) - hat(tree, q),
+            )
+            for a in tree
+            for q, p in permutations(tree.children(a), 2)
+        )
+        # D(a)^0 has degree a2 - hat(a); D(a)^i, for the i-th child b,
+        # has degree hat(b) - hat(a)
+        deg_d = (
+            self._degree(f"D({a})^{i}", ctx.minor_d(a, i), top - hat(tree, a))
+            for a in tree
+            for i, top in enumerate([unit(2, a)] + [hat(tree, b) for b in tree.children(a)])
+        )
+        return [
+            self._run("deg-T", deg_t),
+            self._run("deg-S", deg_s),
+            self._run("deg-ST", deg_st),
+            self._run("deg-D", deg_d),
+        ]
+
+    def check_flat_basic(self):
+        """S_p(b)c2 - b2 S_p(c) lies in J for all p <= b, p <= c."""
+        ctx, x = self.ctx, self._x
+        faults = (
+            self._member(
+                f"(p,b,c)=({p},{b},{c})",
+                ctx.s_op(p, b) * x(2, c) - x(2, b) * ctx.s_op(p, c),
+            )
+            for p in self.tree
+            for b, c in self._above_pairs(p)
+        )
+        return self._run("flat-basic", faults)
+
+    def check_lemma_identities(self):
+        """The sibling-level identities feeding the flatness induction."""
+        tree, ctx, x = self.tree, self.ctx, self._x
+        share = self._t_share
+        # S_pT_p(q) b2 - T_p(q) S_p(b) for q in {p} + siblings, b >= p
+        ts = (
+            self._member(
+                f"(p,q,b)=({p},{q},{b})",
+                ctx.st_entry(p, q) * x(2, b) - share(p, q) * ctx.s_op(p, b),
+            )
+            for p in tree
+            if p != tree.root
+            for q in (p,) + tree.siblings(p)
+            for b in self._above(p)
+        )
+        # S_pT_p(q) T_p(r) - T_p(q) S_pT_p(r) within each sibling class
+        stt = (
+            self._member(
+                f"(p,q,r)=({p},{q},{r})",
+                ctx.st_entry(p, q) * share(p, r) - share(p, q) * ctx.st_entry(p, r),
+            )
+            for a in tree
+            for p, q, r in product(tree.children(a), repeat=3)
+        )
+        # the three child-sum identities on generalized minors; column i >= 1
+        # is the i-th child of a, column 0 is a itself
+        dt1 = (
+            self._member(f"a={a} cols=({ib},{ic}) T_{d}", self._child_sum(a, (ib, ic), d))
+            for a in tree
+            for (ib, _), (ic, _) in combinations(enumerate(tree.children(a), start=1), 2)
+            for idd, d in enumerate(tree.children(a), start=1)
+            if idd not in (ib, ic)
+        )
+        dt2 = (
+            self._member(f"a={a} cols=({ib},{ic}) T_{a}", self._child_sum(a, (ib, ic), a))
+            for a in tree
+            for (ib, _), (ic, _) in combinations(enumerate(tree.children(a), start=1), 2)
+        )
+        dt3 = (
+            self._member(f"a={a} cols=(0,{ib}) T_{c}", self._child_sum(a, (0, ib), c))
+            for a in tree
+            for (ib, _), (_, c) in permutations(enumerate(tree.children(a), start=1), 2)
+        )
+        return [
+            self._run("lemma-ts", ts),
+            self._run("lemma-stt", stt),
+            self._run("lemma-sum-dt1", dt1),
+            self._run("lemma-sum-dt2", dt2),
+            self._run("lemma-sum-dt3", dt3),
+        ]
 
     def check_flat_p2(self):
         """a1 T(b) - T(a) R(a,b) b1 lies in J for all a <= b."""
-        t0 = time.monotonic()
-        tree, ctx = self.tree, self.ctx
-        pos = {p: i for i, p in enumerate(tree.linear_extension())}
-        ok, witness, n = True, None, 0
-        for a in tree:
-            for b in sorted(tree.filter_at_or_above(a), key=pos.__getitem__):
-                n += 1
-                expr = self._x(1, a) * ctx.t_full(b) - ctx.t_full(
-                    a
-                ) * ctx.cover_product_r(a, b) * self._x(1, b)
-                rem = self._in_ideal(expr)
-                if not rem.is_zero:
-                    ok = False
-                    witness = (
-                        f"(a,b)=({a},{b}): remainder "
-                        f"{_clip(render_polynomial(rem, self.order))}"
-                    )
-                    break
-            if not ok:
-                break
-        return CheckReport(
-            "flat-p2", ok, {"instances": n}, witness, time.monotonic() - t0
+        ctx, x = self.ctx, self._x
+        faults = (
+            self._member(
+                f"(a,b)=({a},{b})",
+                x(1, a) * ctx.t_full(b)
+                - ctx.t_full(a) * ctx.cover_product_r(a, b) * x(1, b),
+            )
+            for a in self.tree
+            for b in self._above(a)
         )
+        return self._run("flat-p2", faults)
 
     def check_relation_lifts(self):
         """The two Koszul-type relations among the p1*q2 lift into J.
 
         For each instance three facts are checked: the closed-form
-        factorization holds exactly, the lifted combination reduces to zero
-        modulo J, and every monomial of it carries a u-parameter (so the
-        lift vanishes at u = 0, as a flat family requires).
+        factorization holds exactly, every monomial of the lifted
+        combination carries a u-parameter (so the lift vanishes at u = 0,
+        as a flat family requires), and it reduces to zero modulo J.
         """
-        tree, ctx = self.tree, self.ctx
-        pos = {p: i for i, p in enumerate(tree.linear_extension())}
-        gens_map = dict(self.generators)
-        reports = []
-
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for a in tree:
-            above = sorted(tree.filter_at_or_above(a), key=pos.__getitem__)
-            for i, b in enumerate(above):
-                for c in above[i + 1 :]:
-                    n += 1
-                    lhs = self._x(2, c) * gens_map[(a, b)] - self._x(2, b) * gens_map[
-                        (a, c)
-                    ]
-                    factored = ctx.t_full(a) * (
-                        self._x(2, b) * ctx.s_op(a, c) - self._x(2, c) * ctx.s_op(a, b)
-                    )
-                    if lhs != factored:
-                        ok = False
-                        witness = f"(a,b,c)=({a},{b},{c}): factorization mismatch"
-                        break
-                    mu = lhs.min_u_degree()
-                    if mu is not None and mu < 1:
-                        ok = False
-                        witness = f"(a,b,c)=({a},{b},{c}): lift has a u-free monomial"
-                        break
-                    rem = self._in_ideal(lhs)
-                    if not rem.is_zero:
-                        ok = False
-                        witness = (
-                            f"(a,b,c)=({a},{b},{c}): remainder "
-                            f"{_clip(render_polynomial(rem, self.order))}"
-                        )
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        reports.append(
-            CheckReport(
-                "relation-lift-x2", ok, {"instances": n}, witness, time.monotonic() - t0
+        tree, ctx, x = self.tree, self.ctx, self._x
+        g = dict(self.generators)
+        x2 = (
+            self._lift_fault(
+                f"(a,b,c)=({a},{b},{c})",
+                x(2, c) * g[(a, b)] - x(2, b) * g[(a, c)],
+                ctx.t_full(a) * (x(2, b) * ctx.s_op(a, c) - x(2, c) * ctx.s_op(a, b)),
             )
+            for a in tree
+            for b, c in self._above_pairs(a)
         )
-
-        t0 = time.monotonic()
-        ok, witness, n = True, None, 0
-        for a in tree:
-            for b in sorted(tree.filter_at_or_above(a), key=pos.__getitem__):
-                for c in sorted(tree.filter_at_or_above(b), key=pos.__getitem__):
-                    n += 1
-                    lhs = self._x(1, b) * gens_map[(a, c)] - self._x(1, a) * gens_map[
-                        (b, c)
-                    ]
-                    factored = ctx.s_op(b, c) * (
-                        self._x(1, a) * ctx.t_full(b)
-                        - ctx.t_full(a) * ctx.cover_product_r(a, b) * self._x(1, b)
-                    )
-                    if lhs != factored:
-                        ok = False
-                        witness = f"(a,b,c)=({a},{b},{c}): factorization mismatch"
-                        break
-                    mu = lhs.min_u_degree()
-                    if mu is not None and mu < 1:
-                        ok = False
-                        witness = f"(a,b,c)=({a},{b},{c}): lift has a u-free monomial"
-                        break
-                    rem = self._in_ideal(lhs)
-                    if not rem.is_zero:
-                        ok = False
-                        witness = (
-                            f"(a,b,c)=({a},{b},{c}): remainder "
-                            f"{_clip(render_polynomial(rem, self.order))}"
-                        )
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        reports.append(
-            CheckReport(
-                "relation-lift-x1", ok, {"instances": n}, witness, time.monotonic() - t0
+        x1 = (
+            self._lift_fault(
+                f"(a,b,c)=({a},{b},{c})",
+                x(1, b) * g[(a, c)] - x(1, a) * g[(b, c)],
+                ctx.s_op(b, c)
+                * (
+                    x(1, a) * ctx.t_full(b)
+                    - ctx.t_full(a) * ctx.cover_product_r(a, b) * x(1, b)
+                ),
             )
+            for a in tree
+            for b in self._above(a)
+            for c in self._above(b)
         )
-        return reports
+        return [self._run("relation-lift-x2", x2), self._run("relation-lift-x1", x1)]
 
     def compare_hilbert(self, max_degree):
-        """Truncated weighted Hilbert functions of B/J and B/(L B) agree."""
+        """Truncated weighted Hilbert functions of B/J and B/(L B) agree.
+
+        Raises DomainError on a negative max_degree."""
+        _require_degree(max_degree)
         t0 = time.monotonic()
         weights = positivity_witness(self.tree)
         h_j = truncated_hilbert(
@@ -592,6 +429,9 @@ class Verifier:
         return reports
 
     def run_full(self, max_degree=4):
+        """Every check; raises DomainError on a negative max_degree before
+        running any of them."""
+        _require_degree(max_degree)
         reports = self.run_basic()
         reports.append(self.check_flat_basic())
         reports.extend(self.check_lemma_identities())

@@ -5,6 +5,7 @@ from lpdeform import (
     comparable_pairs,
     letterplace_generators,
     letterplace_polynomials,
+    parameter_pairs,
     ring_variables,
     u_variables,
     x_variables,
@@ -40,6 +41,7 @@ def test_letterplace_generators_are_the_quadrics():
 
 
 def test_u_variables_chain():
+    assert list(parameter_pairs(chain_tree(3))) == [(None, "a"), ("a", "b"), ("b", "c")]
     assert u_variables(chain_tree(3)) == [
         UVar(None, "a"), UVar("a", "b"), UVar("b", "c")]
 

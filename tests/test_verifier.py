@@ -1,12 +1,16 @@
 import json
+import re
 
 import pytest
 
 from lpdeform import (
+    CheckReport,
+    DomainError,
     Polynomial,
     ResourceLimitError,
     UVar,
     Verifier,
+    XVar,
     j_ideal_generators,
 )
 
@@ -71,14 +75,14 @@ def split_u_free(g):
     return u_free, g - u_free
 
 
+def flip_u(g):
+    u_free, rest = split_u_free(g)
+    return u_free - rest
+
+
 def test_sign_flip_breaks_flatness_but_not_grading():
     tree = chain_tree(3)
-
-    def flip(g):
-        u_free, rest = split_u_free(g)
-        return u_free - rest
-
-    v = Verifier(tree, generators=mutate(tree, ("b", "c"), flip))
+    v = Verifier(tree, generators=mutate(tree, ("b", "c"), flip_u))
     reports = v.run_full(max_degree=3)
     by_name = {r.name: r for r in reports}
     for name in FULL_SUITE[:6]:
@@ -130,3 +134,119 @@ def test_resource_limits_propagate():
     v = Verifier(chain_tree(3), max_pairs=0)
     with pytest.raises(ResourceLimitError):
         v.check_flat_basic()
+
+
+def test_negative_degree_is_a_domain_error():
+    v = Verifier(chain_tree(2))
+    with pytest.raises(DomainError):
+        v.compare_hilbert(-1)
+    fresh = Verifier(chain_tree(2))
+    with pytest.raises(DomainError):
+        fresh.run_full(max_degree=-1)
+    # rejected before any check ran: not even the generators were built
+    assert fresh._generators is None and fresh._basis is None
+
+
+# -- every check can FAIL ------------------------------------------------------
+#
+# Each corruption takes the verifier of the clean run and returns the
+# verifier to run again: one over a mutated generator list, or the same one
+# with a DeformationContext method patched on its own ctx.  The clean run
+# has filled the context's caches, so a patch is seen only by the checks'
+# direct calls.
+
+
+def twisted(pair, twist):
+    def corrupt(clean):
+        return Verifier(clean.tree, generators=mutate(clean.tree, pair, twist))
+    return corrupt
+
+
+def drop_last_generator(clean):
+    return Verifier(clean.tree, generators=j_ideal_generators(clean.tree)[:-1])
+
+
+def patch_ctx(method, change):
+    def corrupt(clean):
+        orig = getattr(clean.ctx, method)
+        root = clean.tree.root
+        setattr(clean.ctx, method, lambda *args: change(orig(*args), root))
+        return clean
+    return corrupt
+
+
+def times_root_x1(f, root):
+    # still homogeneous, but of the wrong degree
+    return f * Polynomial.variable(XVar(1, root))
+
+
+def plus_root_x2(f, root):
+    return f + Polynomial.variable(XVar(2, root))
+
+
+DEG = r"= .+, wanted .+"
+REM = r": remainder .+"
+TRIPLE = r"\(\w+,\w+,\w+\)"
+LIFT = r"\(a,b,c\)=" + TRIPLE + ": factorization mismatch"
+STRAY = Polynomial.variable(UVar("a", "b"))
+
+# check -> (tree, corruption, witness pattern)
+CORRUPTIONS = {
+    "specialization": (
+        chain_tree(3),
+        twisted(("a", "b"), lambda g: 2 * g),
+        r"g\('a', 'b'\): u->0 gave .+; difference .+",
+    ),
+    "homogeneity": (
+        chain_tree(3), twisted(("b", "b"), lambda g: g + STRAY), r"g\(b,b\): .+"
+    ),
+    "deg-T": (star_tree(2), patch_ctx("t_full", times_root_x1), r"deg T\(\w+\) " + DEG),
+    "deg-S": (star_tree(2), patch_ctx("s_op", times_root_x1), r"deg S_\w+\(\w+2\) " + DEG),
+    "deg-ST": (
+        star_tree(2), patch_ctx("st_entry", times_root_x1), r"deg S_(\w+)T_\1\(\w+\) " + DEG
+    ),
+    "deg-D": (star_tree(2), patch_ctx("minor_d", times_root_x1), r"deg D\(\w+\)\^\d+ " + DEG),
+    "flat-basic": (chain_tree(2), twisted(("b", "b"), flip_u), r"\(p,b,c\)=" + TRIPLE + REM),
+    "lemma-ts": (chain_tree(2), twisted(("b", "b"), flip_u), r"\(p,q,b\)=" + TRIPLE + REM),
+    "lemma-stt": (star_tree(2), twisted(("b", "b"), flip_u), r"\(p,q,r\)=" + TRIPLE + REM),
+    "lemma-sum-dt1": (
+        star_tree(3), twisted(("b", "b"), flip_u), r"a=\w+ cols=\([1-9],[1-9]\) T_\w+" + REM
+    ),
+    "lemma-sum-dt2": (
+        star_tree(2), patch_ctx("generalized_minor", plus_root_x2),
+        r"a=(\w+) cols=\([1-9],[1-9]\) T_\1" + REM,
+    ),
+    "lemma-sum-dt3": (
+        star_tree(2), twisted(("b", "b"), flip_u), r"a=\w+ cols=\(0,[1-9]\) T_\w+" + REM
+    ),
+    "flat-p2": (chain_tree(3), twisted(("a", "a"), flip_u), r"\(a,b\)=\(\w+,\w+\)" + REM),
+    "relation-lift-x2": (chain_tree(2), twisted(("a", "a"), flip_u), LIFT),
+    "relation-lift-x1": (chain_tree(2), twisted(("a", "b"), flip_u), LIFT),
+    "hilbert": (chain_tree(2), drop_last_generator, r"J: \[.+\] vs L: \[.+\]"),
+}
+
+
+def named_report(verifier, name):
+    """Run only the check method that produces report `name`."""
+    if name == "hilbert":
+        return verifier.compare_hilbert(3)
+    prefix = {"deg": "degree_formulas", "lemma": "lemma_identities", "relation": "relation_lifts"}
+    method = prefix.get(name.split("-")[0], name.replace("-", "_"))
+    reports = getattr(verifier, "check_" + method)()
+    if isinstance(reports, CheckReport):
+        reports = [reports]
+    return next(r for r in reports if r.name == name)
+
+
+def test_corruptions_cover_the_full_suite():
+    assert list(CORRUPTIONS) == FULL_SUITE
+
+
+@pytest.mark.parametrize("name", FULL_SUITE)
+def test_every_check_can_fail(name):
+    tree, corrupt, pattern = CORRUPTIONS[name]
+    clean = Verifier(tree)
+    assert named_report(clean, name).passed
+    report = named_report(corrupt(clean), name)
+    assert not report.passed
+    assert re.fullmatch(pattern, report.witness), report.witness
