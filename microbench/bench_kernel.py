@@ -5,17 +5,29 @@
 The file name does not match test_*.py, so a plain `pytest` run does not
 collect it; it runs only when named on the command line.
 
-The inputs are the flat-basic instances of one wide 7-node tree (a root
-with five children, one of which has a child), reduced modulo the tree's
-basis of J, as `Verifier.check_flat_basic` does.
+The kernel inputs are the flat-basic instances of one wide 7-node tree (a
+root with five children, one of which has a child), reduced modulo the
+tree's basis of J, as `Verifier.check_flat_basic` does.  The minors are
+those of M(a) at that root, the widest node; the Hilbert count is the one
+`Verifier.compare_hilbert` makes for J on the 3-chain at degree 10.
 """
 
 import pytest
 
-from lpdeform import MonomialOrder, Polynomial, Verifier, parse_poset
+from lpdeform import (
+    DeformationContext,
+    MonomialOrder,
+    Polynomial,
+    Verifier,
+    as_rooted_tree,
+    parse_poset,
+    positivity_witness,
+    truncated_hilbert,
+)
 from lpdeform.groebner import _divide
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
+CHAIN3 = "a < b\nb < c\n"
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +76,33 @@ def test_order_key_uncached(benchmark, wide):
 
     keys = benchmark.pedantic(key_all, setup=fresh_order, rounds=50)
     assert len(set(keys)) == len(monomials)
+
+
+def test_minor_d_widest_node(benchmark):
+    tree = as_rooted_tree(parse_poset(WIDE_TREE))
+    columns = range(len(tree.children("a")) + 1)
+
+    def fresh_context():
+        # M(a) is built here; its minors are memoized on the matrix, so
+        # each round starts from a new one
+        ctx = DeformationContext(tree)
+        ctx.matrix_m("a")
+        return (ctx,), {}
+
+    def minors(ctx):
+        return [ctx.minor_d("a", i) for i in columns]
+
+    values = benchmark.pedantic(minors, setup=fresh_context, rounds=50)
+    assert all(not d.is_zero for d in values)
+
+
+def test_truncated_hilbert_chain3(benchmark):
+    verifier = Verifier(parse_poset(CHAIN3))
+    gens = [g for _, g in verifier.generators]
+    weights = positivity_witness(verifier.tree)
+    basis = verifier.basis
+
+    counts = benchmark.pedantic(
+        truncated_hilbert, args=(gens, weights, 10), kwargs={"basis": basis}, rounds=10
+    )
+    assert counts[:4] == [1, 6, 22, 61]

@@ -96,7 +96,7 @@ class MultiDegree:
         if not self.coords:
             return "0"
         bits = []
-        for sym in sorted(self.coords, key=lambda s: (s.element, s.place)):
+        for sym in sorted(self.coords):
             c = self.coords[sym]
             mag = f"{abs(c)}*" if abs(c) != 1 else ""
             bits.append(("-" if c < 0 else ("+" if bits else "")) + mag + sym.render())

@@ -17,8 +17,6 @@ same) but:
     set; entries cancelled since are skipped;
   * the weight budget compares keys against MonomialOrder.weight_bound_key,
     for every monomial created, including the head that cancels;
-  * integral coefficients are held as int, with Fraction only where a
-    non-integer appears, and remainders go back to Fraction;
   * each lead's term list is prepared once by `_lead`, per GroebnerBasis
     and per lead Buchberger adds.
 """
@@ -40,15 +38,9 @@ def _monic(f, order):
     return f * (Fraction(1) / c) if c != 1 else f
 
 
-def _int_if_integral(c):
-    return c.numerator if c.denominator == 1 else c
-
-
 def _lead(g, order):
-    """The (leading monomial, terms) entry of monic g that _divide takes,
-    with integral coefficients as int."""
-    terms = tuple((m, _int_if_integral(c)) for m, c in g.terms.items())
-    return order.leading_monomial(g), terms
+    """The (leading monomial, terms) entry of monic g that _divide takes."""
+    return order.leading_monomial(g), tuple(g.terms.items())
 
 
 def _divide(f, leads, order, max_weight=None):
@@ -56,7 +48,7 @@ def _divide(f, leads, order, max_weight=None):
     the module docstring)."""
     key = order.key
     limit = None if max_weight is None else order.weight_bound_key(max_weight)
-    work = {m: _int_if_integral(c) for m, c in f.terms.items()}
+    work = dict(f.terms)
     # keys are unique per monomial, so heap entries only ever tie on
     # duplicates of one monomial (cancelled, then created again)
     heap = [(-key(m), m) for m in work]
@@ -72,7 +64,7 @@ def _divide(f, leads, order, max_weight=None):
             if lm.divides(m):
                 break
         else:
-            remainder[m] = c if isinstance(c, Fraction) else Fraction(c)
+            remainder[m] = c
             del work[m]
             continue
         q = m.div(lm)

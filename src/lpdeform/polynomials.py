@@ -6,6 +6,12 @@ pair of poset elements (the upper slot may be empty) and renders as
 ``u[a,b]`` or ``u[0,b]``.  Monomials and polynomials are immutable with
 canonical internal form, so structural equality and hashing just work.
 
+Each atom has one canonical form, decided here.  A variable is a tuple
+that is its own storage key, so equality, hashing and the order of
+monomial factors are tuple operations.  A coefficient is an int unless a
+non-integer took part in making it: `_as_coeff` turns every outside scalar
+into an int when it is integral, and int arithmetic stays int.
+
 Term order is always explicit: a MonomialOrder fixes the variable sequence
 and positive integer weights, compares by weighted degree and breaks ties
 reverse-lexicographically (the later a variable sits in the sequence, the
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     DomainError,
@@ -27,64 +34,46 @@ from .errors import (
 )
 
 
-class XVar:
-    """The letterplace variable x_{place, element}."""
+class XVar(tuple):
+    """The letterplace variable x_{place, element}, stored as the tuple
+    (0, element, place)."""
 
-    __slots__ = ("place", "element", "_hash", "_skey")
+    __slots__ = ()
 
-    def __init__(self, place, element):
+    def __new__(cls, place, element):
         if place not in (1, 2):
             raise DomainError(f"x-variable place must be 1 or 2, got {place!r}")
-        self.place = place
-        self.element = element
-        self._hash = hash(("x", place, element))
-        # storage key: a ring-independent total order on all variables,
-        # used only for canonical monomial storage; equal keys mean equal
-        # variables
-        self._skey = (0, element, place)
+        return tuple.__new__(cls, (0, element, place))
+
+    element = property(itemgetter(1))
+    place = property(itemgetter(2))
 
     def render(self):
         return f"{self.element}{self.place}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, XVar)
-            and self.place == other.place
-            and self.element == other.element
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return self.render()
 
 
-class UVar:
+class UVar(tuple):
     """The deformation parameter u_{upper, lower}; upper=None is the empty
-    slot reserved for the root."""
+    slot reserved for the root.  Stored as the tuple (1, lower, 1, upper),
+    or (1, lower, 0, "") for the empty slot, which sorts first."""
 
-    __slots__ = ("upper", "lower", "_hash", "_skey")
+    __slots__ = ()
 
-    def __init__(self, upper, lower):
-        self.upper = upper
-        self.lower = lower
-        self._hash = hash(("u", upper, lower))
-        # the empty slot sorts before every element name
-        self._skey = (1, lower, 0, "") if upper is None else (1, lower, 1, upper)
+    def __new__(cls, upper, lower):
+        key = (1, lower, 0, "") if upper is None else (1, lower, 1, upper)
+        return tuple.__new__(cls, key)
+
+    lower = property(itemgetter(1))
+
+    @property
+    def upper(self):
+        return self[3] if self[2] else None
 
     def render(self):
-        return f"u[{self.upper if self.upper is not None else '0'},{self.lower}]"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UVar)
-            and self.upper == other.upper
-            and self.lower == other.lower
-        )
-
-    def __hash__(self):
-        return self._hash
+        return f"u[{self[3] or '0'},{self.lower}]"
 
     def __repr__(self):
         return self.render()
@@ -108,9 +97,7 @@ class Monomial:
         for v, e in acc.items():
             if e < 0:
                 raise DomainError(f"negative exponent on {v!r}")
-        items = [(v, e) for v, e in acc.items() if e != 0]
-        items.sort(key=lambda p: p[0]._skey)
-        return Monomial(tuple(items))
+        return Monomial(sorted((v, e) for v, e in acc.items() if e != 0))
 
     @staticmethod
     def var(v, exp=1):
@@ -143,12 +130,12 @@ class Monomial:
         out = []
         while i < na and j < nb:
             pa, pb = a[i], b[j]
-            ka, kb = pa[0]._skey, pb[0]._skey
-            if ka == kb:
-                out.append((pa[0], pa[1] + pb[1]))
+            va, vb = pa[0], pb[0]
+            if va == vb:
+                out.append((va, pa[1] + pb[1]))
                 i += 1
                 j += 1
-            elif ka < kb:
+            elif va < vb:
                 out.append(pa)
                 i += 1
             else:
@@ -163,10 +150,9 @@ class Monomial:
         ob = other.pairs
         n = len(ob)
         for v, e in self.pairs:
-            k = v._skey
-            while j < n and ob[j][0]._skey < k:
+            while j < n and ob[j][0] < v:
                 j += 1
-            if j >= n or ob[j][0]._skey != k or ob[j][1] < e:
+            if j >= n or ob[j][0] != v or ob[j][1] < e:
                 return False
         return True
 
@@ -177,17 +163,15 @@ class Monomial:
         quo = dict(self.pairs)
         for v, e in other.pairs:
             quo[v] -= e
-        items = [(v, e) for v, e in quo.items() if e]
-        items.sort(key=lambda p: p[0]._skey)
-        return Monomial(tuple(items))
+        # quo keeps the sorted order of self.pairs
+        return Monomial((v, e) for v, e in quo.items() if e)
 
     def lcm(self, other):
         acc = dict(self.pairs)
         for v, e in other.pairs:
             if acc.get(v, 0) < e:
                 acc[v] = e
-        items = sorted(acc.items(), key=lambda p: p[0]._skey)
-        return Monomial(tuple(items))
+        return Monomial(sorted(acc.items()))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.pairs == other.pairs
@@ -207,15 +191,18 @@ MONOMIAL_ONE = Monomial()
 
 
 def _as_coeff(c):
+    """The canonical form of an exact scalar: an int when it is integral, a
+    Fraction only when it is not."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)  # a bool becomes 0 or 1
     raise DomainError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
 class Polynomial:
-    """Immutable map monomial -> nonzero Fraction."""
+    """Immutable map monomial -> nonzero coefficient: an int, or a Fraction
+    where a non-integer entered."""
 
     __slots__ = ("terms", "_hash")
 
@@ -239,7 +226,7 @@ class Polynomial:
 
     @staticmethod
     def variable(v):
-        return Polynomial({Monomial.var(v): Fraction(1)})
+        return Polynomial({Monomial.var(v): 1})
 
     @staticmethod
     def term(mono, coeff=1):
@@ -251,7 +238,7 @@ class Polynomial:
         acc = {}
         for mono, c in pairs:
             c = _as_coeff(c)
-            s = acc.get(mono, Fraction(0)) + c
+            s = acc.get(mono, 0) + c
             if s:
                 acc[mono] = s
             else:
@@ -272,14 +259,14 @@ class Polynomial:
         return self.terms.items()
 
     def coefficient(self, mono):
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, 0)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            s = acc.get(m, Fraction(0)) + c
+            s = acc.get(m, 0) + c
             if s:
                 acc[m] = s
             else:
@@ -304,7 +291,7 @@ class Polynomial:
             c = _as_coeff(other)
             if not c:
                 return _ZERO
-            return Polynomial({m: c * d for m, d in self.terms.items()})
+            return Polynomial({m: _as_coeff(c * d) for m, d in self.terms.items()})
         if isinstance(other, Monomial):
             return Polynomial({m.mul(other): c for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
@@ -313,7 +300,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
-                s = acc.get(m, Fraction(0)) + c1 * c2
+                s = acc.get(m, 0) + c1 * c2
                 if s:
                     acc[m] = s
                 else:
@@ -377,16 +364,14 @@ class Polynomial:
         if not self.terms:
             return "0"
         bits = []
-        for m in sorted(
-            self.terms, key=lambda m: [(v._skey, e) for v, e in m.pairs]
-        ):
+        for m in sorted(self.terms, key=lambda m: m.pairs):
             c = self.terms[m]
             bits.append(f"{c}*{m!r}" if not m.is_one else f"{c}")
         return " + ".join(bits)
 
 
 _ZERO = Polynomial({})
-_ONE = Polynomial({MONOMIAL_ONE: Fraction(1)})
+_ONE = Polynomial({MONOMIAL_ONE: 1})
 
 
 class MonomialOrder:

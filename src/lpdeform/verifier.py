@@ -99,7 +99,9 @@ def _clip(s, n=160):
 
 def _require_degree(max_degree):
     """A negative degree would compare two empty Hilbert functions and
-    pass vacuously."""
+    pass vacuously; a bool is not a degree."""
+    if isinstance(max_degree, bool) or not isinstance(max_degree, int):
+        raise DomainError(f"max_degree must be an int, got {max_degree!r}")
     if max_degree < 0:
         raise DomainError(f"max_degree must be nonnegative, got {max_degree}")
 
@@ -402,7 +404,7 @@ class Verifier:
     def compare_hilbert(self, max_degree):
         """Truncated weighted Hilbert functions of B/J and B/(L B) agree.
 
-        Raises DomainError on a negative max_degree."""
+        Raises DomainError unless max_degree is a nonnegative int."""
         _require_degree(max_degree)
         t0 = time.monotonic()
         weights = positivity_witness(self.tree)
@@ -429,8 +431,8 @@ class Verifier:
         return reports
 
     def run_full(self, max_degree=4):
-        """Every check; raises DomainError on a negative max_degree before
-        running any of them."""
+        """Every check; raises DomainError unless max_degree is a
+        nonnegative int, before running any of them."""
         _require_degree(max_degree)
         reports = self.run_basic()
         reports.append(self.check_flat_basic())

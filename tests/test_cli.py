@@ -219,3 +219,14 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "elements:       4" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    args = ["info", fixture_path("tree7.poset"), "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpdeform", *args], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert run(args) == 0
+    assert proc.stdout == capsys.readouterr().out

@@ -246,6 +246,12 @@ def test_specialization_recovers_letterplace_everywhere():
             assert (g - Polynomial.term(quadrics[pair])).min_u_degree() >= 1
 
 
+def test_generator_coefficients_are_unit_ints():
+    for tree in all_rooted_trees(6):
+        for _, g in j_ideal_generators(tree):
+            assert all(type(c) is int and c in (1, -1) for _, c in g.items())
+
+
 def test_chain_generators_close_form():
     # on a chain, T(p) is a single term and S_p(q2) a product of parameters,
     # so g(p,q) = p1*q2 - parent2 * u[parent,p] * (u-chain) * child(q)1

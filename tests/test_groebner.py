@@ -142,10 +142,12 @@ def random_poly(rng, variables, n_terms, max_exp, denominators=(1, 2, 3, 5)):
     return Polynomial.from_terms(terms)
 
 
-def assert_matches_oracle(basis, f):
+def assert_matches_oracle(basis, f, integral=False):
     nf = basis.normal_form(f)
     assert nf == textbook_remainder(f, basis, basis.order)
-    assert all(type(c) is Fraction for _, c in nf.items())
+    assert all(type(c) in (int, Fraction) for _, c in nf.items())
+    if integral:
+        assert all(type(c) is int for _, c in nf.items())
 
 
 def test_normal_form_matches_oracle_on_random_bases():
@@ -174,6 +176,15 @@ def test_normal_form_matches_oracle_on_deformed_generators(tree):
         assert_matches_oracle(basis, f)
         assert_matches_oracle(basis, f + member)
         assert basis.normal_form(member).is_zero
+    # integer input to a basis with coefficients +-1 stays int throughout
+    assert all(type(c) is int for g in basis for _, c in g.items())
+    rng = random.Random(7)
+    for _ in range(10):
+        f = random_poly(rng, list(order.variables), 5, 2, denominators=(1,))
+        g = rng.choice(basis.polys) * random_poly(
+            rng, list(order.variables), 2, 1, denominators=(1,))
+        assert_matches_oracle(basis, f, integral=True)
+        assert_matches_oracle(basis, f + g, integral=True)
 
 
 def test_weight_budget_covers_the_cancelled_head():

@@ -49,10 +49,39 @@ def test_variable_rendering():
 
 def test_variable_identity():
     assert XVar(1, "x") == X1 and hash(XVar(1, "x")) == hash(X1)
+    assert UVar("x", "y") == UXY and hash(UVar("x", "y")) == hash(UXY)
+    assert UVar(None, "x") == UROOT and hash(UVar(None, "x")) == hash(UROOT)
     assert XVar(1, "x") != XVar(2, "x")
     assert UVar("x", "y") != UVar("y", "x")
+    for x in (X1, X2, Y1, Y2):
+        for u in (UXY, UROOT, UVar(None, "y"), UVar("y", "x")):
+            assert x != u and u != x
     with pytest.raises(DomainError):
         XVar(3, "x")
+
+
+def test_variable_accessors_are_read_only():
+    assert (X2.place, X2.element) == (2, "x")
+    assert (UXY.upper, UXY.lower) == ("x", "y")
+    assert (UROOT.upper, UROOT.lower) == (None, "x")
+    with pytest.raises(AttributeError):
+        X1.place = 2
+    with pytest.raises(AttributeError):
+        UXY.upper = "z"
+
+
+def test_variables_sort_in_storage_order():
+    # x-variables by (element, place), then u-variables by lower element,
+    # the root's empty upper slot before every upper element
+    expected = [
+        XVar(1, "a"), XVar(2, "a"), XVar(1, "b"), XVar(2, "b"), XVar(1, "c"),
+        UVar(None, "a"), UVar("A", "a"), UVar("a", "b"), UVar("a", "c"),
+        UVar("b", "c"),
+    ]
+    shuffled = expected[:]
+    random.Random(3).shuffle(shuffled)
+    assert sorted(shuffled) == expected
+    assert Monomial.from_pairs((v, 1) for v in shuffled).variables() == tuple(expected)
 
 
 # -- monomials ------------------------------------------------------------------
@@ -94,6 +123,14 @@ def test_cancellation_and_zero():
     assert p.is_zero and not p
     assert len(poly("x1 + x1")) == 1
     assert poly("x1 + x1") == poly("2*x1")
+
+
+def test_integral_coefficients_are_ints():
+    assert type(Polynomial.constant(Fraction(4, 2)).coefficient(Monomial())) is int
+    assert type(Polynomial.constant(Fraction(1, 2)).coefficient(Monomial())) is Fraction
+    assert [type(c) for _, c in poly("x1 - 1/2*y1 + 6/3*x2").items()] == [int, Fraction, int]
+    assert all(type(c) is int for _, c in (poly("1/2*x1 - 3/2*y1") * 2).items())
+    assert type(Polynomial.term(Monomial.var(X1), True).coefficient(Monomial.var(X1))) is int
 
 
 def test_pow_and_fractions():
@@ -246,6 +283,8 @@ def test_json_shape():
     assert data[0]["coeff"] == "1/1"
     assert data[0]["monomial"] == {"x1": 1}
     assert data[1]["coeff"] == "-1/2"
+    data = polynomial_to_json(poly("x1 - y1"), ORDER)
+    assert [t["coeff"] for t in data] == ["1/1", "-1/1"]
 
 
 # -- hypothesis round trips ------------------------------------------------------------

@@ -137,14 +137,16 @@ def test_resource_limits_propagate():
 
 
 def test_negative_degree_is_a_domain_error():
-    v = Verifier(chain_tree(2))
-    with pytest.raises(DomainError):
-        v.compare_hilbert(-1)
-    fresh = Verifier(chain_tree(2))
-    with pytest.raises(DomainError):
-        fresh.run_full(max_degree=-1)
-    # rejected before any check ran: not even the generators were built
-    assert fresh._generators is None and fresh._basis is None
+    # so is any degree that is not an int: a float, a string, a bool
+    for bad in (-1, 2.5, "3", True):
+        v = Verifier(chain_tree(2))
+        with pytest.raises(DomainError):
+            v.compare_hilbert(bad)
+        fresh = Verifier(chain_tree(2))
+        with pytest.raises(DomainError):
+            fresh.run_full(max_degree=bad)
+        # rejected before any check ran: not even the generators were built
+        assert fresh._generators is None and fresh._basis is None
 
 
 # -- every check can FAIL ------------------------------------------------------
