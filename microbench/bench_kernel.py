@@ -21,7 +21,6 @@ from lpdeform import (
     Verifier,
     as_rooted_tree,
     parse_poset,
-    positivity_witness,
     truncated_hilbert,
 )
 from lpdeform.groebner import _divide
@@ -98,11 +97,9 @@ def test_minor_d_widest_node(benchmark):
 
 def test_truncated_hilbert_chain3(benchmark):
     verifier = Verifier(parse_poset(CHAIN3))
-    gens = [g for _, g in verifier.generators]
-    weights = positivity_witness(verifier.tree)
-    basis = verifier.basis
+    leads = verifier.basis.leading_monomials()
 
     counts = benchmark.pedantic(
-        truncated_hilbert, args=(gens, weights, 10), kwargs={"basis": basis}, rounds=10
+        truncated_hilbert, args=(leads, verifier.order.weights, 10), rounds=10
     )
     assert counts[:4] == [1, 6, 22, 61]

@@ -21,7 +21,6 @@ truncated Hilbert function counts.
 from __future__ import annotations
 
 from .errors import DomainError, NotHomogeneousError, UnknownVariableError
-from .groebner import buchberger
 from .letterplace import ring_variables
 from .polynomials import MonomialOrder, UVar, XVar
 
@@ -203,41 +202,47 @@ def monomial_order_for(tree):
     return MonomialOrder(ring_variables(tree), positivity_witness(tree))
 
 
-def truncated_hilbert(gens, weights, max_degree, basis=None):
-    """Dimensions of the weighted-degree pieces 0..max_degree of R/(gens),
-    R the polynomial ring on exactly the variables listed in `weights`.
+def truncated_hilbert(leads, weights, max_degree):
+    """Dimensions of the weighted-degree pieces 0..max_degree of R/(leads),
+    R the polynomial ring on exactly the variables listed in `weights` and
+    `leads` a list of monomials.
 
-    Counts standard monomials of each weight; pass a ready GroebnerBasis
-    (computed for the same weighted order) to skip recomputation.
+    Counts the monomials of each weight that no lead divides.  By
+    Macaulay's theorem this is the Hilbert function of any ideal whose
+    initial ideal the leads generate, so pass a Groebner basis's leading
+    monomials for that ideal.  Monomials are enumerated one variable at a
+    time, in the order of `weights`; each lead is tested once, at the
+    variable that completes it, and an exponent at which some lead divides
+    the prefix ends that variable's loop, since every larger exponent is
+    divisible too.
     """
     variables = list(weights)
-    order = MonomialOrder(variables, weights)
-    if basis is None:
-        basis = buchberger(gens, order)
-    leads = [m.pairs for m in basis.leading_monomials()]
+    index = {v: i for i, v in enumerate(variables)}
+    completes = [[] for _ in variables]  # leads by their last variable
     counts = [0] * (max_degree + 1)
-    expo = {}
-
-    def standard():
-        for lead in leads:
-            if all(expo.get(v, 0) >= e for v, e in lead):
-                return False
-        return True
+    for lead in leads:
+        try:
+            pairs = [(index[v], e) for v, e in lead.pairs]
+        except KeyError as exc:
+            raise UnknownVariableError(f"{exc.args[0]!r} is not in this ring") from None
+        if not pairs:
+            return counts  # the unit ideal
+        completes[max(pairs)[0]].append(pairs)
+    expo = [0] * len(variables)  # read only up to the current variable
 
     def rec(i, used):
         if i == len(variables):
-            if standard():
-                counts[used] += 1
+            counts[used] += 1
             return
-        v = variables[i]
-        w = weights[v]
+        w = weights[variables[i]]
+        checks = completes[i]
         e = 0
         while used + e * w <= max_degree:
-            if e:
-                expo[v] = e
+            expo[i] = e
+            if checks and any(all(expo[j] >= k for j, k in lead) for lead in checks):
+                break
             rec(i + 1, used + e * w)
             e += 1
-        expo.pop(v, None)
 
     rec(0, 0)
     return counts

@@ -3,8 +3,14 @@
 Buchberger's algorithm is the textbook one: normal selection strategy
 (smallest S-pair lcm first), the coprime-leading-term criterion, full tail
 reduction at the end.  Two budgets turn runaway computations into
-ResourceLimitError instead of hangs: a cap on processed S-pairs and a cap
-on the weighted degree of any monomial created during reduction.
+ResourceLimitError instead of hangs, both checked once per processed
+S-pair:
+
+  * a cap on the number of processed S-pairs;
+  * a cap on the weighted degree of the pair's lcm.  In a weighted-degree
+    order a lead has the largest weight of its polynomial and a division
+    step never raises weight, so no monomial created while reducing the
+    pair outweighs its lcm.
 
 The verifier reduces many structured polynomials modulo one fixed basis, so
 the division kernel `_divide` is where the time goes.  It reduces exactly
@@ -15,8 +21,6 @@ same) but:
   * the next term comes from a heap keyed on the single-int order key
     (MonomialOrder.key), pushed once when a monomial enters the working
     set; entries cancelled since are skipped;
-  * the weight budget compares keys against MonomialOrder.weight_bound_key,
-    for every monomial created, including the head that cancels;
   * each lead's term list is prepared once by `_lead`, per GroebnerBasis
     and per lead Buchberger adds.
 """
@@ -43,11 +47,10 @@ def _lead(g, order):
     return order.leading_monomial(g), tuple(g.terms.items())
 
 
-def _divide(f, leads, order, max_weight=None):
+def _divide(f, leads, order):
     """Complete division remainder of f by the _lead entries `leads` (see
     the module docstring)."""
     key = order.key
-    limit = None if max_weight is None else order.weight_bound_key(max_weight)
     work = dict(f.terms)
     # keys are unique per monomial, so heap entries only ever tie on
     # duplicates of one monomial (cancelled, then created again)
@@ -72,15 +75,9 @@ def _divide(f, leads, order, max_weight=None):
         for gm, gc in terms:
             t = gm.mul(q)
             s = work.get(t)
-            if s is None or limit is not None:
-                k = key(t)
-                if limit is not None and k >= limit:
-                    raise ResourceLimitError(
-                        f"monomial weight exceeded {max_weight} during reduction"
-                    )
             if s is None:
                 work[t] = -c * gc
-                push(heap, (-k, t))
+                push(heap, (-key(t), t))
             else:
                 s -= c * gc
                 if s:
@@ -146,7 +143,8 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Raises ResourceLimitError when more than max_pairs S-pairs are
-    processed or any monomial's weighted degree exceeds max_weight.
+    processed or a processed S-pair's lcm has weighted degree above
+    max_weight (which bounds every monomial its reduction creates).
     Deterministic: the unique reduced basis, sorted by leading monomial.
     """
     G = []
@@ -173,8 +171,10 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         processed += 1
         if processed > max_pairs:
             raise ResourceLimitError(f"S-pair budget of {max_pairs} exceeded")
+        if order.weight(l) > max_weight:
+            raise ResourceLimitError(f"S-pair lcm weight exceeded {max_weight}")
         s = s_polynomial(G[i], G[j], order)
-        r = _divide(s, leads, order, max_weight)
+        r = _divide(s, leads, order)
         if r.is_zero:
             continue
         r = _monic(r, order)

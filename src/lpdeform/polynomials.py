@@ -10,7 +10,9 @@ Each atom has one canonical form, decided here.  A variable is a tuple
 that is its own storage key, so equality, hashing and the order of
 monomial factors are tuple operations.  A coefficient is an int unless a
 non-integer took part in making it: `_as_coeff` turns every outside scalar
-into an int when it is integral, and int arithmetic stays int.
+into an int when it is integral, int arithmetic stays int, and polynomial
+`+` and `*` turn an integral Fraction sum back into an int (inline, so the
+int path pays one class check per term).
 
 Term order is always explicit: a MonomialOrder fixes the variable sequence
 and positive integer weights, compares by weighted degree and breaks ties
@@ -237,10 +239,9 @@ class Polynomial:
     def from_terms(pairs):
         acc = {}
         for mono, c in pairs:
-            c = _as_coeff(c)
-            s = acc.get(mono, 0) + c
+            s = acc.get(mono, 0) + _as_coeff(c)
             if s:
-                acc[mono] = s
+                acc[mono] = _as_coeff(s)
             else:
                 acc.pop(mono, None)
         return Polynomial(acc)
@@ -268,7 +269,7 @@ class Polynomial:
         for m, c in other.terms.items():
             s = acc.get(m, 0) + c
             if s:
-                acc[m] = s
+                acc[m] = s if s.__class__ is int or s.denominator != 1 else s.numerator
             else:
                 acc.pop(m, None)
         return Polynomial(acc)
@@ -302,7 +303,7 @@ class Polynomial:
                 m = m1.mul(m2)
                 s = acc.get(m, 0) + c1 * c2
                 if s:
-                    acc[m] = s
+                    acc[m] = s if s.__class__ is int or s.denominator != 1 else s.numerator
                 else:
                     acc.pop(m, None)
         return Polynomial(acc)
@@ -426,11 +427,6 @@ class MonomialOrder:
         k = b ** (len(index) + 1) - 1 - sum(e * b ** index[v] for v, e in mono.pairs)
         self._key_cache[mono] = k
         return k
-
-    def weight_bound_key(self, max_weight):
-        """The smallest key of any monomial of weight > max_weight: a
-        monomial has weight <= max_weight iff its key is below this."""
-        return (max_weight + 1) * (max_weight + 2) ** len(self.variables)
 
     def greater(self, m1, m2):
         return self.key(m1) > self.key(m2)

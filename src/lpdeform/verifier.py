@@ -49,12 +49,11 @@ from .grading import (
     hat_degree,
     homogeneous_degree,
     monomial_order_for,
-    positivity_witness,
     truncated_hilbert,
 )
 from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT, buchberger
 from .errors import DomainError, NotHomogeneousError
-from .letterplace import letterplace_generators, letterplace_polynomials
+from .letterplace import letterplace_generators
 from .polynomials import Polynomial, XVar, render_polynomial
 from .posets import as_rooted_tree
 
@@ -404,14 +403,17 @@ class Verifier:
     def compare_hilbert(self, max_degree):
         """Truncated weighted Hilbert functions of B/J and B/(L B) agree.
 
+        Each side counts the standard monomials of a monomial ideal
+        (Macaulay's theorem): J's through the leading monomials of its
+        Groebner basis, L's through the quadrics p1*q2 that generate it.
         Raises DomainError unless max_degree is a nonnegative int."""
         _require_degree(max_degree)
         t0 = time.monotonic()
-        weights = positivity_witness(self.tree)
-        h_j = truncated_hilbert(
-            [g for _, g in self.generators], weights, max_degree, basis=self.basis
+        weights = self.order.weights
+        h_j = truncated_hilbert(self.basis.leading_monomials(), weights, max_degree)
+        h_l = truncated_hilbert(
+            [m for _, m in letterplace_generators(self.tree)], weights, max_degree
         )
-        h_l = truncated_hilbert(letterplace_polynomials(self.tree), weights, max_degree)
         ok = h_j == h_l
         witness = None if ok else f"J: {h_j} vs L: {h_l}"
         return CheckReport(

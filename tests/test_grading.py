@@ -1,8 +1,7 @@
-import itertools
-
 import pytest
 
 from lpdeform import (
+    Monomial,
     MultiDegree,
     NotHomogeneousError,
     Polynomial,
@@ -10,6 +9,7 @@ from lpdeform import (
     UVar,
     XVar,
     all_rooted_trees,
+    buchberger,
     hat_degree,
     homogeneous_degree,
     j_ideal_generators,
@@ -126,25 +126,35 @@ def test_monomial_order_prefers_heavier_monomials():
         assert order.leading_monomial(g) == quadrics[pair]
 
 
-def brute_standard_count(gens, weights, max_degree):
-    """Oracle: enumerate all monomials of bounded weight and keep those
-    divisible by no leading monomial of the given generators (which must
-    already be their own basis, as the letterplace quadrics are)."""
-    variables = list(weights)
-    leads = [max(g.terms, key=lambda m: sum(weights[v] * e for v, e in m.pairs))
-             for g in gens]
-    lead_pairs = [m.pairs for m in leads]
+def bounded_monomials(variables, weights, bound):
+    """Every exponent table on `variables` of weight <= bound, with its
+    weight."""
+    if not variables:
+        yield {}, 0
+        return
+    v, rest = variables[0], variables[1:]
+    for e in range(bound // weights[v] + 1):
+        for table, wt in bounded_monomials(rest, weights, bound - e * weights[v]):
+            yield {v: e, **table}, wt + e * weights[v]
+
+
+def brute_standard_count(leads, weights, max_degree):
+    """Oracle: enumerate every monomial of bounded weight and keep those
+    that no monomial in `leads` divides."""
     counts = [0] * (max_degree + 1)
-    ceilings = [max_degree // weights[v] for v in variables]
-    for expos in itertools.product(*[range(c + 1) for c in ceilings]):
-        wt = sum(e * weights[v] for v, e in zip(variables, expos))
-        if wt > max_degree:
-            continue
-        table = dict(zip(variables, expos))
-        if any(all(table.get(v, 0) >= e for v, e in lp) for lp in lead_pairs):
-            continue
-        counts[wt] += 1
+    for table, wt in bounded_monomials(list(weights), weights, max_degree):
+        if not any(all(table[v] >= e for v, e in lead.pairs) for lead in leads):
+            counts[wt] += 1
     return counts
+
+
+def letterplace_monomials(tree):
+    return [m for _, m in letterplace_generators(tree)]
+
+
+def j_leads(tree):
+    gens = [g for _, g in j_ideal_generators(tree)]
+    return buchberger(gens, monomial_order_for(tree)).leading_monomials()
 
 
 def test_truncated_hilbert_of_single_node():
@@ -153,14 +163,13 @@ def test_truncated_hilbert_of_single_node():
     # monomial per weight step
     tree = chain_tree(1)
     weights = positivity_witness(tree)
-    quadric = [Polynomial.term(m) for _, m in letterplace_generators(tree)]
-    assert truncated_hilbert(quadric, weights, 6) == [1, 2, 3, 4, 5, 6, 7]
+    assert truncated_hilbert(letterplace_monomials(tree), weights, 6) == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_truncated_hilbert_matches_brute_force():
     tree = chain_tree(2)
     weights = positivity_witness(tree)
-    quadrics = [Polynomial.term(m) for _, m in letterplace_generators(tree)]
+    quadrics = letterplace_monomials(tree)
     assert truncated_hilbert(quadrics, weights, 6) == \
         brute_standard_count(quadrics, weights, 6)
 
@@ -175,5 +184,35 @@ def test_truncated_hilbert_known_series():
     ]
     for tree, expected in cases:
         weights = positivity_witness(tree)
-        gens = [g for _, g in j_ideal_generators(tree)]
-        assert truncated_hilbert(gens, weights, 6) == expected
+        assert truncated_hilbert(j_leads(tree), weights, 6) == expected
+
+
+def cross_check_cases():
+    chain2 = chain_tree(2)
+    first = next(iter(positivity_witness(chain2)))  # a1
+    return {
+        "chain3-J": (chain_tree(3), j_leads(chain_tree(3))),
+        "star2-J": (star_tree(2), j_leads(star_tree(2))),
+        "unit": (chain2, [Monomial.var(XVar(2, "b")), Monomial()]),
+        "square": (chain2, [Monomial.var(XVar(1, "b"), 2)]),
+        "first-variable": (chain2, [Monomial.var(first)]),
+        "empty": (chain2, []),
+    }
+
+
+CROSS_CHECKS = cross_check_cases()
+
+
+@pytest.mark.parametrize("tree, leads", CROSS_CHECKS.values(), ids=CROSS_CHECKS.keys())
+def test_truncated_hilbert_cross_checks_brute_force(tree, leads):
+    weights = positivity_witness(tree)
+    counts = truncated_hilbert(leads, weights, 5)
+    assert counts == brute_standard_count(leads, weights, 5)
+    if Monomial() in leads:
+        assert counts == [0] * 6
+
+
+def test_truncated_hilbert_rejects_foreign_leads():
+    weights = positivity_witness(chain_tree(2))
+    with pytest.raises(UnknownVariableError):
+        truncated_hilbert([Monomial.var(XVar(1, "z"))], weights, 3)

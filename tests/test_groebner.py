@@ -19,7 +19,7 @@ from lpdeform import (
     s_polynomial,
 )
 
-from lpdeform.groebner import _divide, _lead
+from lpdeform import groebner
 
 from conftest import chain_tree, star_tree, tuple_order_key
 
@@ -187,13 +187,65 @@ def test_normal_form_matches_oracle_on_deformed_generators(tree):
         assert_matches_oracle(basis, f + g, integral=True)
 
 
-def test_weight_budget_covers_the_cancelled_head():
-    # x^2 is the only monomial over weight 1; it is created once, as the
-    # head that cancels
-    x2, lead = poly("x1^2"), [_lead(poly("x1 - 1"), ORDER)]
-    with pytest.raises(ResourceLimitError):
-        _divide(x2, lead, ORDER, max_weight=1)
-    assert _divide(x2, lead, ORDER, max_weight=2) == Polynomial.one()
+def random_bases():
+    """(gens, order) pairs drawn like the bases of the oracle test above."""
+    variables = [X, Y, XVar(1, "z")]
+    rng = random.Random(8)
+    for _ in range(12):
+        order = MonomialOrder(variables, {v: rng.randint(1, 2) for v in variables})
+        yield [random_poly(rng, variables, 3, 2) for _ in range(2)], order
+
+
+def record_pairs(monkeypatch):
+    """Patch groebner.s_polynomial and groebner._divide to record, for each
+    S-pair Buchberger reduces, (lcm of the leads, S-polynomial, remainder)."""
+    pairs = []
+    s_poly, divide = groebner.s_polynomial, groebner._divide
+
+    def recording_s_polynomial(f, g, order):
+        lcm = order.leading_monomial(f).lcm(order.leading_monomial(g))
+        pairs.append([lcm, s_poly(f, g, order), None])
+        return pairs[-1][1]
+
+    def recording_divide(f, leads, order):
+        r = divide(f, leads, order)
+        if pairs and pairs[-1][1] is f:
+            pairs[-1][2] = r
+        return r
+
+    monkeypatch.setattr(groebner, "s_polynomial", recording_s_polynomial)
+    monkeypatch.setattr(groebner, "_divide", recording_divide)
+    return pairs
+
+
+def test_weight_budget_is_the_largest_processed_lcm(monkeypatch):
+    cases = [([poly("x1*y1 - 1"), poly("y1^2 - 1")], ORDER), *random_bases()]
+    budgeted = 0
+    for gens, order in cases:
+        with monkeypatch.context() as patch:
+            pairs = record_pairs(patch)
+            basis = buchberger(gens, order, max_pairs=200)
+        if not pairs:
+            continue  # every pair had coprime leads: nothing to budget
+        budgeted += 1
+        w = max(order.weight(lcm) for lcm, _, _ in pairs)
+        assert buchberger(gens, order, max_pairs=200, max_weight=w) == basis
+        with pytest.raises(ResourceLimitError):
+            buchberger(gens, order, max_pairs=200, max_weight=w - 1)
+    assert budgeted == 10  # of 13: not vacuous
+
+
+def test_reduction_stays_within_the_lcm_weight(monkeypatch):
+    # the fact the per-pair budget rests on: in a weighted-degree order,
+    # no term of an S-polynomial or of its remainder outweighs the lcm
+    for gens, order in random_bases():
+        with monkeypatch.context() as patch:
+            pairs = record_pairs(patch)
+            buchberger(gens, order, max_pairs=200)
+        for lcm, s, r in pairs:
+            bound = order.weight(lcm)
+            assert all(order.weight(m) <= bound for m in s.terms)
+            assert all(order.weight(m) <= bound for m in r.terms)
 
 
 # -- determinism and budgets ------------------------------------------------------
