@@ -9,7 +9,9 @@ The kernel inputs are the flat-basic instances of one wide 7-node tree (a
 root with five children, one of which has a child), reduced modulo the
 tree's basis of J, as `Verifier.check_flat_basic` does.  The minors are
 those of M(a) at that root, the widest node; the Hilbert count is the one
-`Verifier.compare_hilbert` makes for J on the 3-chain at degree 10.
+`Verifier.compare_hilbert` makes for J on the 3-chain at degree 10; the
+homogeneity test is the one `Verifier.check_homogeneity` makes on the
+wide tree's generators.
 """
 
 import pytest
@@ -19,6 +21,8 @@ from lpdeform import (
     Polynomial,
     Verifier,
     as_rooted_tree,
+    homogeneous_degree,
+    j_ideal_generators,
     parse_poset,
     truncated_hilbert,
 )
@@ -100,3 +104,17 @@ def test_truncated_hilbert_chain3(benchmark):
         truncated_hilbert, args=(leads, verifier.order.weights, 10), rounds=10
     )
     assert counts[:4] == [1, 6, 22, 61]
+
+
+def test_homogeneous_degree(benchmark):
+    generators = [g for _, g in j_ideal_generators(as_rooted_tree(parse_poset(WIDE_TREE)))]
+
+    def fresh_tree():
+        # the packed degree table is built per tree, so each round pays for it
+        return (as_rooted_tree(parse_poset(WIDE_TREE)),), {}
+
+    def degrees(tree):
+        return [homogeneous_degree(tree, g) for g in generators]
+
+    values = benchmark.pedantic(degrees, setup=fresh_tree, rounds=20)
+    assert len(values) == len(generators)

@@ -2,8 +2,9 @@
 
     lp gens --ideal L|J POSET [--json] [--compare FILE]
     lp t1 POSET [--json]
-    lp check POSET [--suite basic|full] [--max-degree N] [--json]
-    lp hilbert POSET [--max-degree N] [--json]
+    lp check POSET [--suite basic|full] [--max-degree N] [--max-pairs N]
+             [--max-weight N] [--json]
+    lp hilbert POSET [--max-degree N] [--max-pairs N] [--max-weight N] [--json]
     lp info POSET [--json]
 
 Exit codes: 0 success / everything PASS, 1 a verification or comparison
@@ -19,6 +20,7 @@ import sys
 from .cotangent import t1_generators
 from .errors import LpError, ResourceLimitError
 from .grading import monomial_order_for
+from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT
 from .letterplace import letterplace_generators, x_variables
 from .polynomials import (
     MonomialOrder,
@@ -78,12 +80,12 @@ def compare_fixture(computed, fixture_path, variables):
 
 def _cmd_gens(args):
     poset = load_poset(args.poset)
-    order = _order_for(poset)
     if args.ideal == "L":
+        order = _order_for(poset)
         gens = [(pair, Polynomial.term(m)) for pair, m in letterplace_generators(poset)]
     else:
         verifier = Verifier(as_rooted_tree(poset))
-        gens = verifier.generators
+        order, gens = verifier.order, verifier.generators
     if args.json:
         payload = {
             "ideal": args.ideal,
@@ -139,7 +141,7 @@ def _cmd_t1(args):
 
 def _cmd_check(args):
     tree = as_rooted_tree(load_poset(args.poset))
-    verifier = Verifier(tree)
+    verifier = Verifier(tree, max_pairs=args.max_pairs, max_weight=args.max_weight)
     if args.suite == "basic":
         reports = verifier.run_basic()
     else:
@@ -162,7 +164,7 @@ def _cmd_check(args):
 
 def _cmd_hilbert(args):
     tree = as_rooted_tree(load_poset(args.poset))
-    verifier = Verifier(tree)
+    verifier = Verifier(tree, max_pairs=args.max_pairs, max_weight=args.max_weight)
     report = verifier.compare_hilbert(args.max_degree)
     if args.json:
         payload = {
@@ -215,9 +217,10 @@ def _cmd_info(args):
     return EXIT_OK if agree else EXIT_FAIL
 
 
-def _degree(text):
-    """argparse type for --max-degree: a nonnegative int.  A negative
-    degree would compare empty Hilbert functions and pass vacuously."""
+def _nonnegative(text):
+    """argparse type for --max-degree and the budgets: a nonnegative int.
+    A negative degree would compare empty Hilbert functions and pass
+    vacuously; a negative budget would trip on the first S-pair."""
     try:
         value = int(text)
     except ValueError:
@@ -225,6 +228,23 @@ def _degree(text):
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
+
+
+def _add_budgets(p):
+    p.add_argument(
+        "--max-pairs",
+        type=_nonnegative,
+        default=DEFAULT_MAX_PAIRS,
+        metavar="N",
+        help="S-pairs Buchberger may reduce (default %(default)s)",
+    )
+    p.add_argument(
+        "--max-weight",
+        type=_nonnegative,
+        default=DEFAULT_MAX_WEIGHT,
+        metavar="N",
+        help="largest S-pair lcm weight Buchberger may reach (default %(default)s)",
+    )
 
 
 def build_parser():
@@ -249,13 +269,15 @@ def build_parser():
     p = sub.add_parser("check", help="run the verification suite")
     p.add_argument("poset")
     p.add_argument("--suite", choices=["basic", "full"], default="basic")
-    p.add_argument("--max-degree", type=_degree, default=4)
+    p.add_argument("--max-degree", type=_nonnegative, default=4)
+    _add_budgets(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("hilbert", help="compare truncated Hilbert functions")
     p.add_argument("poset")
-    p.add_argument("--max-degree", type=_degree, default=4)
+    p.add_argument("--max-degree", type=_nonnegative, default=4)
+    _add_budgets(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hilbert)
 

@@ -16,13 +16,37 @@ and every p1 weight 1 + (sum of the children's p1 weights); then every
 u-parameter comes out at weight 1 (the root's at 2), so weighted degree is
 a genuine grading with finite-dimensional pieces — that's what the
 truncated Hilbert function counts.
+
+The grading is linear, so each tree gets one table of packed degrees,
+kept while the tree lives.  Number the symbols k = 0, 1, ... in the order
+of x_variables(tree) and let B = 2**32; a multidegree sum_k c_k * (symbol
+k) is then the int
+
+    D = sum_k c_k * B**k
+
+with signed digits c_k.  The table holds D_v for every variable v in use
+(each u-parameter is entered at its first use); a monomial's degree is
+sum e * D_v, and homogeneity compares one int per term.  Only the common
+degree and the two degrees of a NotHomogeneousError witness are decoded
+back to MultiDegree.
+
+Decoding reads balanced digits, -B/2 <= c_k < B/2.  Every coefficient of
+a variable's degree is -1, 0 or 1, so |c_k| is at most the monomial's
+total degree: a monomial of total degree 2**31 or more raises
+ResourceLimitError instead of a degree whose digits could have carried.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, NotHomogeneousError, UnknownVariableError
-from .letterplace import ring_variables
+import weakref
+
+from .errors import DomainError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
+from .letterplace import ring_variables, x_variables
 from .polynomials import MonomialOrder, UVar, XVar
+
+DEGREE_DIGIT_BITS = 32
+MAX_PACKED_DEGREE = (1 << (DEGREE_DIGIT_BITS - 1)) - 1  # largest total degree packed
+_DIGIT_MASK = (1 << DEGREE_DIGIT_BITS) - 1
 
 
 class MultiDegree:
@@ -139,11 +163,66 @@ def variable_degree(tree, v):
     raise UnknownVariableError(f"unsupported variable {v!r}")
 
 
+class _DegreeTable:
+    """The packed degrees of one tree's variables (see the module docstring
+    for the encoding).  The symbols, which are the x-variables, are entered
+    up front; a u-parameter is entered at its first use, from
+    variable_degree, which raises for a variable foreign to the tree."""
+
+    __slots__ = ("symbols", "codes")
+
+    def __init__(self, tree):
+        self.symbols = tuple(x_variables(tree))
+        self.codes = {sym: 1 << DEGREE_DIGIT_BITS * k for k, sym in enumerate(self.symbols)}
+
+    def decode(self, code):
+        coords = {}
+        for sym in self.symbols:
+            if not code:
+                break
+            c = code & _DIGIT_MASK
+            if c > MAX_PACKED_DEGREE:
+                c -= 1 << DEGREE_DIGIT_BITS
+            if c:
+                coords[sym] = c
+            code = (code - c) >> DEGREE_DIGIT_BITS
+        return MultiDegree(coords)
+
+    def code(self, tree, mono):
+        """The packed degree of a monomial of B(2,P), P = tree."""
+        codes = self.codes
+        code = total = 0
+        for v, e in mono.pairs:
+            c = codes.get(v)
+            if c is None:
+                deg = variable_degree(tree, v)
+                c = codes[v] = sum(k * codes[sym] for sym, k in deg.coords.items())
+            code += c * e
+            total += e
+        if total > MAX_PACKED_DEGREE:
+            raise ResourceLimitError(
+                f"monomial of total degree {total} exceeds {MAX_PACKED_DEGREE}, "
+                "the packed-degree bound"
+            )
+        return code
+
+
+# tree -> _DegreeTable; a table holds no reference to its tree, so it goes
+# when the tree does
+_tables = weakref.WeakKeyDictionary()
+
+
+def _degree_table(tree):
+    table = _tables.get(tree)
+    if table is None:
+        table = _tables[tree] = _DegreeTable(tree)
+    return table
+
+
 def monomial_degree(tree, mono):
-    deg = MultiDegree.zero()
-    for v, e in mono.pairs:
-        deg = deg + variable_degree(tree, v) * e
-    return deg
+    """The multidegree of a monomial of B(2,P)."""
+    table = _degree_table(tree)
+    return table.decode(table.code(tree, mono))
 
 
 def homogeneous_degree(tree, f):
@@ -153,20 +232,22 @@ def homogeneous_degree(tree, f):
     """
     if f.is_zero:
         return MultiDegree.zero()
+    table = _degree_table(tree)
     it = iter(f.terms)
     m0 = next(it)
-    d0 = monomial_degree(tree, m0)
+    d0 = table.code(tree, m0)
     for m in it:
-        d = monomial_degree(tree, m)
+        d = table.code(tree, m)
         if d != d0:
+            deg0, deg = table.decode(d0), table.decode(d)
             raise NotHomogeneousError(
-                f"monomial {m0!r} has degree {d0.render()} but {m!r} has {d.render()}",
+                f"monomial {m0!r} has degree {deg0.render()} but {m!r} has {deg.render()}",
                 m0,
-                d0,
+                deg0,
                 m,
-                d,
+                deg,
             )
-    return d0
+    return table.decode(d0)
 
 
 def positivity_witness(tree):

@@ -51,3 +51,25 @@ def brute_force_order_ideals(poset):
         )
         count += closed
     return count
+
+
+def bounded_monomials(variables, weights, bound):
+    """Every exponent table on `variables` of weight <= bound, with its
+    weight."""
+    if not variables:
+        yield {}, 0
+        return
+    v, rest = variables[0], variables[1:]
+    for e in range(bound // weights[v] + 1):
+        for table, wt in bounded_monomials(rest, weights, bound - e * weights[v]):
+            yield {v: e, **table}, wt + e * weights[v]
+
+
+def brute_standard_count(leads, weights, max_degree):
+    """Oracle: enumerate every monomial of bounded weight and keep those
+    that no monomial in `leads` divides."""
+    counts = [0] * (max_degree + 1)
+    for table, wt in bounded_monomials(list(weights), weights, max_degree):
+        if not any(all(table[v] >= e for v, e in lead.pairs) for lead in leads):
+            counts[wt] += 1
+    return counts

@@ -100,15 +100,52 @@ def test_check_full_json(capsys):
     assert {r["name"] for r in payload["reports"]} >= {"hilbert", "flat-p2"}
 
 
-def test_check_resource_budget(monkeypatch, capsys):
-    class Starved(Verifier):
-        def __init__(self, tree):
-            super().__init__(tree, max_pairs=0)
-
-    monkeypatch.setattr("lpdeform.cli.Verifier", Starved)
-    code = run(["check", fixture_path("chain3.poset"), "--suite", "full"])
+def test_check_resource_budget(capsys):
+    code = run(["check", fixture_path("chain3.poset"), "--suite", "full",
+                "--max-pairs", "0"])
     assert code == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "hilbert"])
+@pytest.mark.parametrize("budget, message", [
+    ("--max-pairs", "S-pair budget of 0 exceeded"),
+    ("--max-weight", "S-pair lcm weight exceeded 0"),
+])
+def test_budget_flags_trip_with_exit_3(command, budget, message, capsys):
+    # Buchberger reduces S-pairs on star2, so a zero budget trips
+    args = [command, fixture_path("star2.poset"), budget, "0"]
+    if command == "check":
+        args += ["--suite", "full"]
+    assert run(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"lp: resource limit: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "hilbert"])
+def test_budget_flags_reach_the_verifier(command, monkeypatch, capsys):
+    seen = []
+
+    class Recording(Verifier):
+        def __init__(self, tree, **budgets):
+            seen.append(budgets)
+            super().__init__(tree, **budgets)
+
+    monkeypatch.setattr("lpdeform.cli.Verifier", Recording)
+    assert run([command, fixture_path("chain2.poset"),
+                "--max-pairs", "7", "--max-weight", "40"]) == 0
+    assert seen == [{"max_pairs": 7, "max_weight": 40}]
+    capsys.readouterr()
+
+
+def test_budgets_that_suffice_change_no_output(capsys):
+    star2 = fixture_path("star2.poset")
+    assert run(["hilbert", star2, "--json"]) == 0
+    plain = capsys.readouterr().out
+    assert run(["hilbert", star2, "--json", "--max-pairs", "100",
+                "--max-weight", "20"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 # -- hilbert ----------------------------------------------------------------------
@@ -189,6 +226,16 @@ def test_bad_max_degree_is_a_usage_error(args, capsys):
     captured = capsys.readouterr()
     assert "--max-degree" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["check", "hilbert"])
+@pytest.mark.parametrize("flag", ["--max-pairs", "--max-weight"])
+@pytest.mark.parametrize("value", ["-1", "many", "2.5"])
+def test_bad_budget_is_a_usage_error(command, flag, value, capsys):
+    assert run([command, fixture_path("chain2.poset"), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
 
 
 def test_hilbert_degree_zero(capsys):

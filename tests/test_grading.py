@@ -1,10 +1,15 @@
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, strategies as st
 
 from lpdeform import (
     Monomial,
     MultiDegree,
     NotHomogeneousError,
     Polynomial,
+    ResourceLimitError,
     UnknownVariableError,
     UVar,
     XVar,
@@ -14,6 +19,7 @@ from lpdeform import (
     homogeneous_degree,
     j_ideal_generators,
     letterplace_generators,
+    monomial_degree,
     monomial_order_for,
     parse_polynomial,
     positivity_witness,
@@ -22,8 +28,9 @@ from lpdeform import (
     u_variables,
     variable_degree,
 )
+from lpdeform.grading import MAX_PACKED_DEGREE, _degree_table
 
-from conftest import chain_tree, load_tree, star_tree
+from conftest import brute_standard_count, chain_tree, load_tree, star_tree
 
 
 def unit(place, p):
@@ -85,6 +92,133 @@ def test_homogeneity_failure_carries_a_witness():
     assert homogeneous_degree(tree, Polynomial.zero()) == MultiDegree.zero()
 
 
+# -- the packed degree table ----------------------------------------------------
+
+def dict_monomial_degree(tree, mono):
+    """Oracle: a monomial's multidegree summed as MultiDegree dicts, one
+    variable_degree per variable."""
+    deg = MultiDegree.zero()
+    for v, e in mono.pairs:
+        deg = deg + variable_degree(tree, v) * e
+    return deg
+
+
+def dict_homogeneity_witness(tree, f):
+    """Oracle: None when f is homogeneous, else the (m0, d0, m, d) witness
+    and message homogeneous_degree raises: the first term against the
+    first term of another degree."""
+    it = iter(f.terms)
+    m0 = next(it)
+    d0 = dict_monomial_degree(tree, m0)
+    for m in it:
+        d = dict_monomial_degree(tree, m)
+        if d != d0:
+            message = f"monomial {m0!r} has degree {d0.render()} but {m!r} has {d.render()}"
+            return (m0, d0, m, d), message
+    return None
+
+
+TREES_UP_TO_6 = list(all_rooted_trees(6))
+EXPONENTS = st.one_of(st.integers(1, 3), st.integers(1, 2**24))
+
+
+@st.composite
+def tree_and_monomials(draw, count):
+    tree = draw(st.sampled_from(TREES_UP_TO_6))
+    pair = st.tuples(st.sampled_from(ring_variables(tree)), EXPONENTS)
+    monos = [Monomial.from_pairs(draw(st.lists(pair, max_size=6))) for _ in range(count)]
+    return tree, monos
+
+
+@given(tree_and_monomials(2))
+def test_packed_degree_decodes_to_the_oracle_and_is_linear(case):
+    tree, (m1, m2) = case
+    table = _degree_table(tree)
+    for m in (m1, m2, m1.mul(m2)):
+        assert table.decode(table.code(tree, m)) == dict_monomial_degree(tree, m)
+        assert monomial_degree(tree, m) == dict_monomial_degree(tree, m)
+    assert table.code(tree, m1.mul(m2)) == table.code(tree, m1) + table.code(tree, m2)
+
+
+def test_homogeneous_degree_matches_the_oracle_on_every_generator():
+    for tree in TREES_UP_TO_6:
+        for (p, q), g in j_ideal_generators(tree):
+            got = homogeneous_degree(tree, g)
+            assert dict_homogeneity_witness(tree, g) is None
+            assert got == dict_monomial_degree(tree, next(iter(g.terms)))
+            assert got == unit(1, p) + unit(2, q)
+
+
+@given(tree_and_monomials(4), st.lists(st.integers(-3, 3).filter(bool), min_size=4, max_size=4))
+def test_non_homogeneous_sums_raise_the_oracle_witness(case, coeffs):
+    tree, monos = case
+    f = Polynomial.from_terms(zip(monos, coeffs))
+    if f.is_zero:
+        return
+    expected = dict_homogeneity_witness(tree, f)
+    if expected is None:
+        assert homogeneous_degree(tree, f) == dict_monomial_degree(tree, next(iter(f.terms)))
+        return
+    with pytest.raises(NotHomogeneousError) as exc:
+        homogeneous_degree(tree, f)
+    witness, message = expected
+    assert exc.value.witness == witness
+    assert str(exc.value) == message
+
+
+def test_homogeneity_witness_of_a_generator_plus_a_stray_term():
+    tree = load_tree("vc2")
+    (_, g), *_ = j_ideal_generators(tree)
+    stray = Monomial.var(UVar("b", "c"), 2)
+    f = g + Polynomial.term(stray)
+    with pytest.raises(NotHomogeneousError) as exc:
+        homogeneous_degree(tree, f)
+    assert (exc.value.witness, str(exc.value)) == dict_homogeneity_witness(tree, f)
+
+
+@pytest.mark.parametrize("foreign", [XVar(1, "z"), UVar(None, "b"), UVar("b", "a")])
+def test_packed_degree_rejects_foreign_variables(foreign):
+    tree = chain_tree(2)
+    a1b2 = Monomial.from_pairs([(XVar(1, "a"), 1), (XVar(2, "b"), 1)])
+    homogeneous_degree(tree, Polynomial.term(a1b2))  # the table exists now
+    stray = Monomial.var(foreign)
+    with pytest.raises(UnknownVariableError):
+        monomial_degree(tree, stray)
+    with pytest.raises(UnknownVariableError):
+        homogeneous_degree(tree, Polynomial({a1b2: 1, stray.mul(Monomial.var(XVar(1, "b"))): 1}))
+
+
+def test_packed_degree_bound():
+    tree = chain_tree(2)
+    a1, root_u = XVar(1, "a"), UVar(None, "a")  # deg u[0,a] = a1 + a2 - b1
+    top = MAX_PACKED_DEGREE
+    assert top == 2**31 - 1  # the bound docs/formats.md states
+    # the largest digits either way still decode exactly
+    assert monomial_degree(tree, Monomial.var(a1, top)) == top * unit(1, "a")
+    assert monomial_degree(tree, Monomial.var(root_u, top)) == \
+        top * (unit(1, "a") + unit(2, "a") - unit(1, "b"))
+    # one more, on one variable or split over two, raises
+    too_big = [
+        Monomial.var(a1, top + 1),
+        Monomial.from_pairs([(a1, 2**30), (root_u, 2**30)]),
+    ]
+    for m in too_big:
+        with pytest.raises(ResourceLimitError):
+            monomial_degree(tree, m)
+        with pytest.raises(ResourceLimitError):
+            homogeneous_degree(tree, Polynomial({Monomial.var(a1, 3): 1, m: 1}))
+
+
+def test_degree_table_goes_with_its_tree():
+    tree = chain_tree(3)
+    for _, g in j_ideal_generators(tree):
+        homogeneous_degree(tree, g)
+    alive = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert alive() is None
+
+
 def test_positivity_witness_values():
     tree = load_tree("vc2")  # a < b, a < c < d
     w = positivity_witness(tree)
@@ -124,28 +258,6 @@ def test_monomial_order_prefers_heavier_monomials():
     quadrics = dict(letterplace_generators(tree))
     for pair, g in j_ideal_generators(tree):
         assert order.leading_monomial(g) == quadrics[pair]
-
-
-def bounded_monomials(variables, weights, bound):
-    """Every exponent table on `variables` of weight <= bound, with its
-    weight."""
-    if not variables:
-        yield {}, 0
-        return
-    v, rest = variables[0], variables[1:]
-    for e in range(bound // weights[v] + 1):
-        for table, wt in bounded_monomials(rest, weights, bound - e * weights[v]):
-            yield {v: e, **table}, wt + e * weights[v]
-
-
-def brute_standard_count(leads, weights, max_degree):
-    """Oracle: enumerate every monomial of bounded weight and keep those
-    that no monomial in `leads` divides."""
-    counts = [0] * (max_degree + 1)
-    for table, wt in bounded_monomials(list(weights), weights, max_degree):
-        if not any(all(table[v] >= e for v, e in lead.pairs) for lead in leads):
-            counts[wt] += 1
-    return counts
 
 
 def letterplace_monomials(tree):
