@@ -8,11 +8,13 @@ collect it; it runs only when named on the command line.
 The kernel inputs are the flat-basic instances of one wide 7-node tree (a
 root with five children, one of which has a child), reduced modulo the
 tree's basis of J, as `Verifier.check_flat_basic` does.  The minors are
-those of M(a) at that root, the widest node; the Hilbert count is the one
-`Verifier.compare_hilbert` makes for J on the 3-chain at degree 10; the
-homogeneity test is the one `Verifier.check_homogeneity` makes on the
-wide tree's generators.
+those of M(a) at that root, the widest node; the Hilbert counts are the
+ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
+and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
+`Verifier.check_homogeneity` makes on the wide tree's generators.
 """
+
+import os
 
 import pytest
 
@@ -23,6 +25,8 @@ from lpdeform import (
     as_rooted_tree,
     homogeneous_degree,
     j_ideal_generators,
+    letterplace_generators,
+    load_poset,
     parse_poset,
     truncated_hilbert,
 )
@@ -30,6 +34,7 @@ from lpdeform.groebner import _divide
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 CHAIN3 = "a < b\nb < c\n"
+TREE7 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tree7.poset")
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,16 @@ def test_truncated_hilbert_chain3(benchmark):
         truncated_hilbert, args=(leads, verifier.order.weights, 10), rounds=10
     )
     assert counts[:4] == [1, 6, 22, 61]
+
+
+def test_truncated_hilbert_tree7(benchmark):
+    verifier = Verifier(load_poset(TREE7))
+    leads = verifier.basis.leading_monomials()
+    weights = verifier.order.weights
+
+    counts = benchmark.pedantic(truncated_hilbert, args=(leads, weights, 8), rounds=10)
+    quadrics = [m for _, m in letterplace_generators(verifier.tree)]
+    assert counts == truncated_hilbert(quadrics, weights, 8)
 
 
 def test_homogeneous_degree(benchmark):

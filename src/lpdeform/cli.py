@@ -21,7 +21,7 @@ from .cotangent import t1_generators
 from .errors import LpError, ResourceLimitError
 from .grading import monomial_order_for
 from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT
-from .letterplace import letterplace_generators, x_variables
+from .letterplace import letterplace_generators, u_variables, x_variables
 from .polynomials import (
     MonomialOrder,
     Polynomial,
@@ -38,14 +38,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-def _is_tree(poset):
-    try:
-        as_rooted_tree(poset)
-        return True
-    except LpError:
-        return False
 
 
 def _order_for(poset):
@@ -184,9 +176,10 @@ def _cmd_hilbert(args):
 
 def _cmd_info(args):
     poset = load_poset(args.poset)
-    tree = None
-    if _is_tree(poset):
+    try:
         tree = as_rooted_tree(poset)
+    except LpError:
+        tree = None
     t1 = t1_generators(poset)
     info = {
         "elements": len(poset),
@@ -198,8 +191,6 @@ def _cmd_info(args):
     }
     agree = True
     if tree is not None:
-        from .letterplace import u_variables
-
         info["u_parameters"] = len(u_variables(tree))
         agree = info["u_parameters"] == info["t1_generators"]
     if args.json:

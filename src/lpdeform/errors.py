@@ -31,8 +31,8 @@ class NonSquareError(LpError):
 
 class ResourceLimitError(LpError):
     """A budget was exceeded: a Groebner basis's pair count or lcm weight,
-    the weight 2**15 - 1 a packed order key holds, or the total degree
-    2**31 - 1 a packed multidegree holds."""
+    the weight 2**15 - 1 a packed order key holds (and a Hilbert max_degree
+    too), or the total degree 2**31 - 1 a packed multidegree holds."""
 
 
 class RelationError(LpError):

@@ -39,10 +39,11 @@ ResourceLimitError instead of a degree whose digits could have carried.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 
 from .errors import DomainError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
 from .letterplace import ring_variables, x_variables
-from .polynomials import MonomialOrder, UVar, XVar
+from .polynomials import MAX_KEY_WEIGHT, MonomialOrder, UVar, XVar
 
 DEGREE_DIGIT_BITS = 32
 MAX_PACKED_DEGREE = (1 << (DEGREE_DIGIT_BITS - 1)) - 1  # largest total degree packed
@@ -283,6 +284,33 @@ def monomial_order_for(tree):
     return MonomialOrder(ring_variables(tree), positivity_witness(tree))
 
 
+def _numerator(leads, weights, bound):
+    """Coefficients t^0..t^bound of K(t), the Hilbert series numerator of
+    R/(leads), a lead a dict variable index -> exponent.  Coprime leads give
+    K = prod(1 - t^w(lead)), a unit lead 1 - t^0 = 0; else x^e, e the least
+    exponent of x, the variable in the most leads, splits K(I) = K(I + (x^e)) +
+    t^(e w(x)) K(I : x^e) (Bigatti 1997).  Leads another lead divides are
+    dropped: colons pile them up (20-chain @40: 3.2 million calls, not 39)."""
+    leads = sorted(leads, key=lambda lead: sum(lead.values()))
+    leads = [a for j, a in enumerate(leads)
+             if not any(all(a.get(i, 0) >= e for i, e in b.items()) for b in leads[:j])]
+    [(x, n)] = Counter(i for lead in leads for i in lead).most_common(1) or [(None, 0)]
+    if n < 2:
+        k = [int(d == 0) for d in range(bound + 1)]
+        for w in (sum(weights[i] * e for i, e in lead.items()) for lead in leads):
+            for d in range(bound, w - 1, -1):  # times 1 - t^w
+                k[d] -= k[d - w]
+        return k
+    e = min(lead[x] for lead in leads if x in lead)
+    k = _numerator([lead for lead in leads if x not in lead] + [{x: e}], weights, bound)
+    shift = weights[x] * e
+    if shift <= bound:
+        colon = [{i: f - e * (i == x) for i, f in g.items() if i != x or f > e} for g in leads]
+        for d, c in enumerate(_numerator(colon, weights, bound - shift), start=shift):
+            k[d] += c
+    return k
+
+
 def truncated_hilbert(leads, weights, max_degree):
     """Dimensions of the weighted-degree pieces 0..max_degree of R/(leads),
     R the polynomial ring on exactly the variables listed in `weights` and
@@ -291,39 +319,19 @@ def truncated_hilbert(leads, weights, max_degree):
     Counts the monomials of each weight that no lead divides.  By
     Macaulay's theorem this is the Hilbert function of any ideal whose
     initial ideal the leads generate, so pass a Groebner basis's leading
-    monomials for that ideal.  Monomials are enumerated one variable at a
-    time, in the order of `weights`; each lead is tested once, at the
-    variable that completes it, and an exponent at which some lead divides
-    the prefix ends that variable's loop, since every larger exponent is
-    divisible too.
+    monomials for that ideal.  The counts are K(t) / prod_v (1 - t^w(v)),
+    truncated: K from _numerator, each 1 / (1 - t^w) a prefix sum of stride
+    w.  A max_degree above MAX_KEY_WEIGHT raises ResourceLimitError.
     """
-    variables = list(weights)
-    index = {v: i for i, v in enumerate(variables)}
-    completes = [[] for _ in variables]  # leads by their last variable
-    counts = [0] * (max_degree + 1)
-    for lead in leads:
-        try:
-            pairs = [(index[v], e) for v, e in lead.pairs]
-        except KeyError as exc:
-            raise UnknownVariableError(f"{exc.args[0]!r} is not in this ring") from None
-        if not pairs:
-            return counts  # the unit ideal
-        completes[max(pairs)[0]].append(pairs)
-    expo = [0] * len(variables)  # read only up to the current variable
-
-    def rec(i, used):
-        if i == len(variables):
-            counts[used] += 1
-            return
-        w = weights[variables[i]]
-        checks = completes[i]
-        e = 0
-        while used + e * w <= max_degree:
-            expo[i] = e
-            if checks and any(all(expo[j] >= k for j, k in lead) for lead in checks):
-                break
-            rec(i + 1, used + e * w)
-            e += 1
-
-    rec(0, 0)
+    if max_degree > MAX_KEY_WEIGHT:
+        raise ResourceLimitError(f"max_degree {max_degree} exceeds {MAX_KEY_WEIGHT}, the key bound")
+    index = {v: i for i, v in enumerate(weights)}
+    try:
+        ideal = [{index[v]: e for v, e in lead.pairs} for lead in leads]
+    except KeyError as exc:
+        raise UnknownVariableError(f"{exc.args[0]!r} is not in this ring") from None
+    counts = _numerator(ideal, list(weights.values()), max_degree)
+    for w in weights.values():
+        for d in range(w, max_degree + 1):
+            counts[d] += counts[d - w]
     return counts

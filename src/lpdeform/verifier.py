@@ -52,9 +52,9 @@ from .grading import (
     truncated_hilbert,
 )
 from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT, buchberger
-from .errors import DomainError, NotHomogeneousError
+from .errors import DomainError, NotHomogeneousError, ResourceLimitError
 from .letterplace import letterplace_generators
-from .polynomials import Polynomial, XVar, render_polynomial
+from .polynomials import MAX_KEY_WEIGHT, Polynomial, XVar, render_polynomial
 from .posets import as_rooted_tree
 
 
@@ -103,6 +103,8 @@ def _require_degree(max_degree):
         raise DomainError(f"max_degree must be an int, got {max_degree!r}")
     if max_degree < 0:
         raise DomainError(f"max_degree must be nonnegative, got {max_degree}")
+    if max_degree > MAX_KEY_WEIGHT:
+        raise ResourceLimitError(f"max_degree {max_degree} exceeds {MAX_KEY_WEIGHT}, the key bound")
 
 
 class Verifier:
@@ -351,15 +353,15 @@ class Verifier:
             self._run("lemma-sum-dt3", dt3),
         ]
 
+    def _flat_p2(self, a, b):
+        """a1 T(b) - T(a) R(a,b) b1."""
+        ctx, x = self.ctx, self._x
+        return x(1, a) * ctx.t_full(b) - ctx.t_full(a) * ctx.cover_product_r(a, b) * x(1, b)
+
     def check_flat_p2(self):
         """a1 T(b) - T(a) R(a,b) b1 lies in J for all a <= b."""
-        ctx, x = self.ctx, self._x
         faults = (
-            self._member(
-                f"(a,b)=({a},{b})",
-                x(1, a) * ctx.t_full(b)
-                - ctx.t_full(a) * ctx.cover_product_r(a, b) * x(1, b),
-            )
+            self._member(f"(a,b)=({a},{b})", self._flat_p2(a, b))
             for a in self.tree
             for b in self._above(a)
         )
@@ -388,14 +390,11 @@ class Verifier:
             self._lift_fault(
                 f"(a,b,c)=({a},{b},{c})",
                 x(1, b) * g[(a, c)] - x(1, a) * g[(b, c)],
-                ctx.s_op(b, c)
-                * (
-                    x(1, a) * ctx.t_full(b)
-                    - ctx.t_full(a) * ctx.cover_product_r(a, b) * x(1, b)
-                ),
+                ctx.s_op(b, c) * p2,
             )
             for a in tree
             for b in self._above(a)
+            for p2 in (self._flat_p2(a, b),)
             for c in self._above(b)
         )
         return [self._run("relation-lift-x2", x2), self._run("relation-lift-x1", x1)]
@@ -403,10 +402,12 @@ class Verifier:
     def compare_hilbert(self, max_degree):
         """Truncated weighted Hilbert functions of B/J and B/(L B) agree.
 
-        Each side counts the standard monomials of a monomial ideal
-        (Macaulay's theorem): J's through the leading monomials of its
-        Groebner basis, L's through the quadrics p1*q2 that generate it.
-        Raises DomainError unless max_degree is a nonnegative int."""
+        Each side is the Hilbert function of a monomial ideal (Macaulay's
+        theorem), read off its series numerator by truncated_hilbert: J's
+        through the leading monomials of its Groebner basis, L's through the
+        quadrics p1*q2 that generate it.  Raises DomainError unless
+        max_degree is a nonnegative int, and ResourceLimitError above
+        MAX_KEY_WEIGHT."""
         _require_degree(max_degree)
         t0 = time.monotonic()
         weights = self.order.weights
@@ -433,8 +434,8 @@ class Verifier:
         return reports
 
     def run_full(self, max_degree=4):
-        """Every check; raises DomainError unless max_degree is a
-        nonnegative int, before running any of them."""
+        """Every check; raises what compare_hilbert raises for max_degree
+        before running any of them."""
         _require_degree(max_degree)
         reports = self.run_basic()
         reports.append(self.check_flat_basic())

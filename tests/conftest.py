@@ -1,7 +1,15 @@
 import itertools
 import os
 
-from lpdeform import as_rooted_tree, load_poset, parse_poset
+from lpdeform import (
+    Polynomial,
+    as_rooted_tree,
+    j_ideal_generators,
+    load_poset,
+    parse_poset,
+    rooted_tree_shapes,
+    shape_to_tree,
+)
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures")
 
@@ -30,6 +38,31 @@ def star_tree(m):
     """Root a with m leaves b, c, ..."""
     names = [chr(ord("b") + i) for i in range(m)]
     return tree_from("\n".join(f"a < {x}" for x in names))
+
+
+def sign_flip(g):
+    """g with the sign of its u-part flipped."""
+    u_free = Polynomial({m: c for m, c in g.terms.items() if m.u_degree() == 0})
+    return u_free - (g - u_free)
+
+
+def tree_key(tree):
+    if len(tree.elements) == 1:
+        return tree.root
+    return ",".join(f"{tree.parent(p)}<{p}" for p in tree.linear_extension() if p != tree.root)
+
+
+def sign_flip_mutants(max_nodes):
+    """(key, tree, generator list) for every single sign flip of a
+    generator's u-part over the rooted trees with up to max_nodes nodes."""
+    for n in range(1, max_nodes + 1):
+        for shape in rooted_tree_shapes(n):
+            tree = shape_to_tree(shape)
+            gens = j_ideal_generators(tree)
+            for k, ((p, q), g) in enumerate(gens):
+                mutated = list(gens)
+                mutated[k] = ((p, q), sign_flip(g))
+                yield f"{tree_key(tree)} g({p},{q})", tree, mutated
 
 
 def tuple_order_key(order, mono):

@@ -238,6 +238,17 @@ def test_bad_budget_is_a_usage_error(command, flag, value, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [["hilbert"], ["check", "--suite", "full"]])
+def test_max_degree_above_the_key_bound_exits_3(command, capsys):
+    args = [command[0], fixture_path("single.poset")] + command[1:] + ["--max-degree"]
+    assert run(args + ["32767"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert run(args + ["32768"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lp: resource limit: max_degree 32768 exceeds 32767, the key bound\n"
+
+
 def test_hilbert_degree_zero(capsys):
     assert run(["hilbert", fixture_path("chain2.poset"), "--max-degree", "0"]) == 0
     assert out_lines(capsys) == ["J: [1]", "L: [1]", "PASS"]

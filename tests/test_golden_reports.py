@@ -15,16 +15,9 @@ import os
 
 import pytest
 
-from lpdeform import (
-    NotATreeError,
-    Polynomial,
-    Verifier,
-    j_ideal_generators,
-    rooted_tree_shapes,
-    shape_to_tree,
-)
+from lpdeform import NotATreeError, Verifier
 
-from conftest import FIXTURES, fixture_path, load_tree
+from conftest import FIXTURES, fixture_path, load_tree, sign_flip_mutants
 
 GOLDEN = fixture_path("reports.json")
 TREE_DEGREE = 3
@@ -44,30 +37,6 @@ def tree_fixture_names():
     return names
 
 
-def sign_flip(g):
-    """g with the sign of its u-part flipped."""
-    u_free = Polynomial({m: c for m, c in g.terms.items() if m.u_degree() == 0})
-    return u_free - (g - u_free)
-
-
-def tree_key(tree):
-    if len(tree.elements) == 1:
-        return tree.root
-    return ",".join(f"{tree.parent(p)}<{p}" for p in tree.linear_extension() if p != tree.root)
-
-
-def mutants():
-    """(key, tree, generator list) for every single sign flip."""
-    for n in range(1, MUTANT_MAX_NODES + 1):
-        for shape in rooted_tree_shapes(n):
-            tree = shape_to_tree(shape)
-            gens = j_ideal_generators(tree)
-            for k, ((p, q), g) in enumerate(gens):
-                mutated = list(gens)
-                mutated[k] = ((p, q), sign_flip(g))
-                yield f"{tree_key(tree)} g({p},{q})", tree, mutated
-
-
 def golden_dicts(reports):
     out = []
     for r in reports:
@@ -84,7 +53,7 @@ def tree_reports(name):
 def mutant_reports():
     return {
         key: golden_dicts(Verifier(tree, generators=gens).run_full(max_degree=MUTANT_DEGREE))
-        for key, tree, gens in mutants()
+        for key, tree, gens in sign_flip_mutants(MUTANT_MAX_NODES)
     }
 
 

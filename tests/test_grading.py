@@ -2,7 +2,7 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lpdeform import (
     Monomial,
@@ -29,8 +29,15 @@ from lpdeform import (
     variable_degree,
 )
 from lpdeform.grading import MAX_PACKED_DEGREE, _degree_table
+from lpdeform.polynomials import MAX_KEY_WEIGHT
 
-from conftest import brute_standard_count, chain_tree, load_tree, star_tree
+from conftest import (
+    brute_standard_count,
+    chain_tree,
+    load_tree,
+    sign_flip_mutants,
+    star_tree,
+)
 
 
 def unit(place, p):
@@ -328,3 +335,78 @@ def test_truncated_hilbert_rejects_foreign_leads():
     weights = positivity_witness(chain_tree(2))
     with pytest.raises(UnknownVariableError):
         truncated_hilbert([Monomial.var(XVar(1, "z"))], weights, 3)
+
+
+def test_truncated_hilbert_of_single_node_up_to_the_degree_budget():
+    # the closed form of test_truncated_hilbert_of_single_node far beyond
+    # what enumerating monomials reaches, up to the heaviest weight an order
+    # key holds; one above it is refused before any list is allocated
+    tree = chain_tree(1)
+    weights, quadrics = positivity_witness(tree), letterplace_monomials(tree)
+    for degree in (1000, MAX_KEY_WEIGHT):
+        assert truncated_hilbert(quadrics, weights, degree) == list(range(1, degree + 2))
+    with pytest.raises(ResourceLimitError, match=f"max_degree {MAX_KEY_WEIGHT + 1} exceeds"):
+        truncated_hilbert(quadrics, weights, MAX_KEY_WEIGHT + 1)
+
+
+def test_truncated_hilbert_of_a_negative_degree_is_empty():
+    weights = positivity_witness(chain_tree(2))
+    assert truncated_hilbert(j_leads(chain_tree(2)), weights, -1) == []
+    assert truncated_hilbert([], weights, -1) == []
+
+
+# -- the series numerator against enumeration ---------------------------------
+
+RING = [XVar(1, name) for name in "abcde"]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A ring of 1-5 variables with weights 1-3 and up to 8 leads with
+    exponents 0-3: non-squarefree, possibly the unit (all exponents 0), and
+    some drawn twice."""
+    n = draw(st.integers(1, 5))
+    weights = {v: draw(st.integers(1, 3)) for v in RING[:n]}
+    exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    leads = [Monomial.from_pairs(zip(RING, e)) for e in draw(st.lists(exponents, max_size=6))]
+    if leads:
+        leads += draw(st.lists(st.sampled_from(leads), max_size=2))
+    return leads, weights
+
+
+@given(monomial_ideals(), st.integers(0, 10))
+@example(([], {RING[0]: 1, RING[1]: 2}), 10)
+@example(([Monomial(), Monomial.var(RING[0], 2)], {RING[0]: 1, RING[1]: 3}), 6)
+@example(
+    (
+        [Monomial.from_pairs([(RING[0], 2), (RING[1], 1)])] * 2
+        + [Monomial.var(RING[1], 3), Monomial.from_pairs([(RING[0], 1), (RING[2], 2)])],
+        {RING[0]: 1, RING[1]: 2, RING[2]: 3},
+    ),
+    10,
+)
+def test_truncated_hilbert_matches_enumeration_on_random_ideals(ideal, max_degree):
+    leads, weights = ideal
+    assert truncated_hilbert(leads, weights, max_degree) == \
+        brute_standard_count(leads, weights, max_degree)
+
+
+def test_truncated_hilbert_of_high_powers():
+    # (x^1500, x^1499*y) = x^1499*(x, y): one pivot on x^1499 splits it,
+    # where pivoting on x would recurse 1500 deep
+    x, y = RING[:2]
+    leads = [Monomial.var(x, 1500), Monomial.from_pairs([(x, 1499), (y, 1)])]
+    expected = [d + 1 for d in range(1500)] + [1499] * 500
+    assert truncated_hilbert(leads, {x: 1, y: 1}, 1999) == expected
+
+
+def test_truncated_hilbert_matches_enumeration_on_sign_flip_mutants():
+    # a flipped u-part breaks flatness: on 48 of the 49 Buchberger adds to
+    # the basis, so the leads are more than the letterplace quadrics
+    seen = 0
+    for key, tree, gens in sign_flip_mutants(4):
+        weights = positivity_witness(tree)
+        leads = buchberger([g for _, g in gens], monomial_order_for(tree)).leading_monomials()
+        assert truncated_hilbert(leads, weights, 3) == brute_standard_count(leads, weights, 3), key
+        seen += 1
+    assert seen == 49

@@ -13,6 +13,7 @@ from lpdeform import (
     XVar,
     j_ideal_generators,
 )
+from lpdeform.polynomials import MAX_KEY_WEIGHT
 
 from conftest import chain_tree, load_tree, star_tree
 
@@ -61,6 +62,15 @@ def test_hilbert_report_carries_both_series():
     assert report.passed
     assert report.params["max_degree"] == 4
     assert report.params["J"] == report.params["L"] == [1, 9, 44, 157, 456]
+
+
+@pytest.mark.parametrize("name, degree", [("tree7", 8), ("chain3", 40)])
+def test_hilbert_functions_agree_at_high_degree(name, degree):
+    # out of reach of monomial enumeration: tree7 @8 took minutes that way
+    report = Verifier(load_tree(name)).compare_hilbert(degree)
+    assert report.passed
+    assert len(report.params["J"]) == degree + 1
+    assert report.params["J"] == report.params["L"]
 
 
 def mutate(tree, pair, twist):
@@ -134,6 +144,17 @@ def test_resource_limits_propagate():
     v = Verifier(chain_tree(3), max_pairs=0)
     with pytest.raises(ResourceLimitError):
         v.check_flat_basic()
+
+
+def test_degree_above_the_key_bound_is_a_resource_limit():
+    v = Verifier(chain_tree(1))
+    assert v.compare_hilbert(MAX_KEY_WEIGHT).passed
+    for call in (Verifier.compare_hilbert, Verifier.run_full):
+        fresh = Verifier(chain_tree(2))
+        with pytest.raises(ResourceLimitError, match="exceeds 32767"):
+            call(fresh, MAX_KEY_WEIGHT + 1)
+        # rejected before any check ran: not even the generators were built
+        assert fresh._generators is None and fresh._basis is None
 
 
 def test_negative_degree_is_a_domain_error():
