@@ -23,16 +23,19 @@ from lpdeform import (
     Polynomial,
     Verifier,
     as_rooted_tree,
+    buchberger,
     homogeneous_degree,
     j_ideal_generators,
     letterplace_generators,
     load_poset,
+    monomial_order_for,
     parse_poset,
     truncated_hilbert,
 )
 from lpdeform.groebner import _divide
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
+STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
 CHAIN3 = "a < b\nb < c\n"
 TREE7 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tree7.poset")
 
@@ -51,7 +54,7 @@ def wide():
 
 def test_divide_flat_basic(benchmark, wide):
     basis, instances, _ = wide
-    # the packed (P, N, tail) entries GroebnerBasis prepared with _lead
+    # the packed (P, N, tail) entries GroebnerBasis prepared with _pack
     leads, order = basis._leads, basis.order
 
     def reduce_all():
@@ -59,6 +62,15 @@ def test_divide_flat_basic(benchmark, wide):
 
     remainders = benchmark(reduce_all)
     assert all(r.is_zero for r in remainders)
+
+
+def test_buchberger_star6(benchmark):
+    tree = as_rooted_tree(parse_poset(STAR6))
+    order = monomial_order_for(tree)
+    gens = [g for _, g in j_ideal_generators(tree)]
+
+    basis = benchmark.pedantic(buchberger, args=(gens, order), rounds=5)
+    assert set(basis) == set(gens)
 
 
 def test_monomial_mul(benchmark, wide):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cotangent import t1_generators
 from .errors import LpError, ResourceLimitError
@@ -38,6 +39,31 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+
+def _json(x, pad="\n"):
+    """json.dumps(x, indent=2), byte for byte: CPython's C encoder does not
+    indent, so json.dumps falls back to pure Python when `indent` is set.
+    `pad` is the newline and indentation of x's own line."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, inner)
+            for k, v in x.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]"
+    return json.dumps(x)  # floats, bools, None
 
 
 def _order_for(poset):
@@ -87,7 +113,7 @@ def _cmd_gens(args):
                 for (p, q), g in gens
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for _, g in gens:
             print(render_polynomial(g, order))
@@ -124,7 +150,7 @@ def _cmd_t1(args):
                 for t in gens
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for t in gens:
             print(f"{t.source}1*{t.source}2 -> {render_monomial(t.image, order)}")
@@ -146,7 +172,7 @@ def _cmd_check(args):
             "reports": [r.to_json_dict() for r in reports],
             "passed": passed == len(reports),
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for r in reports:
             print(r.line())
@@ -166,7 +192,7 @@ def _cmd_hilbert(args):
             "L": report.params["L"],
             "passed": report.passed,
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(f"J: {report.params['J']}")
         print(f"L: {report.params['L']}")
@@ -195,7 +221,7 @@ def _cmd_info(args):
         agree = info["u_parameters"] == info["t1_generators"]
     if args.json:
         info["agree"] = agree
-        print(json.dumps(info, indent=2))
+        print(_json(info))
     else:
         print(f"elements:       {info['elements']}")
         print(f"codimension:    {info['codimension']}")

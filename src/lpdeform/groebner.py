@@ -1,10 +1,22 @@
 """Buchberger's algorithm, reduced bases, and normal forms.
 
-Buchberger's algorithm is the textbook one: normal selection strategy
-(smallest S-pair lcm first), the coprime-leading-term criterion, full tail
-reduction at the end.  Two budgets turn runaway computations into
-ResourceLimitError instead of hangs, both checked once per processed
-S-pair:
+`buchberger` first tries to certify that its monic generators already are
+the reduced Groebner basis, as the deformed generators of a rooted tree
+are.  By Buchberger's criterion they are when no lead divides another lead
+or a tail term and every S-pair with non-coprime leads reduces to zero.
+The certificate runs on the packed entries below: an S-pair is the two
+tails shifted by their quotient keys, reduced by the division kernel, with
+no Polynomial built and no Fraction made for a monic basis.  The pairs are
+taken in the loop's order and charged to the same budgets.
+
+At the first nonzero remainder, the textbook loop runs from the first
+pair: normal selection strategy (smallest S-pair lcm first), the
+coprime-leading-term criterion, full tail reduction at the end.  Its
+first pairs are charged again, so a budget trips at the same pair, with
+the same message, as it would without the certificate.  A pair with
+coprime leads costs one AND of the leads' supports and is never queued.
+Two budgets turn runaway computations into ResourceLimitError instead of
+hangs, both checked once per processed S-pair:
 
   * a cap on the number of processed S-pairs;
   * a cap on the weighted degree of the pair's lcm.  In a weighted-degree
@@ -13,7 +25,7 @@ S-pair:
     pair outweighs its lcm.
 
 The verifier reduces many structured polynomials modulo one fixed basis, so
-the division kernel `_divide` is where the time goes.  It reduces exactly
+the division kernel `_reduce` is where the time goes.  It reduces exactly
 like the textbook division (largest term first, first dividing lead in
 basis order, so the remainder and every intermediate coefficient are the
 same), but on packed exponents (Monagan & Pearce, "Sparse polynomial
@@ -25,50 +37,52 @@ division using a heap", J. Symb. Comp. 2011):
     is the largest monomial);
   * "lead divides m" is one guarded subtraction on the exponent digits
     P = N & order.mask: ((P_m | G) - P_lead) & G == G, G = order.guard;
-  * input terms are packed on each call, through MonomialOrder.key, which
-    raises ResourceLimitError past the encoding's bound (weight 2**15 - 1;
-    a division step never raises weight, so checking the input is enough);
-    only the remainder is unpacked, its coefficients made canonical;
-  * each lead's packed entry is prepared once by `_lead`, per
-    GroebnerBasis and per lead Buchberger adds.
+    the support of P, the guard bits of its nonzero digits, is
+    ((P | G) - L) & G, with L the low bit of every digit;
+  * `_divide` packs its input through MonomialOrder.key, which raises
+    ResourceLimitError past the encoding's bound (weight 2**15 - 1; a
+    division step never raises weight, so checking the input is enough),
+    and unpacks only the remainder, its coefficients made canonical;
+  * each polynomial of a basis is made monic and packed once, by `_pack`,
+    with one MonomialOrder.key call per term.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DomainError, ResourceLimitError
-from .polynomials import Polynomial, _as_coeff
+from .polynomials import DIGIT_BITS, MAX_KEY_WEIGHT, Polynomial, _as_coeff
 
 DEFAULT_MAX_PAIRS = 1_000_000
 DEFAULT_MAX_WEIGHT = 10_000
 
 
-def _monic(f, order):
-    _, c = order.leading_term(f)
-    return f * (Fraction(1) / c) if c != 1 else f
-
-
-def _lead(g, order):
-    """The packed entry (P, N, tail) of monic g that _divide takes: N is
-    minus the key of g's leading monomial, P = N & order.mask its
-    exponents, and tail the (minus key, coefficient) pairs of its other
-    terms."""
-    keys = {order.key(m): c for m, c in g.terms.items()}
-    k = max(keys)
-    del keys[k]
-    return -k & order.mask, -k, tuple((-km, c) for km, c in keys.items())
-
-
-def _divide(f, leads, order):
-    """Complete division remainder of f by the _lead entries `leads` (see
-    the module docstring)."""
+def _pack(f, order):
+    """Monic f and its packed entry (P, N, tail) for _reduce, from one
+    order.key call per term: N is minus the key of f's leading monomial,
+    P = N & order.mask its exponents, and tail the (minus key, coefficient)
+    pairs of monic f's other terms."""
+    if f.is_zero:
+        raise DomainError("the zero polynomial has no leading term")
     key = order.key
-    mask, guard = order.mask, order.guard
+    packed = [(-key(m), m, c) for m, c in f.terms.items()]
+    n, _, lc = min(packed, key=itemgetter(0))
+    if lc != 1:
+        inv = Fraction(1) / lc
+        packed = [(nm, m, _as_coeff(inv * c)) for nm, m, c in packed]
+        f = Polynomial({m: c for _, m, c in packed})
+    return f, (n & order.mask, n, tuple((nm, c) for nm, _, c in packed if nm != n))
+
+
+def _reduce(work, leads, mask, guard):
+    """Complete division remainder, {minus key: coefficient}, of the packed
+    polynomial `work` (minus key -> coefficient; consumed) by the entries
+    `leads` (see the module docstring)."""
     # minus keys: the smallest is the largest monomial, and a product's is
     # the sum of its factors'
-    work = {-key(m): c for m, c in f.terms.items()}
     heap = list(work)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -99,6 +113,13 @@ def _divide(f, leads, order):
                     work[t] = s
                 else:
                     del work[t]
+    return remainder
+
+
+def _divide(f, leads, order):
+    """Complete division remainder of f by the packed entries `leads`."""
+    key = order.key
+    remainder = _reduce({-key(m): c for m, c in f.terms.items()}, leads, order.mask, order.guard)
     monomial = order.monomial
     return Polynomial({monomial(-n): _as_coeff(c) for n, c in remainder.items()})
 
@@ -107,9 +128,12 @@ def s_polynomial(f, g, order):
     mf, cf = order.leading_term(f)
     mg, cg = order.leading_term(g)
     l = mf.lcm(mg)
-    tf = Polynomial.term(l.div(mf), Fraction(1) / cf)
-    tg = Polynomial.term(l.div(mg), Fraction(1) / cg)
-    return f * tf - g * tg
+    sf, sg = f * l.div(mf), g * l.div(mg)
+    if cf != 1:
+        sf = sf * (Fraction(1) / cf)
+    if cg != 1:
+        sg = sg * (Fraction(1) / cg)
+    return sf - sg
 
 
 class GroebnerBasis:
@@ -119,9 +143,20 @@ class GroebnerBasis:
     ideals produce structurally equal bases."""
 
     def __init__(self, polys, order):
+        self._set([_pack(g, order) for g in polys], order)
+
+    @classmethod
+    def _from_packed(cls, packed, order):
+        """The basis of (monic polynomial, packed entry) pairs from _pack,
+        taken as they are."""
+        basis = cls.__new__(cls)
+        basis._set(packed, order)
+        return basis
+
+    def _set(self, packed, order):
         self.order = order
-        self.polys = tuple(_monic(g, order) for g in polys)
-        self._leads = [_lead(g, order) for g in self.polys]
+        self.polys = tuple(g for g, _ in packed)
+        self._leads = [entry for _, entry in packed]
 
     def __iter__(self):
         return iter(self.polys)
@@ -155,6 +190,46 @@ def normal_form(f, basis):
     return basis.normal_form(f)
 
 
+def _certify(leads, heap, order, charge):
+    """True when the monic polynomials with the packed entries `leads` are
+    a reduced Groebner basis: no lead divides another lead or a tail term,
+    and the S-polynomial of every pair in `heap` (the non-coprime ones, as
+    (lcm key, i, j)) reduces to zero.  Each pair is charged to the budgets
+    in the order Buchberger's loop takes it; `heap` is left as it was."""
+    mask, guard = order.mask, order.guard
+    exponents = [p for p, _, _ in leads]
+    for i, (p, _, tail) in enumerate(leads):
+        p |= guard
+        if any((p - pl) & guard == guard for j, pl in enumerate(exponents) if j != i):
+            return False
+        for n, _ in tail:
+            p = (n & mask) | guard
+            if any((p - pl) & guard == guard for pl in exponents):
+                return False
+    heap = list(heap)
+    processed = 0
+    while heap:
+        k, i, j = heapq.heappop(heap)
+        processed += 1
+        charge(processed, k)
+        # the S-polynomial of monic f_i, f_j is (l/lead_i) tail_i - (l/lead_j) tail_j
+        _, ni, tail = leads[i]
+        q = -k - ni
+        work = {n + q: c for n, c in tail}
+        _, nj, tail = leads[j]
+        q = -k - nj
+        for n, c in tail:
+            t = n + q
+            s = work.get(t, 0) - c
+            if s:
+                work[t] = s
+            else:
+                del work[t]
+        if _reduce(work, leads, mask, guard):
+            return False
+    return True
+
+
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_WEIGHT):
     """Reduced Groebner basis of the ideal generated by `gens`.
 
@@ -162,55 +237,83 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     processed or a processed S-pair's lcm has weighted degree above
     max_weight (which bounds every monomial its reduction creates).
     Deterministic: the unique reduced basis, sorted by leading monomial.
+    Monic generators that are already that basis are certified and
+    returned; otherwise Buchberger's loop runs (see the module docstring).
     """
-    G = []
+    G, leads = [], []
     for f in gens:
-        if f.is_zero:
-            continue
-        G.append(_monic(f, order))
+        if not f.is_zero:
+            g, entry = _pack(f, order)
+            G.append(g)
+            leads.append(entry)
     if not G:
         raise DomainError("no nonzero generators")
 
-    leads = [_lead(g, order) for g in G]
+    guard = order.guard
+    low = guard >> (DIGIT_BITS - 1)  # the low bit of every exponent digit
+    max_key = MAX_KEY_WEIGHT * (order.mask + 1)
+    shift = order.mask.bit_length()
     lm = [order.monomial(-n) for _, n, _ in leads]
-    heap = []
-    for i in range(len(G)):
-        for j in range(i):
-            heapq.heappush(heap, (order.key(lm[i].lcm(lm[j])), j, i))
+    support = []  # per lead, the guard bits of its nonzero digits
 
-    processed = 0
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        l = lm[i].lcm(lm[j])
-        if l == lm[i].mul(lm[j]):
-            continue  # coprime leading terms: S-pair reduces to zero
-        processed += 1
+    def new_pairs(k):
+        """Heap entries (lcm key, t, k) of lead k's non-coprime pairs with
+        the leads before it; records lead k's support."""
+        pk, nk, _ = leads[k]
+        sk = ((pk | guard) - low) & guard
+        support.append(sk)
+        pairs = []
+        for t in range(k):
+            if support[t] & sk:
+                pairs.append((order.key(lm[k].lcm(lm[t])), t, k))
+            elif -(nk + leads[t][1]) > max_key:
+                # a coprime lcm is the product, and its key the sum; past
+                # the encoding's bound, order.key raises its error
+                order.key(lm[k].mul(lm[t]))
+        return pairs
+
+    def charge(processed, k):
         if processed > max_pairs:
             raise ResourceLimitError(f"S-pair budget of {max_pairs} exceeded")
-        if order.weight(l) > max_weight:
+        # k = w * B**n - (exponent digits < B**n), so w = -(-k // B**n)
+        if -(-k >> shift) > max_weight:
             raise ResourceLimitError(f"S-pair lcm weight exceeded {max_weight}")
+
+    heap = [pair for k in range(len(G)) for pair in new_pairs(k)]
+    heapq.heapify(heap)
+    if _certify(leads, heap, order, charge):
+        packed = sorted(zip(G, leads), key=lambda gl: -gl[1][1])
+        return GroebnerBasis._from_packed(packed, order)
+
+    # Buchberger's loop from the first pair: the pairs before the first
+    # nonzero remainder are charged again, as they would be without the
+    # certificate
+    processed = 0
+    while heap:
+        k, i, j = heapq.heappop(heap)
+        processed += 1
+        charge(processed, k)
         s = s_polynomial(G[i], G[j], order)
         r = _divide(s, leads, order)
         if r.is_zero:
             continue
-        r = _monic(r, order)
-        k = len(G)
+        r, entry = _pack(r, order)
         G.append(r)
-        leads.append(_lead(r, order))
-        lm.append(order.monomial(-leads[k][1]))
-        for t in range(k):
-            heapq.heappush(heap, (order.key(lm[k].lcm(lm[t])), t, k))
+        leads.append(entry)
+        lm.append(order.monomial(-entry[1]))
+        for pair in new_pairs(len(G) - 1):
+            heapq.heappush(heap, pair)
 
     # minimalize: drop any generator whose lead is divisible by another's
-    by_key = sorted(range(len(G)), key=lambda i: order.key(lm[i]))
     kept = []
-    for i in by_key:
-        if not any(lm[j].divides(lm[i]) for j in kept):
+    for i in sorted(range(len(G)), key=lambda i: -leads[i][1]):
+        p = leads[i][0] | guard
+        if not any((p - leads[j][0]) & guard == guard for j in kept):
             kept.append(i)
-    # tail-reduce each survivor against the others
+    # tail-reduce each survivor against the others; the leads stay, so the
+    # result is sorted by lead
     reduced = []
     for i in kept:
         others = [leads[j] for j in kept if j != i]
         reduced.append(_divide(G[i], others, order) if others else G[i])
-    reduced.sort(key=lambda g: order.key(order.leading_monomial(g)))
     return GroebnerBasis(reduced, order)

@@ -1,13 +1,15 @@
+import glob
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lpdeform import Verifier
-from lpdeform.cli import run
+from lpdeform.cli import _json, run
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def out_lines(capsys):
@@ -288,3 +290,49 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stderr == ""
     assert run(args) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+# -- the indented JSON writer ------------------------------------------------------
+
+keys = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+payloads = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(payloads)
+@example({"": [], "x": {}, "é\u2028\n": ["ü", "\ud83d", -0.0, float("nan"), float("inf"), 10**30]})
+@example([[], {}, (), [[]], {"a": {}}])
+@example({1: True, 2.5: None, None: False, True: 1.0})
+def test_json_writer_matches_json_dumps(payload):
+    assert _json(payload) == json.dumps(payload, indent=2)
+
+
+JSON_COMMANDS = [
+    ["gens", "--ideal", "J", "--json"],
+    ["gens", "--ideal", "L", "--json"],
+    ["t1", "--json"],
+    ["check", "--json"],
+    ["check", "--suite", "full", "--max-degree", "3", "--json"],
+    ["hilbert", "--json"],
+    ["info", "--json"],
+]
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS, ids=lambda c: " ".join(c[:-1]))
+def test_every_json_output_is_json_dumps_indent_2(command, capsys):
+    printed = 0
+    for path in sorted(glob.glob(f"{FIXTURES}/*.poset")):
+        code = run([command[0], path, *command[1:]])
+        out = capsys.readouterr().out
+        if code == 2:
+            assert out == ""  # not a rooted tree
+            continue
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", path
+        printed += 1
+    assert printed >= 9

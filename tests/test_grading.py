@@ -28,6 +28,7 @@ from lpdeform import (
     u_variables,
     variable_degree,
 )
+from lpdeform import grading
 from lpdeform.grading import MAX_PACKED_DEGREE, _degree_table
 from lpdeform.polynomials import MAX_KEY_WEIGHT
 
@@ -398,6 +399,47 @@ def test_truncated_hilbert_of_high_powers():
     leads = [Monomial.var(x, 1500), Monomial.from_pairs([(x, 1499), (y, 1)])]
     expected = [d + 1 for d in range(1500)] + [1499] * 500
     assert truncated_hilbert(leads, {x: 1, y: 1}, 1999) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_truncated_hilbert_of_powers_of_the_maximal_ideal(n):
+    # (x, y)^n: H(d) = d + 1 below n and 0 from n on
+    x, y = RING[:2]
+    leads = [Monomial.from_pairs([(x, k), (y, n - k)]) for k in range(n + 1)]
+    expected = [d + 1 for d in range(n)] + [0] * 6
+    assert truncated_hilbert(leads, {x: 1, y: 1}, n + 5) == expected
+    # the same stairs c times as high, so that the pivots are x^c:
+    # x^i*y^j is standard when i//c + j//c < n
+    for c in (2, 3):
+        leads = [Monomial.from_pairs([(x, c * k), (y, c * (n - k))]) for k in range(n + 1)]
+        expected = [sum(i // c + (d - i) // c < n for i in range(d + 1)) for d in range(c * n + 5)]
+        assert truncated_hilbert(leads, {x: 1, y: 1}, c * n + 4) == expected
+
+
+def test_numerator_drops_leads_another_divides(monkeypatch):
+    # the 20-chain's quadrics at degree 40 take 39 pivot steps; without
+    # dropping the leads that the colons make redundant they took 2.4
+    # million, and redundant leads in the input must not add any
+    tree = chain_tree(20)
+    weights = positivity_witness(tree)
+    quadrics = [m for _, m in letterplace_generators(tree)]
+    padded = quadrics + quadrics[:3] + [
+        q.mul(Monomial.var(v)) for q in quadrics[:10] for v in list(weights)[:4]
+    ]
+    calls = []
+    split = grading._split
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 1000, "redundant leads were kept"
+        return split(*args)
+
+    monkeypatch.setattr(grading, "_split", counted)
+    values = truncated_hilbert(quadrics, weights, 40)
+    assert len(calls) == 39
+    calls.clear()
+    assert truncated_hilbert(padded, weights, 40) == values
+    assert len(calls) == 39
 
 
 def test_truncated_hilbert_matches_enumeration_on_sign_flip_mutants():

@@ -5,6 +5,7 @@ import pytest
 
 from lpdeform import (
     DomainError,
+    all_rooted_trees,
     GroebnerBasis,
     Monomial,
     MonomialOrder,
@@ -23,7 +24,7 @@ from lpdeform import (
 from lpdeform import groebner
 from lpdeform.polynomials import MAX_KEY_WEIGHT
 
-from conftest import chain_tree, star_tree, tuple_order_key
+from conftest import chain_tree, sign_flip_mutants, star_tree, tuple_order_key
 
 X, Y = XVar(1, "x"), XVar(1, "y")
 VARS = [X, Y]
@@ -270,14 +271,17 @@ def test_weight_budget_is_the_largest_processed_lcm(monkeypatch):
 def test_reduction_stays_within_the_lcm_weight(monkeypatch):
     # the fact the per-pair budget rests on: in a weighted-degree order,
     # no term of an S-polynomial or of its remainder outweighs the lcm
+    recorded = 0
     for gens, order in random_bases():
         with monkeypatch.context() as patch:
             pairs = record_pairs(patch)
             buchberger(gens, order, max_pairs=200)
+        recorded += bool(pairs)
         for lcm, s, r in pairs:
             bound = order.weight(lcm)
             assert all(order.weight(m) <= bound for m in s.terms)
             assert all(order.weight(m) <= bound for m in r.terms)
+    assert recorded == 9  # of 12; the other 3 have only coprime pairs
 
 
 # -- determinism and budgets ------------------------------------------------------
@@ -328,3 +332,97 @@ def test_groebner_basis_wrapper_normalizes():
     wrapped = GroebnerBasis(raw, ORDER)
     assert wrapped.normal_form(poly("x1 - 1")).is_zero
     assert wrapped == GroebnerBasis([poly("x1 - 1"), poly("y1^2 - 1")], ORDER)
+
+
+# -- the certificate: generators that already are the reduced basis --------------------
+
+def monic_by_lead(gens, order):
+    """The monic nonzero generators, sorted by leading monomial."""
+    monic = [g * (Fraction(1) / order.leading_term(g)[1]) for g in gens if not g.is_zero]
+    return sorted(monic, key=lambda g: order.key(order.leading_monomial(g)))
+
+
+def spy_s_polynomial(monkeypatch):
+    calls = []
+    s_poly = groebner.s_polynomial
+    monkeypatch.setattr(groebner, "s_polynomial", lambda *a: calls.append(a) or s_poly(*a))
+    return calls
+
+
+def test_deformed_generators_are_certified_on_every_tree_to_six(monkeypatch):
+    calls = spy_s_polynomial(monkeypatch)
+    trees = list(all_rooted_trees(6))
+    assert len(trees) == 37
+    for tree in trees:
+        order = monomial_order_for(tree)
+        gens = [g for _, g in j_ideal_generators(tree)]
+        calls.clear()
+        basis = buchberger(gens, order)
+        assert calls == []  # the certificate answered: Buchberger's loop never ran
+        assert list(basis) == monic_by_lead(gens, order)
+        # the certificate's facts restated with public calls only: every
+        # S-polynomial reduces to zero, and no lead divides another lead
+        # or a tail term
+        for i, f in enumerate(gens):
+            for g in gens[:i]:
+                assert basis.normal_form(s_polynomial(f, g, order)).is_zero
+        leads = basis.leading_monomials()
+        assert len(set(leads)) == len(leads)
+        for f, lead in zip(basis, leads):
+            assert not any(m.divides(lead) for m in leads if m != lead)
+            assert not any(m.divides(t) for m in leads for t in f.terms if t != lead)
+
+
+def test_reduced_bases_come_back_unchanged():
+    rng = random.Random(9)
+    for gens, order in random_bases():
+        basis = buchberger(gens, order, max_pairs=200)
+        polys = list(basis)
+        for _ in range(3):
+            rng.shuffle(polys)
+            assert buchberger(polys, order) == basis
+            scaled = [p * Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])) for p in polys]
+            assert buchberger(scaled, order) == basis
+        # Groebner bases of the same ideal that are not reduced: a
+        # redundant multiple, and the largest element plus the smallest,
+        # whose lead then sits in the tail
+        for p in polys:
+            assert buchberger(polys + [p * poly("x1*y1 + 1")], order) == basis
+        if len(basis) > 1:
+            first, *middle, last = basis
+            assert buchberger([first, *middle, last + first * 3], order) == basis
+
+
+def test_sign_flip_mutants_run_buchbergers_loop(monkeypatch):
+    calls = spy_s_polynomial(monkeypatch)
+    grown = 0
+    for key, tree, gens in sign_flip_mutants(4):
+        polys = [g for _, g in gens]
+        if len(polys) == 1:
+            continue  # one generator is its own reduced basis
+        calls.clear()
+        basis = buchberger(polys, monomial_order_for(tree))
+        assert calls, key
+        grown += list(basis) != monic_by_lead(polys, monomial_order_for(tree))
+    assert grown == 48
+
+
+def non_coprime_lcms(basis):
+    leads = basis.leading_monomials()
+    return [a.lcm(b) for i, a in enumerate(leads) for b in leads[:i] if a.lcm(b) != a.mul(b)]
+
+
+@pytest.mark.parametrize("tree", [chain_tree(4), star_tree(3)], ids=["chain4", "star3"])
+def test_certificate_charges_every_non_coprime_pair(tree):
+    order = monomial_order_for(tree)
+    gens = [g for _, g in j_ideal_generators(tree)]
+    basis = buchberger(gens, order)
+    lcms = non_coprime_lcms(basis)
+    n, w = len(lcms), max(order.weight(l) for l in lcms)
+    assert n > 0
+    assert buchberger(gens, order, max_pairs=n) == basis
+    with pytest.raises(ResourceLimitError, match=f"^S-pair budget of {n - 1} exceeded$"):
+        buchberger(gens, order, max_pairs=n - 1)
+    assert buchberger(gens, order, max_weight=w) == basis
+    with pytest.raises(ResourceLimitError, match=f"^S-pair lcm weight exceeded {w - 1}$"):
+        buchberger(gens, order, max_weight=w - 1)
