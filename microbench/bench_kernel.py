@@ -5,9 +5,11 @@
 The file name does not match test_*.py, so a plain `pytest` run does not
 collect it; it runs only when named on the command line.
 
-The kernel inputs are the flat-basic instances of one wide 7-node tree (a
-root with five children, one of which has a child), reduced modulo the
-tree's basis of J, as `Verifier.check_flat_basic` does.  The minors are
+The kernel inputs are the packed flat-basic instances of one wide 7-node
+tree (a root with five children, one of which has a child), reduced modulo
+the tree's basis of J, as `Verifier.check_flat_basic` does; a second case
+builds the packed lemma and relation-lift instances of the star with six
+leaves, as the verifier's checks do, without reducing them.  The minors are
 those of M(a) at that root, the widest node; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
 and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
@@ -20,7 +22,6 @@ import pytest
 
 from lpdeform import (
     DeformationContext,
-    Polynomial,
     Verifier,
     as_rooted_tree,
     buchberger,
@@ -32,7 +33,7 @@ from lpdeform import (
     parse_poset,
     truncated_hilbert,
 )
-from lpdeform.groebner import _divide
+from lpdeform.groebner import _reduce
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
@@ -40,28 +41,54 @@ CHAIN3 = "a < b\nb < c\n"
 TREE7 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tree7.poset")
 
 
+def recording_members(verifier):
+    """Replace the verifier's membership test by a recorder that keeps each
+    packed instance and lets it pass; returns the record."""
+    instances = []
+    verifier._member = lambda label, f: instances.append(f)
+    return instances
+
+
 @pytest.fixture(scope="module")
 def wide():
     verifier = Verifier(parse_poset(WIDE_TREE))
     basis = verifier.basis
-    instances = []
-    # record the membership queries of the check instead of answering them
-    verifier._in_ideal = lambda f: instances.append(f) or Polynomial.zero()
+    count = verifier.check_flat_basic().params["instances"]
+    instances = recording_members(verifier)
     verifier.check_flat_basic()
-    monomials = sorted({m for f in instances for m in f.terms}, key=repr)
+    assert len(instances) == count > 0
+    order = basis.order
+    monomials = sorted({order.monomial(-n) for f in instances for n in f}, key=repr)
     return basis, instances, monomials
 
 
 def test_divide_flat_basic(benchmark, wide):
     basis, instances, _ = wide
-    # the packed (P, N, tail) entries GroebnerBasis prepared with _pack
+    # the packed (P, N, tail) entries GroebnerBasis prepared with _pack;
+    # _reduce consumes its input, so each round reduces copies
     leads, order = basis._leads, basis.order
 
     def reduce_all():
-        return [_divide(f, leads, order) for f in instances]
+        return [_reduce(dict(f), leads, order.mask, order.guard) for f in instances]
 
     remainders = benchmark(reduce_all)
-    assert all(r.is_zero for r in remainders)
+    assert len(remainders) == len(instances) and not any(remainders)
+
+
+def test_build_star6_lemma_and_lift_instances(benchmark):
+    verifier = Verifier(parse_poset(STAR6))
+    instances = recording_members(verifier)
+
+    def build():
+        instances.clear()
+        return verifier.check_lemma_identities() + verifier.check_relation_lifts()
+
+    # the warm-up round fills the deformation context's memos; each timed
+    # round packs the blocks again, since the packed ones are dropped with
+    # each check
+    reports = benchmark.pedantic(build, rounds=5, warmup_rounds=1)
+    assert all(r.passed for r in reports)
+    assert len(instances) == sum(r.params["instances"] for r in reports) > 0
 
 
 def test_buchberger_star6(benchmark):

@@ -39,10 +39,18 @@ division using a heap", J. Symb. Comp. 2011):
     P = N & order.mask: ((P_m | G) - P_lead) & G == G, G = order.guard;
     the support of P, the guard bits of its nonzero digits, is
     ((P | G) - L) & G, with L the low bit of every digit;
-  * `_divide` packs its input through MonomialOrder.key, which raises
-    ResourceLimitError past the encoding's bound (weight 2**15 - 1; a
-    division step never raises weight, so checking the input is enough),
-    and unpacks only the remainder, its coefficients made canonical;
+  * a packed polynomial is a dict minus key -> coefficient.  `_pack_terms`
+    packs a Polynomial through MonomialOrder.key, which raises
+    ResourceLimitError past the encoding's bound (weight 2**15 - 1), and
+    `_unpack` is its inverse, with canonical coefficients; `_divide` is
+    pack -> `_reduce` -> unpack.  A division step never raises weight, so
+    checking the input is enough;
+  * `_mul`, `_add` and `_sub` are the ring operations on packed
+    polynomials, so a caller such as the verifier builds its instances
+    packed and unpacks only a nonzero remainder.  `_mul` checks its result
+    against the key bound, with MonomialOrder.key's error: two operands
+    within the bound have exponent digits below 2**15, so their sum cannot
+    carry into the next digit;
   * each polynomial of a basis is made monic and packed once, by `_pack`,
     with one MonomialOrder.key call per term.
 """
@@ -51,13 +59,72 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import DomainError, ResourceLimitError
-from .polynomials import DIGIT_BITS, MAX_KEY_WEIGHT, Polynomial, _as_coeff
+from .polynomials import DIGIT_BITS, MAX_KEY_WEIGHT, Polynomial, _as_coeff, key_bound_error
 
 DEFAULT_MAX_PAIRS = 1_000_000
 DEFAULT_MAX_WEIGHT = 10_000
+
+
+def _pack_terms(f, order):
+    """The packed polynomial of f: minus key -> coefficient."""
+    key = order.key
+    return {-key(m): c for m, c in f.terms.items()}
+
+
+def _unpack(work, order):
+    """The Polynomial of the packed polynomial `work`, with canonical
+    coefficients."""
+    monomial = order.monomial
+    return Polynomial({monomial(-n): _as_coeff(c) for n, c in work.items()})
+
+
+def _mul(f, g, order):
+    """The packed product f * g: a product of monomials is one addition.
+    Raises MonomialOrder.key's ResourceLimitError when a term of the
+    product passes the key bound."""
+    if len(f) < len(g):
+        f, g = g, f
+    if len(g) == 1:
+        # a term times a polynomial: the keys stay distinct, nothing cancels
+        [(n2, c2)] = g.items()
+        acc = {n + n2: c * c2 for n, c in f.items()}
+    else:
+        acc = {}
+        get = acc.get
+        for n2, c2 in g.items():
+            for n, c in f.items():
+                t = n + n2
+                s = get(t, 0) + c * c2
+                if s:
+                    acc[t] = s
+                else:
+                    del acc[t]
+    if acc:
+        # the smallest minus key is the heaviest monomial: -(N >> 16n) is its
+        # weight, the exponent digits being below B**n
+        w = -(min(acc) >> order.mask.bit_length())
+        if w > MAX_KEY_WEIGHT:
+            raise key_bound_error(w)
+    return acc
+
+
+def _add(f, g, sign=1):
+    """The packed sum f + sign * g."""
+    acc = dict(f)
+    for n, c in g.items():
+        s = acc.get(n, 0) + sign * c
+        if s:
+            acc[n] = s
+        else:
+            del acc[n]
+    return acc
+
+
+def _sub(f, g):
+    """The packed difference f - g."""
+    return _add(f, g, -1)
 
 
 def _pack(f, order):
@@ -67,14 +134,14 @@ def _pack(f, order):
     pairs of monic f's other terms."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no leading term")
-    key = order.key
-    packed = [(-key(m), m, c) for m, c in f.terms.items()]
-    n, _, lc = min(packed, key=itemgetter(0))
+    work = _pack_terms(f, order)
+    n = min(work)
+    lc = work[n]
     if lc != 1:
         inv = Fraction(1) / lc
-        packed = [(nm, m, _as_coeff(inv * c)) for nm, m, c in packed]
-        f = Polynomial({m: c for _, m, c in packed})
-    return f, (n & order.mask, n, tuple((nm, c) for nm, _, c in packed if nm != n))
+        f = f * inv
+        work = {nm: _as_coeff(inv * c) for nm, c in work.items()}
+    return f, (n & order.mask, n, tuple((nm, c) for nm, c in work.items() if nm != n))
 
 
 def _reduce(work, leads, mask, guard):
@@ -118,10 +185,7 @@ def _reduce(work, leads, mask, guard):
 
 def _divide(f, leads, order):
     """Complete division remainder of f by the packed entries `leads`."""
-    key = order.key
-    remainder = _reduce({-key(m): c for m, c in f.terms.items()}, leads, order.mask, order.guard)
-    monomial = order.monomial
-    return Polynomial({monomial(-n): _as_coeff(c) for n, c in remainder.items()})
+    return _unpack(_reduce(_pack_terms(f, order), leads, order.mask, order.guard), order)
 
 
 def s_polynomial(f, g, order):

@@ -381,6 +381,13 @@ DIGIT_MASK = (1 << DIGIT_BITS) - 1
 MAX_KEY_WEIGHT = (1 << (DIGIT_BITS - 1)) - 1  # largest weight a packed key holds
 
 
+def key_bound_error(weight):
+    """The error for a monomial of `weight` above MAX_KEY_WEIGHT."""
+    return ResourceLimitError(
+        f"monomial weight {weight} exceeds {MAX_KEY_WEIGHT}, the packed-key bound"
+    )
+
+
 class MonomialOrder:
     """Weighted degree, ties broken reverse-lexicographically against the
     fixed variable sequence (exponents on later variables lose)."""
@@ -443,9 +450,7 @@ class MonomialOrder:
                 raise UnknownVariableError(f"{v!r} is not in this ring")
             k += p * e
         if k > self._max_key:
-            raise ResourceLimitError(
-                f"monomial weight {self.weight(mono)} exceeds {MAX_KEY_WEIGHT}, the packed-key bound"
-            )
+            raise key_bound_error(self.weight(mono))
         return k
 
     def monomial(self, key):

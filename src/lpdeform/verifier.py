@@ -13,6 +13,18 @@ the verdict, the count, the witness and the wall time.  Instances are
 tested through three helpers: _member (normal form modulo J is zero),
 _degree (a degree law) and _lift_fault (a relation lift).
 
+The flatness instances (flat-basic through the relation lifts) are built
+and tested in the division kernel's packed form, a dict minus order key ->
+coefficient (see groebner.py): each building block (S_p, T, T_c, the
+sibling entries, the generalized minors, R, the generators and the
+x-variables) is packed once per check through a memo that _run drops when
+the check ends (R(a,b) and the generators, which a check reuses little, are
+packed at use), a product of monomials is one int addition, and _member
+reduces the packed instance with groebner._reduce.  A remainder is
+unpacked only to render its witness.  _lift_fault compares a lift with its
+factorization as packed dicts and reads u-positivity off the exponent
+digits of the u-parameters.
+
 The checks, in run_full order:
 
   specialization      u -> 0 sends each g(p,q) to exactly p1*q2
@@ -25,7 +37,8 @@ The checks, in run_full order:
   lemma-sum-dt1..3    the child-sum minor identities lie in J
   flat-p2             a1 T(b) - T(a) R(a,b) b1 lies in J    (all a<=b)
   relation-lift-x2,   the two Koszul-type relation lifts: exact
-  relation-lift-x1    factorization, u-positivity, and membership
+  relation-lift-x1    factorization, u-positivity, and membership (which
+                      holds by construction; see check_relation_lifts)
   hilbert             truncated weighted Hilbert functions of J and L agree
 
 The bridging identity used by the flatness induction (parent step composed
@@ -51,10 +64,28 @@ from .grading import (
     monomial_order_for,
     truncated_hilbert,
 )
-from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT, buchberger
+from .groebner import (
+    DEFAULT_MAX_PAIRS,
+    DEFAULT_MAX_WEIGHT,
+    _add,
+    _mul,
+    _pack_terms,
+    _reduce,
+    _sub,
+    _unpack,
+    buchberger,
+)
 from .errors import DomainError, NotHomogeneousError, ResourceLimitError
 from .letterplace import letterplace_generators
-from .polynomials import MAX_KEY_WEIGHT, Polynomial, XVar, render_polynomial
+from .polynomials import (
+    DIGIT_BITS,
+    DIGIT_MASK,
+    MAX_KEY_WEIGHT,
+    Polynomial,
+    UVar,
+    XVar,
+    render_polynomial,
+)
 from .posets import as_rooted_tree
 
 
@@ -123,6 +154,13 @@ class Verifier:
         self._generators = list(generators) if generators is not None else None
         self._basis = None
         self._pos = {p: i for i, p in enumerate(self.tree.linear_extension())}
+        # the exponent digits of the u-parameters in a packed monomial
+        self._umask = sum(
+            DIGIT_MASK << DIGIT_BITS * i
+            for v, i in self.order.index.items()
+            if isinstance(v, UVar)
+        )
+        self._memo = {}  # packed blocks of the running check; see _packed
 
     @property
     def generators(self):
@@ -145,30 +183,50 @@ class Verifier:
     def _x(self, place, p):
         return Polynomial.variable(XVar(place, p))
 
-    def _in_ideal(self, f):
-        return self.basis.normal_form(f)
+    # -- packed building blocks ----------------------------------------------
+
+    def _packed(self, block, *args):
+        """block(*args), a Polynomial, in the kernel's packed form (minus
+        key -> coefficient), memoized until the running check ends."""
+        key = (block, args)
+        work = self._memo.get(key)
+        if work is None:
+            work = self._memo[key] = _pack_terms(block(*args), self.order)
+        return work
+
+    def _product(self, f, *gs):
+        """The packed product of f and gs."""
+        for g in gs:
+            f = _mul(f, g, self.order)
+        return f
 
     # -- the runner and its instance tests ---------------------------------
 
     def _run(self, name, faults, count="instances"):
         """Draw instances from `faults` until the first witness; the report
-        counts the instances drawn, the failing one included."""
+        counts the instances drawn, the failing one included.  The packed
+        blocks memoized while drawing are dropped when the check ends."""
         t0 = time.monotonic()
         n, witness = 0, None
-        for witness in faults:
-            n += 1
-            if witness is not None:
-                break
+        try:
+            for witness in faults:
+                n += 1
+                if witness is not None:
+                    break
+        finally:
+            self._memo.clear()
         return CheckReport(
             name, witness is None, {count: n}, witness, time.monotonic() - t0
         )
 
     def _member(self, label, f):
-        """None when f lies in J, else the clipped remainder as witness."""
-        rem = self._in_ideal(f)
-        if rem.is_zero:
+        """None when the packed polynomial f (consumed) lies in J, else the
+        clipped remainder as witness."""
+        basis, order = self.basis, self.order
+        rem = _reduce(f, basis._leads, order.mask, order.guard)
+        if not rem:
             return None
-        return f"{label}: remainder {_clip(render_polynomial(rem, self.order))}"
+        return f"{label}: remainder {_clip(render_polynomial(_unpack(rem, order), order))}"
 
     def _degree(self, label, f, want):
         """None when f is homogeneous of multidegree `want`."""
@@ -178,12 +236,13 @@ class Verifier:
         return f"deg {label} = {got.render()}, wanted {want.render()}"
 
     def _lift_fault(self, label, lhs, factored):
-        """A relation lift must equal its closed-form factorization, vanish
-        at u = 0 (every monomial carries a u-parameter), and lie in J."""
+        """A relation lift, packed, must equal its packed closed-form
+        factorization, vanish at u = 0 (every monomial carries a
+        u-parameter: a nonzero u-digit), and lie in J."""
         if lhs != factored:
             return f"{label}: factorization mismatch"
-        mu = lhs.min_u_degree()
-        if mu is not None and mu < 1:
+        umask = self._umask
+        if any(not n & umask for n in lhs):
             return f"{label}: lift has a u-free monomial"
         return self._member(label, lhs)
 
@@ -198,14 +257,18 @@ class Verifier:
         return combinations(self._above(p), 2)
 
     def _t_share(self, c, b):
-        """T_c(b), reading T_b(b) as T(b)."""
-        return self.ctx.t_full(b) if c == b else self.ctx.t_sub(c, b)
+        """T_c(b), reading T_b(b) as T(b), packed."""
+        if c == b:
+            return self._packed(self.ctx.t_full, b)
+        return self._packed(self.ctx.t_sub, c, b)
 
     def _child_sum(self, a, cols, d):
-        """The sum over the children x of a of D(a)^{cols}_{(x)} T_d(x)."""
-        ctx, expr = self.ctx, Polynomial.zero()
+        """The sum over the children x of a of D(a)^{cols}_{(x)} T_d(x),
+        packed."""
+        minor, expr = self.ctx.generalized_minor, {}
         for ix, x in enumerate(self.tree.children(a), start=1):
-            expr = expr + ctx.generalized_minor(a, cols, (ix,)) * self._t_share(d, x)
+            term = self._product(self._packed(minor, a, cols, (ix,)), self._t_share(d, x))
+            expr = _add(expr, term)
         return expr
 
     # -- individual checks -------------------------------------------------
@@ -291,11 +354,11 @@ class Verifier:
 
     def check_flat_basic(self):
         """S_p(b)c2 - b2 S_p(c) lies in J for all p <= b, p <= c."""
-        ctx, x = self.ctx, self._x
+        P, mul, s, x = self._packed, self._product, self.ctx.s_op, self._x
         faults = (
             self._member(
                 f"(p,b,c)=({p},{b},{c})",
-                ctx.s_op(p, b) * x(2, c) - x(2, b) * ctx.s_op(p, c),
+                _sub(mul(P(s, p, b), P(x, 2, c)), mul(P(x, 2, b), P(s, p, c))),
             )
             for p in self.tree
             for b, c in self._above_pairs(p)
@@ -304,13 +367,13 @@ class Verifier:
 
     def check_lemma_identities(self):
         """The sibling-level identities feeding the flatness induction."""
-        tree, ctx, x = self.tree, self.ctx, self._x
-        share = self._t_share
+        tree, P, mul, x = self.tree, self._packed, self._product, self._x
+        s, st, share = self.ctx.s_op, self.ctx.st_entry, self._t_share
         # S_pT_p(q) b2 - T_p(q) S_p(b) for q in {p} + siblings, b >= p
         ts = (
             self._member(
                 f"(p,q,b)=({p},{q},{b})",
-                ctx.st_entry(p, q) * x(2, b) - share(p, q) * ctx.s_op(p, b),
+                _sub(mul(P(st, p, q), P(x, 2, b)), mul(share(p, q), P(s, p, b))),
             )
             for p in tree
             if p != tree.root
@@ -321,7 +384,7 @@ class Verifier:
         stt = (
             self._member(
                 f"(p,q,r)=({p},{q},{r})",
-                ctx.st_entry(p, q) * share(p, r) - share(p, q) * ctx.st_entry(p, r),
+                _sub(mul(P(st, p, q), share(p, r)), mul(share(p, q), P(st, p, r))),
             )
             for a in tree
             for p, q, r in product(tree.children(a), repeat=3)
@@ -354,9 +417,11 @@ class Verifier:
         ]
 
     def _flat_p2(self, a, b):
-        """a1 T(b) - T(a) R(a,b) b1."""
-        ctx, x = self.ctx, self._x
-        return x(1, a) * ctx.t_full(b) - ctx.t_full(a) * ctx.cover_product_r(a, b) * x(1, b)
+        """a1 T(b) - T(a) R(a,b) b1, packed.  A check uses R(a,b) once, so
+        it is packed without the memo."""
+        P, mul, t, x = self._packed, self._product, self.ctx.t_full, self._x
+        r = _pack_terms(self.ctx.cover_product_r(a, b), self.order)
+        return _sub(mul(P(x, 1, a), P(t, b)), mul(P(t, a), r, P(x, 1, b)))
 
     def check_flat_p2(self):
         """a1 T(b) - T(a) R(a,b) b1 lies in J for all a <= b."""
@@ -370,18 +435,36 @@ class Verifier:
     def check_relation_lifts(self):
         """The two Koszul-type relations among the p1*q2 lift into J.
 
-        For each instance three facts are checked: the closed-form
+        For each instance three things are checked: the closed-form
         factorization holds exactly, every monomial of the lifted
         combination carries a u-parameter (so the lift vanishes at u = 0,
         as a flat family requires), and it reduces to zero modulo J.
+
+        Only the first two can fail.  The lift x2(c) g(a,b) - x2(b) g(a,c)
+        (and x1(b) g(a,c) - x1(a) g(b,c) alike) is a combination of the
+        generators J is built from, so it lies in J by construction, for a
+        mutated generator list too.  It is the S-polynomial of the two
+        generators, whose leads a1 b2 and a1 c2 share a1 (b1 c2 and a1 c2
+        share c2), so its reduction is the one the basis certificate in
+        buchberger makes for the same pair; the membership test is kept
+        until that remainder is shared with this check.
         """
-        tree, ctx, x = self.tree, self.ctx, self._x
-        g = dict(self.generators)
+        tree, P, mul, x = self.tree, self._packed, self._product, self._x
+        s, g = self.ctx.s_op, dict(self.generators)
+
+        def gen(p, q):
+            # packed at use: a memo would hold every generator at once, for
+            # little reuse
+            return _pack_terms(g[(p, q)], self.order)
+
         x2 = (
             self._lift_fault(
                 f"(a,b,c)=({a},{b},{c})",
-                x(2, c) * g[(a, b)] - x(2, b) * g[(a, c)],
-                ctx.t_full(a) * (x(2, b) * ctx.s_op(a, c) - x(2, c) * ctx.s_op(a, b)),
+                _sub(mul(P(x, 2, c), gen(a, b)), mul(P(x, 2, b), gen(a, c))),
+                mul(
+                    P(self.ctx.t_full, a),
+                    _sub(mul(P(x, 2, b), P(s, a, c)), mul(P(x, 2, c), P(s, a, b))),
+                ),
             )
             for a in tree
             for b, c in self._above_pairs(a)
@@ -389,8 +472,8 @@ class Verifier:
         x1 = (
             self._lift_fault(
                 f"(a,b,c)=({a},{b},{c})",
-                x(1, b) * g[(a, c)] - x(1, a) * g[(b, c)],
-                ctx.s_op(b, c) * p2,
+                _sub(mul(P(x, 1, b), gen(a, c)), mul(P(x, 1, a), gen(b, c))),
+                mul(P(s, b, c), p2),
             )
             for a in tree
             for b in self._above(a)

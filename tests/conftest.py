@@ -1,8 +1,10 @@
 import itertools
 import os
+from itertools import combinations, permutations, product
 
 from lpdeform import (
     Polynomial,
+    XVar,
     as_rooted_tree,
     j_ideal_generators,
     load_poset,
@@ -106,3 +108,92 @@ def brute_standard_count(leads, weights, max_degree):
         if not any(all(table[v] >= e for v, e in lead.pairs) for lead in leads):
             counts[wt] += 1
     return counts
+
+
+def oracle_instances(verifier):
+    """Check name -> a lazy stream of the instances of `verifier`'s
+    flatness checks as Polynomial expressions, in the order the checks
+    draw them: (label, polynomial) for a membership check, (label, lift,
+    factorization) for a relation lift.  The verifier builds the same
+    instances in packed form; these expressions are its oracle."""
+    tree, ctx = verifier.tree, verifier.ctx
+    above, above_pairs, kids = verifier._above, verifier._above_pairs, tree.children
+    g = dict(verifier.generators)
+
+    def x(place, p):
+        return Polynomial.variable(XVar(place, p))
+
+    def share(c, b):
+        return ctx.t_full(b) if c == b else ctx.t_sub(c, b)
+
+    def child_sum(a, cols, d):
+        expr = Polynomial.zero()
+        for ix, y in enumerate(kids(a), start=1):
+            expr = expr + ctx.generalized_minor(a, cols, (ix,)) * share(d, y)
+        return expr
+
+    def flat_p2(a, b):
+        return x(1, a) * ctx.t_full(b) - ctx.t_full(a) * ctx.cover_product_r(a, b) * x(1, b)
+
+    def column_pairs(a):
+        return combinations(enumerate(kids(a), start=1), 2)
+
+    return {
+        "flat-basic": (
+            (f"(p,b,c)=({p},{b},{c})", ctx.s_op(p, b) * x(2, c) - x(2, b) * ctx.s_op(p, c))
+            for p in tree
+            for b, c in above_pairs(p)
+        ),
+        "lemma-ts": (
+            (f"(p,q,b)=({p},{q},{b})", ctx.st_entry(p, q) * x(2, b) - share(p, q) * ctx.s_op(p, b))
+            for p in tree
+            if p != tree.root
+            for q in (p,) + tree.siblings(p)
+            for b in above(p)
+        ),
+        "lemma-stt": (
+            (
+                f"(p,q,r)=({p},{q},{r})",
+                ctx.st_entry(p, q) * share(p, r) - share(p, q) * ctx.st_entry(p, r),
+            )
+            for a in tree
+            for p, q, r in product(kids(a), repeat=3)
+        ),
+        "lemma-sum-dt1": (
+            (f"a={a} cols=({ib},{ic}) T_{d}", child_sum(a, (ib, ic), d))
+            for a in tree
+            for (ib, _), (ic, _) in column_pairs(a)
+            for idd, d in enumerate(kids(a), start=1)
+            if idd not in (ib, ic)
+        ),
+        "lemma-sum-dt2": (
+            (f"a={a} cols=({ib},{ic}) T_{a}", child_sum(a, (ib, ic), a))
+            for a in tree
+            for (ib, _), (ic, _) in column_pairs(a)
+        ),
+        "lemma-sum-dt3": (
+            (f"a={a} cols=(0,{ib}) T_{c}", child_sum(a, (0, ib), c))
+            for a in tree
+            for (ib, _), (_, c) in permutations(enumerate(kids(a), start=1), 2)
+        ),
+        "flat-p2": ((f"(a,b)=({a},{b})", flat_p2(a, b)) for a in tree for b in above(a)),
+        "relation-lift-x2": (
+            (
+                f"(a,b,c)=({a},{b},{c})",
+                x(2, c) * g[(a, b)] - x(2, b) * g[(a, c)],
+                ctx.t_full(a) * (x(2, b) * ctx.s_op(a, c) - x(2, c) * ctx.s_op(a, b)),
+            )
+            for a in tree
+            for b, c in above_pairs(a)
+        ),
+        "relation-lift-x1": (
+            (
+                f"(a,b,c)=({a},{b},{c})",
+                x(1, b) * g[(a, c)] - x(1, a) * g[(b, c)],
+                ctx.s_op(b, c) * flat_p2(a, b),
+            )
+            for a in tree
+            for b in above(a)
+            for c in above(b)
+        ),
+    }

@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lpdeform import (
     DomainError,
@@ -134,6 +136,96 @@ def test_normal_form_rejects_foreign_variables():
         basis.normal_form(z)
     with pytest.raises(UnknownVariableError):
         normal_form(poly("x1*y1") + z, basis)
+
+
+# -- packed arithmetic: hypothesis properties ----------------------------------------
+
+Z = XVar(1, "z")
+SMALL = MonomialOrder([X, Y, Z], {X: 1, Y: 2, Z: 1})
+small_monomials = st.dictionaries(
+    st.sampled_from([X, Y, Z]), st.integers(1, 3), max_size=3
+).map(lambda d: Monomial.from_pairs(d.items()))
+small_coeffs = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+small_polys = st.lists(st.tuples(small_monomials, small_coeffs), max_size=6).map(
+    Polynomial.from_terms
+)
+
+
+def packed(f):
+    return groebner._pack_terms(f, SMALL)
+
+
+def canonical(f):
+    """Every coefficient is an int exactly when it is integral."""
+    return all((type(c) is int) == (Fraction(c).denominator == 1) for _, c in f.items())
+
+
+@given(small_polys, small_polys)
+def test_packed_ring_operations_match_polynomials(p, q):
+    assert groebner._mul(packed(p), packed(q), SMALL) == packed(p * q)
+    assert groebner._add(packed(p), packed(q)) == packed(p + q)
+    assert groebner._sub(packed(p), packed(q)) == packed(p - q)
+
+
+def test_packed_operations_drop_cancelled_terms():
+    # (x + y)(x - y): the two x*y terms cancel inside the product
+    f, g = poly("x1 + y1"), poly("x1 - y1")
+    assert groebner._mul(packed(f), packed(g), SMALL) == packed(poly("x1^2 - y1^2"))
+    assert groebner._sub(packed(f), packed(f)) == groebner._add(packed(f), packed(-f)) == {}
+
+
+@given(small_polys, small_polys)
+def test_packed_round_trip_keeps_coefficients_canonical(p, q):
+    assert groebner._unpack(packed(p), SMALL) == p
+    # packed sums and products may hold integral Fractions; unpacking
+    # makes them ints again
+    for f, want in (
+        (groebner._add(packed(p), packed(q)), p + q),
+        (groebner._sub(packed(p), packed(q)), p - q),
+        (groebner._mul(packed(p), packed(q), SMALL), p * q),
+    ):
+        got = groebner._unpack(f, SMALL)
+        assert got == want and canonical(got)
+
+
+def test_unpack_makes_integral_fractions_ints():
+    m = Monomial.from_pairs([(X, 1), (Z, 2)])
+    got = groebner._unpack({-SMALL.key(m): Fraction(4, 2)}, SMALL)
+    assert got.terms == {m: 2} and type(got.terms[m]) is int
+
+
+@st.composite
+def weight_one_monomial(draw, weight):
+    """A monomial in X and Z (both of weight 1) of the given weight."""
+    a = draw(st.integers(0, weight))
+    return Monomial.from_pairs([(X, a), (Z, weight - a)])
+
+
+@given(st.data())
+def test_packed_product_past_the_key_bound_raises_the_key_error(data):
+    w1 = data.draw(st.integers(1, MAX_KEY_WEIGHT))
+    w2 = data.draw(st.integers(MAX_KEY_WEIGHT + 1 - w1, MAX_KEY_WEIGHT))
+    m1, m2 = data.draw(weight_one_monomial(w1)), data.draw(weight_one_monomial(w2))
+    with pytest.raises(ResourceLimitError) as key_error:
+        SMALL.key(m1.mul(m2))
+    message = f"^{re.escape(str(key_error.value))}$"
+    term1, term2 = packed(Polynomial.term(m1)), packed(Polynomial.term(m2))
+    with pytest.raises(ResourceLimitError, match=message):
+        groebner._mul(term1, term2, SMALL)
+    # and in a product of sums, where the heaviest term is one of several
+    sum1 = packed(Polynomial.term(m1) + 1)
+    sum2 = packed(Polynomial.term(m2) - 1)
+    with pytest.raises(ResourceLimitError, match=message):
+        groebner._mul(sum1, sum2, SMALL)
+
+
+def test_packed_product_at_the_key_bound_is_exact():
+    m1, m2 = Monomial.var(X, MAX_KEY_WEIGHT - 5), Monomial.from_pairs([(X, 2), (Z, 3)])
+    f, g = Polynomial.term(m1) - 1, Polynomial.term(m2) + Polynomial.variable(Y)
+    product = groebner._mul(packed(f), packed(g), SMALL)
+    assert groebner._unpack(product, SMALL) == f * g
 
 
 # -- the division kernel against a textbook oracle ----------------------------------
