@@ -9,7 +9,10 @@ The kernel inputs are the packed flat-basic instances of one wide 7-node
 tree (a root with five children, one of which has a child), reduced modulo
 the tree's basis of J, as `Verifier.check_flat_basic` does; a second case
 builds the packed lemma and relation-lift instances of the star with six
-leaves, as the verifier's checks do, without reducing them.  The minors are
+leaves, as the verifier's checks do, without reducing them.  The Buchberger
+cases build the basis of J for that star, which its generators already are,
+and for each single sign flip of a generator's u-part on the trees of up to
+4 nodes, where the loop grows the basis.  The minors are
 those of M(a) at that root, the widest node; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
 and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
@@ -22,7 +25,9 @@ import pytest
 
 from lpdeform import (
     DeformationContext,
+    Polynomial,
     Verifier,
+    all_rooted_trees,
     as_rooted_tree,
     buchberger,
     homogeneous_degree,
@@ -41,12 +46,26 @@ CHAIN3 = "a < b\nb < c\n"
 TREE7 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tree7.poset")
 
 
-def recording_members(verifier):
+def recording_instances(verifier):
     """Replace the verifier's membership test by a recorder that keeps each
-    packed instance and lets it pass; returns the record."""
+    packed instance and lets it pass, and record each relation lift as its
+    test receives it; returns the record."""
     instances = []
     verifier._member = lambda label, f: instances.append(f)
+    lift_fault = verifier._lift_fault
+
+    def recording_lift_fault(label, lhs, factored):
+        instances.append(lhs)
+        return lift_fault(label, lhs, factored)
+
+    verifier._lift_fault = recording_lift_fault
     return instances
+
+
+def sign_flip(g):
+    """g with the sign of its u-part flipped."""
+    u_free = Polynomial({m: c for m, c in g.terms.items() if m.u_degree() == 0})
+    return u_free - (g - u_free)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +73,7 @@ def wide():
     verifier = Verifier(parse_poset(WIDE_TREE))
     basis = verifier.basis
     count = verifier.check_flat_basic().params["instances"]
-    instances = recording_members(verifier)
+    instances = recording_instances(verifier)
     verifier.check_flat_basic()
     assert len(instances) == count > 0
     order = basis.order
@@ -77,7 +96,7 @@ def test_divide_flat_basic(benchmark, wide):
 
 def test_build_star6_lemma_and_lift_instances(benchmark):
     verifier = Verifier(parse_poset(STAR6))
-    instances = recording_members(verifier)
+    instances = recording_instances(verifier)
 
     def build():
         instances.clear()
@@ -98,6 +117,22 @@ def test_buchberger_star6(benchmark):
 
     basis = benchmark.pedantic(buchberger, args=(gens, order), rounds=5)
     assert set(basis) == set(gens)
+
+
+def test_buchberger_sign_flip_mutants(benchmark):
+    cases = []
+    for tree in all_rooted_trees(4):
+        gens = [g for _, g in j_ideal_generators(tree)]
+        order = monomial_order_for(tree)
+        for k, g in enumerate(gens):
+            cases.append((gens[:k] + [sign_flip(g)] + gens[k + 1:], order))
+
+    def bases():
+        return [buchberger(gens, order) for gens, order in cases]
+
+    result = benchmark.pedantic(bases, rounds=5, warmup_rounds=1)
+    grown = sum(set(basis) != set(gens) for basis, (gens, _) in zip(result, cases))
+    assert len(cases) == 49 and grown == 48
 
 
 def test_monomial_mul(benchmark, wide):

@@ -1,20 +1,19 @@
 """Buchberger's algorithm, reduced bases, and normal forms.
 
-`buchberger` first tries to certify that its monic generators already are
-the reduced Groebner basis, as the deformed generators of a rooted tree
-are.  By Buchberger's criterion they are when no lead divides another lead
-or a tail term and every S-pair with non-coprime leads reduces to zero.
-The certificate runs on the packed entries below: an S-pair is the two
-tails shifted by their quotient keys, reduced by the division kernel, with
-no Polynomial built and no Fraction made for a monic basis.  The pairs are
-taken in the loop's order and charged to the same budgets.
+`buchberger` runs one loop over the S-pairs of its monic generators:
+normal selection strategy (smallest S-pair lcm first), the
+coprime-leading-term criterion (a pair with coprime leads costs one AND of
+the leads' supports and is never queued), full tail reduction at the end.
+Each S-pair is built from the packed entries below, as the two tails
+shifted by their quotient keys, and reduced once by the division kernel,
+with no Polynomial built and no Fraction made for a monic basis.  A zero
+remainder costs nothing more; a nonzero one becomes a new basis element,
+made by the textbook step: s_polynomial, _divide, then _pack.  Generators
+that already are the reduced basis, as the deformed generators of a rooted
+tree are, come out of the loop with every S-pair reduced to zero and no
+lead dividing another lead or a tail term (Buchberger's criterion), so
+they are returned as they were packed.
 
-At the first nonzero remainder, the textbook loop runs from the first
-pair: normal selection strategy (smallest S-pair lcm first), the
-coprime-leading-term criterion, full tail reduction at the end.  Its
-first pairs are charged again, so a budget trips at the same pair, with
-the same message, as it would without the certificate.  A pair with
-coprime leads costs one AND of the leads' supports and is never queued.
 Two budgets turn runaway computations into ResourceLimitError instead of
 hangs, both checked once per processed S-pair:
 
@@ -254,46 +253,6 @@ def normal_form(f, basis):
     return basis.normal_form(f)
 
 
-def _certify(leads, heap, order, charge):
-    """True when the monic polynomials with the packed entries `leads` are
-    a reduced Groebner basis: no lead divides another lead or a tail term,
-    and the S-polynomial of every pair in `heap` (the non-coprime ones, as
-    (lcm key, i, j)) reduces to zero.  Each pair is charged to the budgets
-    in the order Buchberger's loop takes it; `heap` is left as it was."""
-    mask, guard = order.mask, order.guard
-    exponents = [p for p, _, _ in leads]
-    for i, (p, _, tail) in enumerate(leads):
-        p |= guard
-        if any((p - pl) & guard == guard for j, pl in enumerate(exponents) if j != i):
-            return False
-        for n, _ in tail:
-            p = (n & mask) | guard
-            if any((p - pl) & guard == guard for pl in exponents):
-                return False
-    heap = list(heap)
-    processed = 0
-    while heap:
-        k, i, j = heapq.heappop(heap)
-        processed += 1
-        charge(processed, k)
-        # the S-polynomial of monic f_i, f_j is (l/lead_i) tail_i - (l/lead_j) tail_j
-        _, ni, tail = leads[i]
-        q = -k - ni
-        work = {n + q: c for n, c in tail}
-        _, nj, tail = leads[j]
-        q = -k - nj
-        for n, c in tail:
-            t = n + q
-            s = work.get(t, 0) - c
-            if s:
-                work[t] = s
-            else:
-                del work[t]
-        if _reduce(work, leads, mask, guard):
-            return False
-    return True
-
-
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_WEIGHT):
     """Reduced Groebner basis of the ideal generated by `gens`.
 
@@ -301,8 +260,6 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     processed or a processed S-pair's lcm has weighted degree above
     max_weight (which bounds every monomial its reduction creates).
     Deterministic: the unique reduced basis, sorted by leading monomial.
-    Monic generators that are already that basis are certified and
-    returned; otherwise Buchberger's loop runs (see the module docstring).
     """
     G, leads = [], []
     for f in gens:
@@ -313,10 +270,10 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     if not G:
         raise DomainError("no nonzero generators")
 
-    guard = order.guard
+    mask, guard = order.mask, order.guard
     low = guard >> (DIGIT_BITS - 1)  # the low bit of every exponent digit
-    max_key = MAX_KEY_WEIGHT * (order.mask + 1)
-    shift = order.mask.bit_length()
+    max_key = MAX_KEY_WEIGHT * (mask + 1)
+    shift = mask.bit_length()
     lm = [order.monomial(-n) for _, n, _ in leads]
     support = []  # per lead, the guard bits of its nonzero digits
 
@@ -336,48 +293,46 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
                 order.key(lm[k].mul(lm[t]))
         return pairs
 
-    def charge(processed, k):
+    heap = [pair for k in range(len(G)) for pair in new_pairs(k)]
+    heapq.heapify(heap)
+    processed = 0
+    while heap:
+        k, i, j = heapq.heappop(heap)
+        processed += 1
         if processed > max_pairs:
             raise ResourceLimitError(f"S-pair budget of {max_pairs} exceeded")
         # k = w * B**n - (exponent digits < B**n), so w = -(-k // B**n)
         if -(-k >> shift) > max_weight:
             raise ResourceLimitError(f"S-pair lcm weight exceeded {max_weight}")
-
-    heap = [pair for k in range(len(G)) for pair in new_pairs(k)]
-    heapq.heapify(heap)
-    if _certify(leads, heap, order, charge):
-        packed = sorted(zip(G, leads), key=lambda gl: -gl[1][1])
-        return GroebnerBasis._from_packed(packed, order)
-
-    # Buchberger's loop from the first pair: the pairs before the first
-    # nonzero remainder are charged again, as they would be without the
-    # certificate
-    processed = 0
-    while heap:
-        k, i, j = heapq.heappop(heap)
-        processed += 1
-        charge(processed, k)
-        s = s_polynomial(G[i], G[j], order)
-        r = _divide(s, leads, order)
-        if r.is_zero:
+        # the S-polynomial of monic f_i, f_j is (l/lead_i) tail_i - (l/lead_j) tail_j
+        (_, ni, ti), (_, nj, tj) = leads[i], leads[j]
+        work = _sub({n - k - ni: c for n, c in ti}, {n - k - nj: c for n, c in tj})
+        if not _reduce(work, leads, mask, guard):
             continue
-        r, entry = _pack(r, order)
-        G.append(r)
+        # the new element comes from the textbook step, where the
+        # perfbench tracer counts the basis elements an S-pair adds
+        g, entry = _pack(_divide(s_polynomial(G[i], G[j], order), leads, order), order)
+        G.append(g)
         leads.append(entry)
         lm.append(order.monomial(-entry[1]))
         for pair in new_pairs(len(G) - 1):
             heapq.heappush(heap, pair)
 
-    # minimalize: drop any generator whose lead is divisible by another's
+    # minimalize: drop any element whose lead a smaller kept lead divides
     kept = []
     for i in sorted(range(len(G)), key=lambda i: -leads[i][1]):
         p = leads[i][0] | guard
         if not any((p - leads[j][0]) & guard == guard for j in kept):
             kept.append(i)
-    # tail-reduce each survivor against the others; the leads stay, so the
-    # result is sorted by lead
-    reduced = []
+    # a survivor no kept lead divides a tail term of is reduced already;
+    # tail-reduce the others.  The leads stay, so the result is sorted by lead
+    exponents = [leads[j][0] for j in kept]
+    packed = []
     for i in kept:
-        others = [leads[j] for j in kept if j != i]
-        reduced.append(_divide(G[i], others, order) if others else G[i])
-    return GroebnerBasis(reduced, order)
+        terms = [(n & mask) | guard for n, _ in leads[i][2]]
+        if any((p - pl) & guard == guard for p in terms for pl in exponents):
+            others = [leads[j] for j in kept if j != i]
+            packed.append(_pack(_divide(G[i], others, order), order))
+        else:
+            packed.append((G[i], leads[i]))
+    return GroebnerBasis._from_packed(packed, order)

@@ -323,7 +323,8 @@ def random_bases():
 
 def record_pairs(monkeypatch):
     """Patch groebner.s_polynomial and groebner._divide to record, for each
-    S-pair Buchberger reduces, (lcm of the leads, S-polynomial, remainder)."""
+    S-pair whose remainder Buchberger adds to the basis, (lcm of the leads,
+    S-polynomial, remainder)."""
     pairs = []
     s_poly, divide = groebner.s_polynomial, groebner._divide
 
@@ -343,17 +344,28 @@ def record_pairs(monkeypatch):
     return pairs
 
 
+def processed_lcms(gens, order, monkeypatch):
+    """The lcms of the S-pairs buchberger(gens, order) processes: the
+    non-coprime pairs among every element its loop appended, the nonzero
+    generators and the remainders added to the basis."""
+    with monkeypatch.context() as patch:
+        pairs = record_pairs(patch)
+        buchberger(gens, order, max_pairs=200)
+    elements = [g for g in gens if not g.is_zero] + [r for _, _, r in pairs]
+    leads = [order.leading_monomial(g) for g in elements]
+    return [a.lcm(b) for i, a in enumerate(leads) for b in leads[:i] if a.lcm(b) != a.mul(b)]
+
+
 def test_weight_budget_is_the_largest_processed_lcm(monkeypatch):
     cases = [([poly("x1*y1 - 1"), poly("y1^2 - 1")], ORDER), *random_bases()]
     budgeted = 0
     for gens, order in cases:
-        with monkeypatch.context() as patch:
-            pairs = record_pairs(patch)
-            basis = buchberger(gens, order, max_pairs=200)
-        if not pairs:
+        lcms = processed_lcms(gens, order, monkeypatch)
+        if not lcms:
             continue  # every pair had coprime leads: nothing to budget
         budgeted += 1
-        w = max(order.weight(lcm) for lcm, _, _ in pairs)
+        basis = buchberger(gens, order, max_pairs=200)
+        w = max(order.weight(lcm) for lcm in lcms)
         assert buchberger(gens, order, max_pairs=200, max_weight=w) == basis
         with pytest.raises(ResourceLimitError):
             buchberger(gens, order, max_pairs=200, max_weight=w - 1)
@@ -362,7 +374,8 @@ def test_weight_budget_is_the_largest_processed_lcm(monkeypatch):
 
 def test_reduction_stays_within_the_lcm_weight(monkeypatch):
     # the fact the per-pair budget rests on: in a weighted-degree order,
-    # no term of an S-polynomial or of its remainder outweighs the lcm
+    # no term of an S-polynomial or of its remainder outweighs the lcm;
+    # seen on the pairs whose remainder joins the basis
     recorded = 0
     for gens, order in random_bases():
         with monkeypatch.context() as patch:
@@ -450,7 +463,7 @@ def test_deformed_generators_are_certified_on_every_tree_to_six(monkeypatch):
         gens = [g for _, g in j_ideal_generators(tree)]
         calls.clear()
         basis = buchberger(gens, order)
-        assert calls == []  # the certificate answered: Buchberger's loop never ran
+        assert calls == []  # every S-pair reduced to zero: the basis never grew
         assert list(basis) == monic_by_lead(gens, order)
         # the certificate's facts restated with public calls only: every
         # S-polynomial reduces to zero, and no lead divides another lead
@@ -485,7 +498,9 @@ def test_reduced_bases_come_back_unchanged():
             assert buchberger([first, *middle, last + first * 3], order) == basis
 
 
-def test_sign_flip_mutants_run_buchbergers_loop(monkeypatch):
+def test_sign_flip_mutants_add_s_pair_remainders_to_the_basis(monkeypatch):
+    # s_polynomial runs only for a pair whose packed remainder is nonzero,
+    # to make the element the basis grows by
     calls = spy_s_polynomial(monkeypatch)
     grown = 0
     for key, tree, gens in sign_flip_mutants(4):
@@ -497,6 +512,27 @@ def test_sign_flip_mutants_run_buchbergers_loop(monkeypatch):
         assert calls, key
         grown += list(basis) != monic_by_lead(polys, monomial_order_for(tree))
     assert grown == 48
+
+
+def test_budgets_trip_at_the_last_processed_pair_of_sign_flip_mutants(monkeypatch):
+    mutants = list(sign_flip_mutants(4))
+    budgeted = 0
+    for key, tree, gens in mutants:
+        order = monomial_order_for(tree)
+        polys = [g for _, g in gens]
+        lcms = processed_lcms(polys, order, monkeypatch)
+        if not lcms:
+            continue  # one generator: no pair to process
+        budgeted += 1
+        basis = buchberger(polys, order)
+        n, w = len(lcms), max(order.weight(l) for l in lcms)
+        assert buchberger(polys, order, max_pairs=n) == basis, key
+        with pytest.raises(ResourceLimitError, match=f"^S-pair budget of {n - 1} exceeded$"):
+            buchberger(polys, order, max_pairs=n - 1)
+        assert buchberger(polys, order, max_weight=w) == basis, key
+        with pytest.raises(ResourceLimitError, match=f"^S-pair lcm weight exceeded {w - 1}$"):
+            buchberger(polys, order, max_weight=w - 1)
+    assert len(mutants) == 49 and budgeted == 48
 
 
 def non_coprime_lcms(basis):

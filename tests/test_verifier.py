@@ -13,7 +13,8 @@ from lpdeform import (
     XVar,
     j_ideal_generators,
 )
-from lpdeform.groebner import _pack_terms, _unpack
+from lpdeform import verifier as verifier_module
+from lpdeform.groebner import _pack_terms
 from lpdeform.polynomials import MAX_KEY_WEIGHT
 
 from conftest import (
@@ -292,7 +293,8 @@ WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 @pytest.mark.parametrize("tree", [star_tree(6), tree_from(WIDE_TREE)], ids=["star6", "wide7"])
 def test_packed_instances_equal_the_polynomial_oracle(tree):
     # the instance tests are replaced by comparisons with the oracle, drawn
-    # in step, and every instance passes
+    # in step, and every instance passes.  The comparison is on packed
+    # dicts: packing is one-to-one, and a key is cheaper than a decode
     verifier = Verifier(tree)
     order, oracle = verifier.order, oracle_instances(Verifier(tree))
     drawn, current = {}, []
@@ -306,8 +308,8 @@ def test_packed_instances_equal_the_polynomial_oracle(tree):
     def compare(label, *packed):
         name = current[0]
         drawn[name] += 1
-        got = (label, *(_unpack(f, order) for f in packed))
-        assert got == next(oracle[name]), (name, label)
+        want, *polys = next(oracle[name])
+        assert (label, *packed) == (want, *(_pack_terms(f, order) for f in polys)), (name, label)
 
     verifier._run = comparing_run
     verifier._member = verifier._lift_fault = compare
@@ -337,6 +339,24 @@ def test_relation_lift_membership_holds_by_construction():
         v = Verifier(tree, generators=gens)
         v._lift_fault = lambda label, lhs, factored, v=v: v._member(label, lhs)
         assert all(r.passed for r in v.check_relation_lifts()), key
+
+
+@pytest.mark.parametrize("tree, gens", [
+    (star_tree(3), None),
+    list(sign_flip_mutants(3))[-1][1:],
+], ids=["star3", "mutant"])
+def test_relation_lifts_reduce_nothing(monkeypatch, tree, gens):
+    # membership is buchberger's S-pair reduction, so the lifts call no
+    # division; the same spy sees flat-p2's reductions
+    calls = []
+    reduce = verifier_module._reduce
+    monkeypatch.setattr(verifier_module, "_reduce", lambda *a: calls.append(a) or reduce(*a))
+    v = Verifier(tree, generators=gens)
+    reports = v.check_relation_lifts()
+    assert all(r.params["instances"] > 0 for r in reports)
+    assert calls == []
+    v.check_flat_p2()
+    assert calls
 
 
 def test_lift_with_a_u_free_monomial_fails():
