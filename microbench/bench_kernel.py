@@ -12,11 +12,14 @@ builds the packed lemma and relation-lift instances of the star with six
 leaves, as the verifier's checks do, without reducing them.  The Buchberger
 cases build the basis of J for that star, which its generators already are,
 and for each single sign flip of a generator's u-part on the trees of up to
-4 nodes, where the loop grows the basis.  The minors are
-those of M(a) at that root, the widest node; the Hilbert counts are the
+4 nodes, where the loop grows the basis.  The minors are the packed
+minors of M(a) at that root, the widest node; the expansion case builds
+the star's packed generators in a new DeformationContext, and the basic
+suite case runs `Verifier.run_basic` on the star, expansion included, as
+`lp check` does; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
 and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
-`Verifier.check_homogeneity` makes on the wide tree's generators.
+`Verifier.check_homogeneity` makes on the wide tree's packed generators.
 """
 
 import os
@@ -102,9 +105,8 @@ def test_build_star6_lemma_and_lift_instances(benchmark):
         instances.clear()
         return verifier.check_lemma_identities() + verifier.check_relation_lifts()
 
-    # the warm-up round fills the deformation context's memos; each timed
-    # round packs the blocks again, since the packed ones are dropped with
-    # each check
+    # the warm-up round fills the deformation context's memo, which every
+    # timed round reads: the rounds build the instances, not the blocks
     reports = benchmark.pedantic(build, rounds=5, warmup_rounds=1)
     assert all(r.passed for r in reports)
     assert len(instances) == sum(r.params["instances"] for r in reports) > 0
@@ -162,17 +164,36 @@ def test_minor_d_widest_node(benchmark):
     columns = range(len(tree.children("a")) + 1)
 
     def fresh_context():
-        # M(a) is built here; its minors are memoized on the matrix, so
-        # each round starts from a new one
+        # the entries of M(a) are built here; the minors are memoized in the
+        # context, so each round starts from a new one
         ctx = DeformationContext(tree)
-        ctx.matrix_m("a")
+        ctx._matrix_rows("a")
         return (ctx,), {}
 
     def minors(ctx):
-        return [ctx.minor_d("a", i) for i in columns]
+        return [ctx.minor_d_packed("a", i) for i in columns]
 
     values = benchmark.pedantic(minors, setup=fresh_context, rounds=50)
-    assert all(not d.is_zero for d in values)
+    assert all(values)
+
+
+def test_expand_star6_generators(benchmark):
+    tree = as_rooted_tree(parse_poset(STAR6))
+
+    def expand():
+        return DeformationContext(tree).generators_packed()
+
+    gens = benchmark.pedantic(expand, rounds=10, warmup_rounds=1)
+    assert sum(len(g) for _, g in gens) == 5089
+
+
+def test_basic_suite_star6(benchmark):
+    def basic():
+        return Verifier(parse_poset(STAR6)).run_basic()
+
+    reports = benchmark.pedantic(basic, rounds=10, warmup_rounds=1)
+    assert [r.name for r in reports][:2] == ["specialization", "homogeneity"]
+    assert all(r.passed for r in reports)
 
 
 def test_truncated_hilbert_chain3(benchmark):
@@ -196,14 +217,15 @@ def test_truncated_hilbert_tree7(benchmark):
 
 
 def test_homogeneous_degree(benchmark):
-    generators = [g for _, g in j_ideal_generators(as_rooted_tree(parse_poset(WIDE_TREE)))]
+    ctx = DeformationContext(parse_poset(WIDE_TREE))
+    generators, order = [g for _, g in ctx.generators_packed()], ctx.order
 
     def fresh_tree():
         # the packed degree table is built per tree, so each round pays for it
         return (as_rooted_tree(parse_poset(WIDE_TREE)),), {}
 
     def degrees(tree):
-        return [homogeneous_degree(tree, g) for g in generators]
+        return [homogeneous_degree(tree, g, order) for g in generators]
 
     values = benchmark.pedantic(degrees, setup=fresh_tree, rounds=20)
     assert len(values) == len(generators)

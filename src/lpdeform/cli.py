@@ -1,10 +1,11 @@
 """Command-line interface.
 
-    lp gens --ideal L|J POSET [--json] [--compare FILE]
+    lp gens --ideal L|J POSET [--max-terms N] [--json] [--compare FILE]
     lp t1 POSET [--json]
     lp check POSET [--suite basic|full] [--max-degree N] [--max-pairs N]
-             [--max-weight N] [--json]
-    lp hilbert POSET [--max-degree N] [--max-pairs N] [--max-weight N] [--json]
+             [--max-weight N] [--max-terms N] [--json]
+    lp hilbert POSET [--max-degree N] [--max-pairs N] [--max-weight N]
+               [--max-terms N] [--json]
     lp info POSET [--json]
 
 Exit codes: 0 success / everything PASS, 1 a verification or comparison
@@ -19,16 +20,17 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .cotangent import t1_generators
+from .deformation import DEFAULT_MAX_TERMS, DeformationContext
 from .errors import LpError, ResourceLimitError
 from .grading import monomial_order_for
-from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT
+from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT, _unpack
 from .letterplace import letterplace_generators, u_variables, x_variables
 from .polynomials import (
     MonomialOrder,
-    Polynomial,
+    packed_to_json,
     parse_polynomial,
-    polynomial_to_json,
     render_monomial,
+    render_packed,
     render_polynomial,
     variable_table,
 )
@@ -97,29 +99,30 @@ def compare_fixture(computed, fixture_path, variables):
 
 
 def _cmd_gens(args):
+    """The generators are rendered from their packed form; they are
+    unpacked only for --compare."""
     poset = load_poset(args.poset)
     if args.ideal == "L":
         order = _order_for(poset)
-        gens = [(pair, Polynomial.term(m)) for pair, m in letterplace_generators(poset)]
+        gens = [(pair, {-order.key(m): 1}) for pair, m in letterplace_generators(poset)]
     else:
-        verifier = Verifier(as_rooted_tree(poset))
-        order, gens = verifier.order, verifier.generators
+        ctx = DeformationContext(as_rooted_tree(poset), args.max_terms)
+        order, gens = ctx.order, ctx.generators_packed()
     if args.json:
         payload = {
             "ideal": args.ideal,
             "poset": poset.to_json_dict(),
             "generators": [
-                {"pair": [p, q], "terms": polynomial_to_json(g, order)}
-                for (p, q), g in gens
+                {"pair": [p, q], "terms": packed_to_json(g, order)} for (p, q), g in gens
             ],
         }
         print(_json(payload))
     else:
         for _, g in gens:
-            print(render_polynomial(g, order))
+            print(render_packed(g, order))
     if args.compare:
         passed, missing, extra = compare_fixture(
-            [g for _, g in gens], args.compare, order.variables
+            [_unpack(g, order) for _, g in gens], args.compare, order.variables
         )
         if passed:
             print(f"PASS fixture {args.compare}: {len(gens)} generators match")
@@ -159,7 +162,9 @@ def _cmd_t1(args):
 
 def _cmd_check(args):
     tree = as_rooted_tree(load_poset(args.poset))
-    verifier = Verifier(tree, max_pairs=args.max_pairs, max_weight=args.max_weight)
+    verifier = Verifier(
+        tree, max_pairs=args.max_pairs, max_weight=args.max_weight, max_terms=args.max_terms
+    )
     if args.suite == "basic":
         reports = verifier.run_basic()
     else:
@@ -182,7 +187,9 @@ def _cmd_check(args):
 
 def _cmd_hilbert(args):
     tree = as_rooted_tree(load_poset(args.poset))
-    verifier = Verifier(tree, max_pairs=args.max_pairs, max_weight=args.max_weight)
+    verifier = Verifier(
+        tree, max_pairs=args.max_pairs, max_weight=args.max_weight, max_terms=args.max_terms
+    )
     report = verifier.compare_hilbert(args.max_degree)
     if args.json:
         payload = {
@@ -247,6 +254,16 @@ def _nonnegative(text):
     return value
 
 
+def _add_max_terms(p):
+    p.add_argument(
+        "--max-terms",
+        type=_nonnegative,
+        default=DEFAULT_MAX_TERMS,
+        metavar="N",
+        help="terms the generator expansion may hold (default %(default)s)",
+    )
+
+
 def _add_budgets(p):
     p.add_argument(
         "--max-pairs",
@@ -262,6 +279,7 @@ def _add_budgets(p):
         metavar="N",
         help="largest S-pair lcm weight Buchberger may reach (default %(default)s)",
     )
+    _add_max_terms(p)
 
 
 def build_parser():
@@ -276,6 +294,7 @@ def build_parser():
     p.add_argument("--ideal", choices=["L", "J"], required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--compare", metavar="FILE", help="fixture file to compare against")
+    _add_max_terms(p)
     p.set_defaults(func=_cmd_gens)
 
     p = sub.add_parser("t1", help="print cotangent generators")

@@ -30,6 +30,11 @@ sum e * D_v, and homogeneity compares one int per term.  Only the common
 degree and the two degrees of a NotHomogeneousError witness are decoded
 back to MultiDegree.
 
+A packed monomial of the tree's MonomialOrder (see groebner.py) gets its
+degree straight from its exponent digits, sum e * D_v over the nonzero
+ones, without a Monomial: its total degree is at most its weight, which
+the order keeps below 2**15, so no bound is checked.
+
 Decoding reads balanced digits, -B/2 <= c_k < B/2.  Every coefficient of
 a variable's degree is -1, 0 or 1, so |c_k| is at most the monomial's
 total degree: a monomial of total degree 2**31 or more raises
@@ -40,10 +45,12 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
+from itertools import compress
+from operator import mul
 
 from .errors import DomainError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
 from .letterplace import ring_variables, x_variables
-from .polynomials import MAX_KEY_WEIGHT, MonomialOrder, UVar, XVar
+from .polynomials import MAX_KEY_WEIGHT, Monomial, MonomialOrder, UVar, XVar
 
 DEGREE_DIGIT_BITS = 32
 MAX_PACKED_DEGREE = (1 << (DEGREE_DIGIT_BITS - 1)) - 1  # largest total degree packed
@@ -170,11 +177,27 @@ class _DegreeTable:
     up front; a u-parameter is entered at its first use, from
     variable_degree, which raises for a variable foreign to the tree."""
 
-    __slots__ = ("symbols", "codes")
+    __slots__ = ("symbols", "codes", "_order", "_packed")
 
     def __init__(self, tree):
         self.symbols = tuple(x_variables(tree))
         self.codes = {sym: 1 << DEGREE_DIGIT_BITS * k for k, sym in enumerate(self.symbols)}
+        self._order = self._packed = None
+
+    def packed(self, tree, order):
+        """The packed degree of a packed monomial of `order`, a MonomialOrder
+        on the tree's variables, from its minus key; kept for the last order
+        asked for."""
+        if self._order is not order:
+            codes = [self.code(tree, Monomial(((v, 1),))) for v in order.variables]
+            exponents = order.exponents
+
+            def degree(n):
+                e = exponents(n)
+                return sum(map(mul, compress(e, e), compress(codes, e)))
+
+            self._order, self._packed = order, degree
+        return self._packed
 
     def decode(self, code):
         coords = {}
@@ -226,20 +249,28 @@ def monomial_degree(tree, mono):
     return table.decode(table.code(tree, mono))
 
 
-def homogeneous_degree(tree, f):
+def homogeneous_degree(tree, f, order=None):
     """The common multidegree of f's monomials (zero polynomial: degree 0).
+    f is a Polynomial, or a packed polynomial of `order` (minus key ->
+    coefficient), whose monomials are decoded only for a witness.
 
     Raises NotHomogeneousError with a two-monomial witness otherwise.
     """
-    if f.is_zero:
+    if not f:
         return MultiDegree.zero()
     table = _degree_table(tree)
-    it = iter(f.terms)
+    if order is None:
+        terms, code = f.terms, lambda m: table.code(tree, m)
+    else:
+        terms, code = f, table.packed(tree, order)
+    it = iter(terms)
     m0 = next(it)
-    d0 = table.code(tree, m0)
+    d0 = code(m0)
     for m in it:
-        d = table.code(tree, m)
+        d = code(m)
         if d != d0:
+            if order is not None:
+                m0, m = order.monomial(-m0), order.monomial(-m)
             deg0, deg = table.decode(d0), table.decode(d)
             raise NotHomogeneousError(
                 f"monomial {m0!r} has degree {deg0.render()} but {m!r} has {deg.render()}",

@@ -1,6 +1,7 @@
 """Buchberger's algorithm, reduced bases, and normal forms.
 
-`buchberger` runs one loop over the S-pairs of its monic generators:
+`buchberger` runs one loop over the S-pairs of its monic generators,
+Polynomials or packed polynomials (below), as the verifier hands it:
 normal selection strategy (smallest S-pair lcm first), the
 coprime-leading-term criterion (a pair with coprime leads costs one AND of
 the leads' supports and is never queued), full tail reduction at the end.
@@ -12,7 +13,8 @@ made by the textbook step: s_polynomial, _divide, then _pack.  Generators
 that already are the reduced basis, as the deformed generators of a rooted
 tree are, come out of the loop with every S-pair reduced to zero and no
 lead dividing another lead or a tail term (Buchberger's criterion), so
-they are returned as they were packed.
+they are returned as they were packed.  A GroebnerBasis holds packed
+entries and unpacks its Polynomials only when `polys` is first read.
 
 Two budgets turn runaway computations into ResourceLimitError instead of
 hangs, both checked once per processed S-pair:
@@ -38,20 +40,22 @@ division using a heap", J. Symb. Comp. 2011):
     P = N & order.mask: ((P_m | G) - P_lead) & G == G, G = order.guard;
     the support of P, the guard bits of its nonzero digits, is
     ((P | G) - L) & G, with L the low bit of every digit;
-  * a packed polynomial is a dict minus key -> coefficient.  `_pack_terms`
-    packs a Polynomial through MonomialOrder.key, which raises
-    ResourceLimitError past the encoding's bound (weight 2**15 - 1), and
-    `_unpack` is its inverse, with canonical coefficients; `_divide` is
-    pack -> `_reduce` -> unpack.  A division step never raises weight, so
-    checking the input is enough;
+  * a packed polynomial is a dict minus key -> coefficient.
+    `polynomials._pack_terms` packs a Polynomial through MonomialOrder.key,
+    which raises ResourceLimitError past the encoding's bound (weight
+    2**15 - 1), and `_unpack` is its inverse, with canonical coefficients;
+    `_divide` is pack -> `_reduce` -> unpack.  A division step never raises
+    weight, so checking the input is enough;
   * `_mul`, `_add` and `_sub` are the ring operations on packed
-    polynomials, so a caller such as the verifier builds its instances
-    packed and unpacks only a nonzero remainder.  `_mul` checks its result
+    polynomials, and `_addmul` and `_iadd` their in-place forms, so the
+    deformation context builds its blocks packed and the verifier its
+    instances, unpacking only a nonzero remainder.  `_mul` checks its result
     against the key bound, with MonomialOrder.key's error: two operands
     within the bound have exponent digits below 2**15, so their sum cannot
     carry into the next digit;
-  * each polynomial of a basis is made monic and packed once, by `_pack`,
-    with one MonomialOrder.key call per term.
+  * each polynomial of a basis is made monic and packed once, by `_entry`
+    (by `_pack` from a Polynomial, with one MonomialOrder.key call per
+    term).
 """
 
 from __future__ import annotations
@@ -60,16 +64,10 @@ import heapq
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .polynomials import DIGIT_BITS, MAX_KEY_WEIGHT, Polynomial, _as_coeff, key_bound_error
+from .polynomials import DIGIT_BITS, MAX_KEY_WEIGHT, Polynomial, _as_coeff, _pack_terms, key_bound_error
 
 DEFAULT_MAX_PAIRS = 1_000_000
 DEFAULT_MAX_WEIGHT = 10_000
-
-
-def _pack_terms(f, order):
-    """The packed polynomial of f: minus key -> coefficient."""
-    key = order.key
-    return {-key(m): c for m, c in f.terms.items()}
 
 
 def _unpack(work, order):
@@ -77,6 +75,23 @@ def _unpack(work, order):
     coefficients."""
     monomial = order.monomial
     return Polynomial({monomial(-n): _as_coeff(c) for n, c in work.items()})
+
+
+def _addmul(acc, f, g, sign=1):
+    """acc += sign * f * g on packed polynomials, in place; returns acc."""
+    if len(f) < len(g):
+        f, g = g, f
+    get = acc.get
+    for n2, c2 in g.items():
+        c2 *= sign
+        for n, c in f.items():
+            t = n + n2
+            s = get(t, 0) + c * c2
+            if s:
+                acc[t] = s
+            else:
+                del acc[t]
+    return acc
 
 
 def _mul(f, g, order):
@@ -90,16 +105,7 @@ def _mul(f, g, order):
         [(n2, c2)] = g.items()
         acc = {n + n2: c * c2 for n, c in f.items()}
     else:
-        acc = {}
-        get = acc.get
-        for n2, c2 in g.items():
-            for n, c in f.items():
-                t = n + n2
-                s = get(t, 0) + c * c2
-                if s:
-                    acc[t] = s
-                else:
-                    del acc[t]
+        acc = _addmul({}, f, g)
     if acc:
         # the smallest minus key is the heaviest monomial: -(N >> 16n) is its
         # weight, the exponent digits being below B**n
@@ -109,9 +115,8 @@ def _mul(f, g, order):
     return acc
 
 
-def _add(f, g, sign=1):
-    """The packed sum f + sign * g."""
-    acc = dict(f)
+def _iadd(acc, g, sign=1):
+    """acc += sign * g on packed polynomials, in place; returns acc."""
     for n, c in g.items():
         s = acc.get(n, 0) + sign * c
         if s:
@@ -121,26 +126,44 @@ def _add(f, g, sign=1):
     return acc
 
 
+def _add(f, g, sign=1):
+    """The packed sum f + sign * g."""
+    return _iadd(dict(f), g, sign)
+
+
 def _sub(f, g):
     """The packed difference f - g."""
-    return _add(f, g, -1)
+    return _iadd(dict(f), g, -1)
 
 
-def _pack(f, order):
-    """Monic f and its packed entry (P, N, tail) for _reduce, from one
-    order.key call per term: N is minus the key of f's leading monomial,
-    P = N & order.mask its exponents, and tail the (minus key, coefficient)
-    pairs of monic f's other terms."""
-    if f.is_zero:
-        raise DomainError("the zero polynomial has no leading term")
-    work = _pack_terms(f, order)
+def _entry(work, order):
+    """The packed entry (P, N, tail) of the monic multiple of the nonzero
+    packed polynomial `work`, for _reduce: N is the minus key of its
+    leading monomial, P = N & order.mask its exponents, and tail the
+    (minus key, coefficient) pairs of its other terms."""
     n = min(work)
     lc = work[n]
     if lc != 1:
         inv = Fraction(1) / lc
-        f = f * inv
         work = {nm: _as_coeff(inv * c) for nm, c in work.items()}
-    return f, (n & order.mask, n, tuple((nm, c) for nm, c in work.items() if nm != n))
+    return n & order.mask, n, tuple((nm, c) for nm, c in work.items() if nm != n)
+
+
+def _pack(f, order):
+    """Monic f and its packed entry, from one order.key call per term."""
+    if f.is_zero:
+        raise DomainError("the zero polynomial has no leading term")
+    work = _pack_terms(f, order)
+    lc = work[min(work)]
+    return (f if lc == 1 else f * (Fraction(1) / lc)), _entry(work, order)
+
+
+def _entry_polynomial(entry, order):
+    """The monic Polynomial of a packed entry."""
+    _, n, tail = entry
+    work = dict(tail)
+    work[n] = 1
+    return _unpack(work, order)
 
 
 def _reduce(work, leads, mask, guard):
@@ -203,29 +226,35 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic generators, no monomial of any
     generator divisible by another generator's leading monomial, sorted by
     leading monomial.  This form is unique for (ideal, order), so equal
-    ideals produce structurally equal bases."""
+    ideals produce structurally equal bases.
+
+    The basis is held as packed entries; a basis from `buchberger` unpacks
+    `polys` at its first read."""
 
     def __init__(self, polys, order):
-        self._set([_pack(g, order) for g in polys], order)
+        self.order = order
+        packed = [_pack(g, order) for g in polys]
+        self._leads = [entry for _, entry in packed]
+        self._polys = tuple(g for g, _ in packed)
 
     @classmethod
-    def _from_packed(cls, packed, order):
-        """The basis of (monic polynomial, packed entry) pairs from _pack,
-        taken as they are."""
-        basis = cls.__new__(cls)
-        basis._set(packed, order)
+    def _from_packed(cls, entries, order):
+        """The basis of the packed entries from _entry, taken as they are."""
+        basis = cls((), order)
+        basis._leads, basis._polys = entries, None
         return basis
 
-    def _set(self, packed, order):
-        self.order = order
-        self.polys = tuple(g for g, _ in packed)
-        self._leads = [entry for _, entry in packed]
+    @property
+    def polys(self):
+        if self._polys is None:
+            self._polys = tuple(_entry_polynomial(e, self.order) for e in self._leads)
+        return self._polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._leads)
 
     def __eq__(self, other):
         return (
@@ -254,21 +283,31 @@ def normal_form(f, basis):
 
 
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_WEIGHT):
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Reduced Groebner basis of the ideal generated by `gens`, Polynomials
+    or packed polynomials (minus key -> coefficient, left unchanged).
 
     Raises ResourceLimitError when more than max_pairs S-pairs are
     processed or a processed S-pair's lcm has weighted degree above
     max_weight (which bounds every monomial its reduction creates).
     Deterministic: the unique reduced basis, sorted by leading monomial.
     """
-    G, leads = [], []
+    G, leads = [], []  # G[i]: element i as a monic Polynomial, or None until needed
     for f in gens:
-        if not f.is_zero:
+        if isinstance(f, dict):
+            if f:
+                G.append(None)
+                leads.append(_entry(f, order))
+        elif not f.is_zero:
             g, entry = _pack(f, order)
             G.append(g)
             leads.append(entry)
-    if not G:
+    if not leads:
         raise DomainError("no nonzero generators")
+
+    def element(i):
+        if G[i] is None:
+            G[i] = _entry_polynomial(leads[i], order)
+        return G[i]
 
     mask, guard = order.mask, order.guard
     low = guard >> (DIGIT_BITS - 1)  # the low bit of every exponent digit
@@ -293,7 +332,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
                 order.key(lm[k].mul(lm[t]))
         return pairs
 
-    heap = [pair for k in range(len(G)) for pair in new_pairs(k)]
+    heap = [pair for k in range(len(leads)) for pair in new_pairs(k)]
     heapq.heapify(heap)
     processed = 0
     while heap:
@@ -311,28 +350,31 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
             continue
         # the new element comes from the textbook step, where the
         # perfbench tracer counts the basis elements an S-pair adds
-        g, entry = _pack(_divide(s_polynomial(G[i], G[j], order), leads, order), order)
+        g, entry = _pack(_divide(s_polynomial(element(i), element(j), order), leads, order), order)
         G.append(g)
         leads.append(entry)
         lm.append(order.monomial(-entry[1]))
-        for pair in new_pairs(len(G) - 1):
+        for pair in new_pairs(len(leads) - 1):
             heapq.heappush(heap, pair)
 
     # minimalize: drop any element whose lead a smaller kept lead divides
     kept = []
-    for i in sorted(range(len(G)), key=lambda i: -leads[i][1]):
+    for i in sorted(range(len(leads)), key=lambda i: -leads[i][1]):
         p = leads[i][0] | guard
         if not any((p - leads[j][0]) & guard == guard for j in kept):
             kept.append(i)
     # a survivor no kept lead divides a tail term of is reduced already;
     # tail-reduce the others.  The leads stay, so the result is sorted by lead
     exponents = [leads[j][0] for j in kept]
-    packed = []
+    entries = []
     for i in kept:
-        terms = [(n & mask) | guard for n, _ in leads[i][2]]
+        _, n, tail = leads[i]
+        terms = [(nm & mask) | guard for nm, _ in tail]
         if any((p - pl) & guard == guard for p in terms for pl in exponents):
-            others = [leads[j] for j in kept if j != i]
-            packed.append(_pack(_divide(G[i], others, order), order))
+            work = dict(tail)
+            work[n] = 1
+            rem = _reduce(work, [leads[j] for j in kept if j != i], mask, guard)
+            entries.append(_entry({nm: _as_coeff(c) for nm, c in rem.items()}, order))
         else:
-            packed.append((G[i], leads[i]))
-    return GroebnerBasis._from_packed(packed, order)
+            entries.append(leads[i])
+    return GroebnerBasis._from_packed(entries, order)

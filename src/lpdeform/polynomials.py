@@ -23,7 +23,9 @@ more an exponent on it *hurts*).
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 
 from .errors import (
@@ -415,6 +417,8 @@ class MonomialOrder:
         self.mask = (1 << shift) - 1
         self.guard = sum(1 << (DIGIT_BITS * i + DIGIT_BITS - 1) for i in self.index.values())
         self._digits = sorted((v, DIGIT_BITS * i) for v, i in self.index.items())
+        self._bytes = 2 * len(self.variables)
+        self._names = None  # the variables' rendered names, made at the first render
 
     def weight(self, mono):
         try:
@@ -453,6 +457,11 @@ class MonomialOrder:
             raise key_bound_error(self.weight(mono))
         return k
 
+    def exponents(self, n):
+        """The exponents of the monomial whose minus key is n, one 16-bit
+        digit per variable in sequence order, read in one pass."""
+        return memoryview((n & self.mask).to_bytes(self._bytes, sys.byteorder)).cast("H")
+
     def monomial(self, key):
         """The monomial whose key is `key` (the inverse of `key`)."""
         p = -key & self.mask
@@ -479,29 +488,46 @@ class MonomialOrder:
 
 
 def render_monomial(mono, order):
-    if mono.is_one:
-        return "1"
-    parts = []
-    for v, e in sorted(mono.pairs, key=lambda p: order.index[p[0]]):
-        parts.append(v.render() if e == 1 else f"{v.render()}^{e}")
-    return "*".join(parts)
+    return _render_factors(-order.key(mono), order) or "1"
 
 
-def render_polynomial(poly, order):
-    """Canonical text: terms in descending order, `*` between factors,
-    coefficient 1 dropped, -1 shown as a bare minus."""
-    if poly.is_zero:
+def _pack_terms(f, order):
+    """The packed polynomial of f (see groebner.py): minus key -> coefficient."""
+    key = order.key
+    return {-key(m): c for m, c in f.terms.items()}
+
+
+def _factors(n, order):
+    """(name, exponent) of the variables of the monomial with minus key n,
+    in the order's sequence."""
+    if order._names is None:
+        order._names = tuple(v.render() for v in order.variables)
+    e = order.exponents(n)
+    return zip(compress(order._names, e), compress(e, e))
+
+
+def _render_factors(n, order):
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in _factors(n, order))
+
+
+def render_packed(work, order):
+    """render_polynomial of a packed polynomial (minus key -> coefficient;
+    see groebner.py): the sorted minus keys give the term order and the
+    exponent digits the factors, so no Monomial is built."""
+    if not work:
         return "0"
     out = []
-    for i, (m, c) in enumerate(order.sorted_terms(poly)):
+    for i, n in enumerate(sorted(work)):
+        c = work[n]
         neg = c < 0
         mag = -c if neg else c
-        if m.is_one:
+        mono = _render_factors(n, order)
+        if not mono:
             body = str(mag)
         elif mag == 1:
-            body = render_monomial(m, order)
+            body = mono
         else:
-            body = f"{mag}*{render_monomial(m, order)}"
+            body = f"{mag}*{mono}"
         if i == 0:
             out.append(f"-{body}" if neg else body)
         else:
@@ -509,15 +535,23 @@ def render_polynomial(poly, order):
     return "".join(out)
 
 
+def render_polynomial(poly, order):
+    """Canonical text: terms in descending order, `*` between factors,
+    coefficient 1 dropped, -1 shown as a bare minus."""
+    return render_packed(_pack_terms(poly, order), order)
+
+
+def packed_to_json(work, order):
+    """polynomial_to_json of a packed polynomial."""
+    return [
+        {"coeff": f"{work[n].numerator}/{work[n].denominator}", "monomial": dict(_factors(n, order))}
+        for n in sorted(work)
+    ]
+
+
 def polynomial_to_json(poly, order):
     """JSON-ready list of terms, leading term first."""
-    terms = []
-    for m, c in order.sorted_terms(poly):
-        mono = {}
-        for v, e in sorted(m.pairs, key=lambda p: order.index[p[0]]):
-            mono[v.render()] = e
-        terms.append({"coeff": f"{c.numerator}/{c.denominator}", "monomial": mono})
-    return terms
+    return packed_to_json(_pack_terms(poly, order), order)
 
 
 _COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")

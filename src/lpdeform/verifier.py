@@ -1,7 +1,7 @@
 """Machine checks for the structural claims about J(2,P).
 
-A Verifier owns one rooted tree, its deformation context, the weighted
-monomial order, and a lazily built Groebner basis of J that every
+A Verifier owns one rooted tree, its deformation context (which owns the
+weighted monomial order), and a lazily built Groebner basis of J that every
 membership test shares.
 
 Every check is a name paired with a lazy stream of instances; the table
@@ -14,17 +14,18 @@ tested through three helpers: _member (normal form modulo J is zero),
 _degree (a degree law) and _lift_fault (a relation lift's factorization
 and u-positivity).
 
-The flatness instances (flat-basic through the relation lifts) are built
-and tested in the division kernel's packed form, a dict minus order key ->
-coefficient (see groebner.py): each building block (S_p, T, T_c, the
-sibling entries, the generalized minors, R, the generators and the
-x-variables) is packed once per check through a memo that _run drops when
-the check ends (R(a,b) and the generators, which a check reuses little, are
-packed at use), a product of monomials is one int addition, and _member
-reduces the packed instance with groebner._reduce.  A remainder is
-unpacked only to render its witness.  _lift_fault compares a lift with its
-factorization as packed dicts and reads u-positivity off the exponent
-digits of the u-parameters.
+Every check reads its blocks (S_p, T, T_c, the sibling entries, the
+minors, R, the generators and the x-variables) in the division kernel's
+packed form, a dict minus order key -> coefficient (see groebner.py),
+straight from the context's memo, so each block is built once for the
+whole suite; the verifier keeps no memo.  The generators, the context's or
+an override list packed once, are also the basis input.  A product of
+monomials is one int addition; _member reduces a packed instance with
+groebner._reduce.  The degree checks read packed terms too: u-freeness is
+an AND with the u-digits, a multidegree comes from the exponent digits
+(grading.homogeneous_degree), and a monomial is decoded only to render a
+witness.  _lift_fault compares a lift with its factorization as packed
+dicts and reads u-positivity off the u-digits.
 
 The checks, in run_full order:
 
@@ -57,7 +58,7 @@ and flat-basic are its content.
 
 Verifiers accept an override generator list so mutated ideals can be
 exercised: checks that quote g(p,q) pull from the override while the
-recursion side is recomputed, so a corrupted generator is caught.
+recursion side comes from the context, so a corrupted generator is caught.
 """
 
 from __future__ import annotations
@@ -65,14 +66,8 @@ from __future__ import annotations
 import time
 from itertools import combinations, permutations, product
 
-from .deformation import DeformationContext
-from .grading import (
-    MultiDegree,
-    hat_degree,
-    homogeneous_degree,
-    monomial_order_for,
-    truncated_hilbert,
-)
+from .deformation import DEFAULT_MAX_TERMS, DeformationContext
+from .grading import MultiDegree, hat_degree, homogeneous_degree, truncated_hilbert
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_WEIGHT,
@@ -81,20 +76,11 @@ from .groebner import (
     _pack_terms,
     _reduce,
     _sub,
-    _unpack,
     buchberger,
 )
 from .errors import DomainError, NotHomogeneousError, ResourceLimitError
 from .letterplace import letterplace_generators
-from .polynomials import (
-    DIGIT_BITS,
-    DIGIT_MASK,
-    MAX_KEY_WEIGHT,
-    Polynomial,
-    UVar,
-    XVar,
-    render_polynomial,
-)
+from .polynomials import MAX_KEY_WEIGHT, render_packed
 from .posets import as_rooted_tree
 
 
@@ -154,54 +140,48 @@ class Verifier:
         generators=None,
         max_pairs=DEFAULT_MAX_PAIRS,
         max_weight=DEFAULT_MAX_WEIGHT,
+        max_terms=DEFAULT_MAX_TERMS,
     ):
         self.tree = as_rooted_tree(tree)
-        self.ctx = DeformationContext(self.tree)
-        self.order = monomial_order_for(self.tree)
+        self.ctx = DeformationContext(self.tree, max_terms)
+        self.order = self.ctx.order
         self.max_pairs = max_pairs
         self.max_weight = max_weight
-        self._generators = list(generators) if generators is not None else None
+        self._override = list(generators) if generators is not None else None
+        self._generators = None  # ((p,q), packed g), built at first use
         self._basis = None
-        self._pos = {p: i for i, p in enumerate(self.tree.linear_extension())}
+        self._pos = self.ctx._linext_pos
         # the exponent digits of the u-parameters in a packed monomial
-        self._umask = sum(
-            DIGIT_MASK << DIGIT_BITS * i
-            for v, i in self.order.index.items()
-            if isinstance(v, UVar)
-        )
-        self._memo = {}  # packed blocks of the running check; see _packed
+        self._umask = self.ctx.umask
 
     @property
     def generators(self):
-        """((p,q), g(p,q)) pairs — the override list if one was given."""
+        """((p,q), g(p,q)) pairs: the override list if one was given, else
+        the context's generators, unpacked at each read."""
+        if self._override is not None:
+            return self._override
+        return self.ctx.j_ideal_generators()
+
+    def _packed_generators(self):
+        """((p,q), packed g(p,q)) pairs: the context's memoized generators,
+        or the override list packed once."""
         if self._generators is None:
-            self._generators = self.ctx.j_ideal_generators()
+            if self._override is None:
+                self._generators = self.ctx.generators_packed()
+            else:
+                self._generators = [(pair, _pack_terms(g, self.order)) for pair, g in self._override]
         return self._generators
 
     @property
     def basis(self):
         if self._basis is None:
             self._basis = buchberger(
-                [g for _, g in self.generators],
+                [g for _, g in self._packed_generators()],
                 self.order,
                 max_pairs=self.max_pairs,
                 max_weight=self.max_weight,
             )
         return self._basis
-
-    def _x(self, place, p):
-        return Polynomial.variable(XVar(place, p))
-
-    # -- packed building blocks ----------------------------------------------
-
-    def _packed(self, block, *args):
-        """block(*args), a Polynomial, in the kernel's packed form (minus
-        key -> coefficient), memoized until the running check ends."""
-        key = (block, args)
-        work = self._memo.get(key)
-        if work is None:
-            work = self._memo[key] = _pack_terms(block(*args), self.order)
-        return work
 
     def _product(self, f, *gs):
         """The packed product of f and gs."""
@@ -213,17 +193,13 @@ class Verifier:
 
     def _run(self, name, faults, count="instances"):
         """Draw instances from `faults` until the first witness; the report
-        counts the instances drawn, the failing one included.  The packed
-        blocks memoized while drawing are dropped when the check ends."""
+        counts the instances drawn, the failing one included."""
         t0 = time.monotonic()
         n, witness = 0, None
-        try:
-            for witness in faults:
-                n += 1
-                if witness is not None:
-                    break
-        finally:
-            self._memo.clear()
+        for witness in faults:
+            n += 1
+            if witness is not None:
+                break
         return CheckReport(
             name, witness is None, {count: n}, witness, time.monotonic() - t0
         )
@@ -235,11 +211,12 @@ class Verifier:
         rem = _reduce(f, basis._leads, order.mask, order.guard)
         if not rem:
             return None
-        return f"{label}: remainder {_clip(render_polynomial(_unpack(rem, order), order))}"
+        return f"{label}: remainder {_clip(render_packed(rem, order))}"
 
     def _degree(self, label, f, want):
-        """None when f is homogeneous of multidegree `want`."""
-        got = homogeneous_degree(self.tree, f)
+        """None when the packed polynomial f is homogeneous of multidegree
+        `want`."""
+        got = homogeneous_degree(self.tree, f, self.order)
         if got == want:
             return None
         return f"deg {label} = {got.render()}, wanted {want.render()}"
@@ -270,52 +247,47 @@ class Verifier:
     def _t_share(self, c, b):
         """T_c(b), reading T_b(b) as T(b), packed."""
         if c == b:
-            return self._packed(self.ctx.t_full, b)
-        return self._packed(self.ctx.t_sub, c, b)
+            return self.ctx.t_full_packed(b)
+        return self.ctx.t_sub_packed(c, b)
 
     def _child_sum(self, a, cols, d):
         """The sum over the children x of a of D(a)^{cols}_{(x)} T_d(x),
         packed."""
-        minor, expr = self.ctx.generalized_minor, {}
+        minor, expr = self.ctx.generalized_minor_packed, {}
         for ix, x in enumerate(self.tree.children(a), start=1):
-            term = self._product(self._packed(minor, a, cols, (ix,)), self._t_share(d, x))
-            expr = _add(expr, term)
+            expr = _add(expr, self._product(minor(a, cols, (ix,)), self._t_share(d, x)))
         return expr
 
     # -- individual checks -------------------------------------------------
 
     def _specialization_faults(self):
-        expected = letterplace_generators(self.tree)
-        if len(expected) != len(self.generators):
-            yield (
-                f"{len(self.generators)} deformed generators vs "
-                f"{len(expected)} letterplace generators"
-            )
+        gens, expected = self._packed_generators(), letterplace_generators(self.tree)
+        if len(expected) != len(gens):
+            yield f"{len(gens)} deformed generators vs {len(expected)} letterplace generators"
             return
-        for (pair, g), (_, mono) in zip(self.generators, expected):
-            image = Polynomial({m: c for m, c in g.terms.items() if m.u_degree() == 0})
-            target = Polynomial.term(mono)
+        order, umask = self.order, self._umask
+        for (pair, g), (_, mono) in zip(gens, expected):
+            image = {n: c for n, c in g.items() if not n & umask}
+            target = {-order.key(mono): 1}
             if image == target:
                 yield None
                 continue
-            diff = image - target
             yield (
-                f"g{pair}: u->0 gave "
-                f"{_clip(render_polynomial(image, self.order))}; "
-                f"difference {_clip(render_polynomial(diff, self.order))}"
+                f"g{pair}: u->0 gave {_clip(render_packed(image, order))}; "
+                f"difference {_clip(render_packed(_sub(image, target), order))}"
             )
 
     def check_specialization(self):
         """u -> 0 must send the generator list onto the letterplace list."""
         report = self._run("specialization", self._specialization_faults())
         # the length of the list, however far the comparison got
-        report.params = {"generators": len(self.generators)}
+        report.params = {"generators": len(self._packed_generators())}
         return report
 
     def _homogeneity_fault(self, p, q, g):
         want = MultiDegree.unit(1, p) + MultiDegree.unit(2, q)
         try:
-            got = homogeneous_degree(self.tree, g)
+            got = homogeneous_degree(self.tree, g, self.order)
         except NotHomogeneousError as exc:
             return f"g({p},{q}): {exc}"
         if got == want:
@@ -324,7 +296,7 @@ class Verifier:
 
     def check_homogeneity(self):
         """Every g(p,q) must be homogeneous of multidegree p1 + q2."""
-        faults = (self._homogeneity_fault(p, q, g) for (p, q), g in self.generators)
+        faults = (self._homogeneity_fault(p, q, g) for (p, q), g in self._packed_generators())
         return self._run("homogeneity", faults, count="generators")
 
     def check_degree_formulas(self):
@@ -332,18 +304,18 @@ class Verifier:
         tree, ctx = self.tree, self.ctx
         unit, hat = MultiDegree.unit, hat_degree
         deg_t = (
-            self._degree(f"T({p})", ctx.t_full(p), unit(1, p) + hat(tree, p))
+            self._degree(f"T({p})", ctx.t_full_packed(p), unit(1, p) + hat(tree, p))
             for p in tree
         )
         deg_s = (
-            self._degree(f"S_{p}({q}2)", ctx.s_op(p, q), unit(2, q) - hat(tree, p))
+            self._degree(f"S_{p}({q}2)", ctx.s_op_packed(p, q), unit(2, q) - hat(tree, p))
             for p in tree
             for q in sorted(tree.filter_at_or_above(p))  # by name, not _above(p)
         )
         deg_st = (
             self._degree(
                 f"S_{q}T_{q}({p})",
-                ctx.st_entry(q, p),
+                ctx.st_entry_packed(q, p),
                 unit(1, p) + hat(tree, p) - hat(tree, q),
             )
             for a in tree
@@ -352,7 +324,7 @@ class Verifier:
         # D(a)^0 has degree a2 - hat(a); D(a)^i, for the i-th child b,
         # has degree hat(b) - hat(a)
         deg_d = (
-            self._degree(f"D({a})^{i}", ctx.minor_d(a, i), top - hat(tree, a))
+            self._degree(f"D({a})^{i}", ctx.minor_d_packed(a, i), top - hat(tree, a))
             for a in tree
             for i, top in enumerate([unit(2, a)] + [hat(tree, b) for b in tree.children(a)])
         )
@@ -365,11 +337,10 @@ class Verifier:
 
     def check_flat_basic(self):
         """S_p(b)c2 - b2 S_p(c) lies in J for all p <= b, p <= c."""
-        P, mul, s, x = self._packed, self._product, self.ctx.s_op, self._x
+        mul, s, x = self._product, self.ctx.s_op_packed, self.ctx.x_packed
         faults = (
             self._member(
-                f"(p,b,c)=({p},{b},{c})",
-                _sub(mul(P(s, p, b), P(x, 2, c)), mul(P(x, 2, b), P(s, p, c))),
+                f"(p,b,c)=({p},{b},{c})", _sub(mul(s(p, b), x(2, c)), mul(x(2, b), s(p, c)))
             )
             for p in self.tree
             for b, c in self._above_pairs(p)
@@ -378,13 +349,13 @@ class Verifier:
 
     def check_lemma_identities(self):
         """The sibling-level identities feeding the flatness induction."""
-        tree, P, mul, x = self.tree, self._packed, self._product, self._x
-        s, st, share = self.ctx.s_op, self.ctx.st_entry, self._t_share
+        tree, mul, ctx = self.tree, self._product, self.ctx
+        s, st, share, x = ctx.s_op_packed, ctx.st_entry_packed, self._t_share, ctx.x_packed
         # S_pT_p(q) b2 - T_p(q) S_p(b) for q in {p} + siblings, b >= p
         ts = (
             self._member(
                 f"(p,q,b)=({p},{q},{b})",
-                _sub(mul(P(st, p, q), P(x, 2, b)), mul(share(p, q), P(s, p, b))),
+                _sub(mul(st(p, q), x(2, b)), mul(share(p, q), s(p, b))),
             )
             for p in tree
             if p != tree.root
@@ -395,7 +366,7 @@ class Verifier:
         stt = (
             self._member(
                 f"(p,q,r)=({p},{q},{r})",
-                _sub(mul(P(st, p, q), share(p, r)), mul(share(p, q), P(st, p, r))),
+                _sub(mul(st(p, q), share(p, r)), mul(share(p, q), st(p, r))),
             )
             for a in tree
             for p, q, r in product(tree.children(a), repeat=3)
@@ -428,11 +399,10 @@ class Verifier:
         ]
 
     def _flat_p2(self, a, b):
-        """a1 T(b) - T(a) R(a,b) b1, packed.  A check uses R(a,b) once, so
-        it is packed without the memo."""
-        P, mul, t, x = self._packed, self._product, self.ctx.t_full, self._x
-        r = _pack_terms(self.ctx.cover_product_r(a, b), self.order)
-        return _sub(mul(P(x, 1, a), P(t, b)), mul(P(t, a), r, P(x, 1, b)))
+        """a1 T(b) - T(a) R(a,b) b1, packed."""
+        mul, ctx = self._product, self.ctx
+        t, x = ctx.t_full_packed, ctx.x_packed
+        return _sub(mul(x(1, a), t(b)), mul(t(a), ctx.cover_product_r_packed(a, b), x(1, b)))
 
     def check_flat_p2(self):
         """a1 T(b) - T(a) R(a,b) b1 lies in J for all a <= b."""
@@ -459,22 +429,13 @@ class Verifier:
         share a1 (b1 c2 and a1 c2 share c2), and buchberger's loop reduces
         it once when it builds the basis.
         """
-        tree, P, mul, x = self.tree, self._packed, self._product, self._x
-        s, g = self.ctx.s_op, dict(self.generators)
-
-        def gen(p, q):
-            # packed at use: a memo would hold every generator at once, for
-            # little reuse
-            return _pack_terms(g[(p, q)], self.order)
-
+        tree, mul, ctx = self.tree, self._product, self.ctx
+        s, x, g = ctx.s_op_packed, ctx.x_packed, dict(self._packed_generators())
         x2 = (
             self._lift_fault(
                 f"(a,b,c)=({a},{b},{c})",
-                _sub(mul(P(x, 2, c), gen(a, b)), mul(P(x, 2, b), gen(a, c))),
-                mul(
-                    P(self.ctx.t_full, a),
-                    _sub(mul(P(x, 2, b), P(s, a, c)), mul(P(x, 2, c), P(s, a, b))),
-                ),
+                _sub(mul(x(2, c), g[a, b]), mul(x(2, b), g[a, c])),
+                mul(ctx.t_full_packed(a), _sub(mul(x(2, b), s(a, c)), mul(x(2, c), s(a, b)))),
             )
             for a in tree
             for b, c in self._above_pairs(a)
@@ -482,8 +443,8 @@ class Verifier:
         x1 = (
             self._lift_fault(
                 f"(a,b,c)=({a},{b},{c})",
-                _sub(mul(P(x, 1, b), gen(a, c)), mul(P(x, 1, a), gen(b, c))),
-                mul(P(s, b, c), p2),
+                _sub(mul(x(1, b), g[a, c]), mul(x(1, a), g[b, c])),
+                mul(s(b, c), p2),
             )
             for a in tree
             for b in self._above(a)

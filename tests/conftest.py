@@ -3,9 +3,13 @@ import os
 from itertools import combinations, permutations, product
 
 from lpdeform import (
+    Monomial,
+    PolyMatrix,
     Polynomial,
+    UVar,
     XVar,
     as_rooted_tree,
+    comparable_pairs,
     j_ideal_generators,
     load_poset,
     parse_poset,
@@ -46,6 +50,13 @@ def sign_flip(g):
     """g with the sign of its u-part flipped."""
     u_free = Polynomial({m: c for m, c in g.terms.items() if m.u_degree() == 0})
     return u_free - (g - u_free)
+
+
+def poset_text(tree):
+    """A poset file for `tree`: one cover relation per line."""
+    if len(tree.elements) == 1:
+        return f"elem {tree.root}\n"
+    return "".join(f"{tree.parent(p)} < {p}\n" for p in tree.linear_extension() if p != tree.root)
 
 
 def tree_key(tree):
@@ -110,15 +121,146 @@ def brute_standard_count(leads, weights, max_degree):
     return counts
 
 
+# -- the Polynomial oracle ---------------------------------------------------------
+
+
+class PolynomialContext:
+    """The T/S/D recursion of lpdeform.deformation written on Polynomials,
+    with the same method names and no argument checks: the oracle for the
+    packed DeformationContext."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self._pos = {p: i for i, p in enumerate(tree.linear_extension())}
+        self._matrix = {}
+        self._memo = {}
+
+    def _memoized(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def t_sub(self, c, b):
+        a = self.tree.parent(b)
+        if c == a:
+            return -(x_poly(2, a) * u_poly(a, b))
+        out = Polynomial.zero()
+        for q in sorted(self.tree.filter_at_or_above(c), key=self._pos.__getitem__):
+            out = out - x_poly(2, q) * u_poly(q, b)
+        return out
+
+    def t_full(self, b):
+        tree = self.tree
+        if b == tree.root:
+            return u_poly(None, b)
+        out = -self.t_sub(tree.parent(b), b)
+        for c in tree.siblings(b):
+            out = out - self.t_sub(c, b)
+        return out
+
+    def st_entry(self, x, b):
+        if x == b:
+            return x_poly(1, b)
+        if x == self.tree.parent(b):
+            return -u_poly(x, b)
+        return self.s_op_linear(x, self.t_sub(x, b))
+
+    def matrix_m(self, a):
+        if a not in self._matrix:
+            kids = self.tree.children(a)
+            self._matrix[a] = PolyMatrix([[self.st_entry(x, b) for x in (a,) + kids] for b in kids])
+        return self._matrix[a]
+
+    def generalized_minor(self, a, cols, rows):
+        if not self.tree.children(a):
+            return Polynomial.one()
+        det = self.matrix_m(a).minor_det(delete_rows=[k - 1 for k in rows], delete_cols=cols)
+        inversions = sum(s[i] > s[j] for s in (cols, rows)
+                         for i in range(len(s)) for j in range(i + 1, len(s)))
+        return -det if (sum(cols) + sum(rows) + inversions) % 2 else det
+
+    def minor_d(self, a, i):
+        return self._memoized(("D", a, i), lambda: self.generalized_minor(a, (i,), ()))
+
+    def minor_d_child(self, a, b):
+        return self.minor_d(a, 1 + self.tree.children(a).index(b))
+
+    def cover_product_r(self, a, b):
+        out, q = Polynomial.one(), b
+        while q != a:
+            out = out * self.minor_d_child(self.tree.parent(q), q)
+            q = self.tree.parent(q)
+        return out
+
+    def s_op(self, a, b):
+        return self._memoized(("S", a, b), lambda: self.cover_product_r(a, b) * self.minor_d(b, 0))
+
+    def s_op_linear(self, a, f):
+        out = Polynomial.zero()
+        for mono, coeff in f.items():
+            [target] = [v.element for v, _ in mono.pairs if isinstance(v, XVar)]
+            upart = Monomial(tuple((v, e) for v, e in mono.pairs if isinstance(v, UVar)))
+            out = out + self.s_op(a, target) * upart * coeff
+        return out
+
+    def deformed_generator(self, p, q):
+        head = Polynomial.term(Monomial.from_pairs([(XVar(1, p), 1), (XVar(2, q), 1)]))
+        return head - self.t_full(p) * self.s_op(p, q)
+
+    def j_ideal_generators(self):
+        return [((p, q), self.deformed_generator(p, q)) for p, q in comparable_pairs(self.tree)]
+
+
+def x_poly(place, p):
+    return Polynomial.variable(XVar(place, p))
+
+
+def u_poly(q, p):
+    return Polynomial.variable(UVar(q, p))
+
+
+def oracle_factors(mono, order):
+    """(name, exponent) of mono's variables in the order's sequence."""
+    return [(v.render(), e) for v, e in sorted(mono.pairs, key=lambda p: order.index[p[0]])]
+
+
+def oracle_render(poly, order):
+    """render_polynomial term by term from Monomials: the oracle for the
+    rendering from packed terms."""
+    if poly.is_zero:
+        return "0"
+    out = []
+    for i, (m, c) in enumerate(order.sorted_terms(poly)):
+        mag = abs(c)
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in oracle_factors(m, order))
+        if m.is_one:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+        out.append(sign + body)
+    return "".join(out)
+
+
+def oracle_json(poly, order):
+    """polynomial_to_json from Monomials."""
+    return [
+        {"coeff": f"{c.numerator}/{c.denominator}", "monomial": dict(oracle_factors(m, order))}
+        for m, c in order.sorted_terms(poly)
+    ]
+
+
 def oracle_instances(verifier):
     """Check name -> a lazy stream of the instances of `verifier`'s
     flatness checks as Polynomial expressions, in the order the checks
     draw them: (label, polynomial) for a membership check, (label, lift,
     factorization) for a relation lift.  The verifier builds the same
-    instances in packed form; these expressions are its oracle."""
-    tree, ctx = verifier.tree, verifier.ctx
+    instances in packed form from its context; these expressions, from the
+    Polynomial recursion, are its oracle."""
+    tree, ctx = verifier.tree, PolynomialContext(verifier.tree)
     above, above_pairs, kids = verifier._above, verifier._above_pairs, tree.children
-    g = dict(verifier.generators)
+    gens = verifier._override
+    g = dict(ctx.j_ideal_generators() if gens is None else gens)
 
     def x(place, p):
         return Polynomial.variable(XVar(place, p))

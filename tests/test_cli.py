@@ -6,10 +6,10 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from lpdeform import Verifier
+from lpdeform import Verifier, all_rooted_trees, load_poset, monomial_order_for
 from lpdeform.cli import _json, run
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, PolynomialContext, fixture_path, oracle_json, oracle_render, poset_text
 
 
 def out_lines(capsys):
@@ -136,8 +136,8 @@ def test_budget_flags_reach_the_verifier(command, monkeypatch, capsys):
 
     monkeypatch.setattr("lpdeform.cli.Verifier", Recording)
     assert run([command, fixture_path("chain2.poset"),
-                "--max-pairs", "7", "--max-weight", "40"]) == 0
-    assert seen == [{"max_pairs": 7, "max_weight": 40}]
+                "--max-pairs", "7", "--max-weight", "40", "--max-terms", "900"]) == 0
+    assert seen == [{"max_pairs": 7, "max_weight": 40, "max_terms": 900}]
     capsys.readouterr()
 
 
@@ -148,6 +148,39 @@ def test_budgets_that_suffice_change_no_output(capsys):
     assert run(["hilbert", star2, "--json", "--max-pairs", "100",
                 "--max-weight", "20"]) == 0
     assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("command", ["check", "gens", "hilbert"])
+def test_term_budget_trips_with_exit_3(command, capsys):
+    # star2's context holds 47 terms once its generators are built
+    args = [command, fixture_path("star2.poset"), "--max-terms"]
+    if command == "gens":
+        args[2:2] = ["--ideal", "J"]
+    assert run(args + ["46"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "lp: resource limit: generator expansion exceeded 46 terms\n"
+    assert captured.out == ""
+    assert run(args + ["47"]) == 0
+    capsys.readouterr()
+
+
+def test_gens_render_the_polynomial_oracle_byte_for_byte(tmp_path, capsys):
+    # lp gens renders J from the packed generators; the text and the JSON
+    # are those of the Polynomial recursion, rendered term by term
+    for k, tree in enumerate(all_rooted_trees(6)):
+        path = tmp_path / f"t{k}.poset"
+        path.write_text(poset_text(tree))
+        order = monomial_order_for(tree)
+        gens = PolynomialContext(tree).j_ideal_generators()
+        assert run(["gens", str(path), "--ideal", "J"]) == 0
+        assert capsys.readouterr().out == "".join(oracle_render(g, order) + "\n" for _, g in gens)
+        assert run(["gens", str(path), "--ideal", "J", "--json"]) == 0
+        payload = {
+            "ideal": "J",
+            "poset": load_poset(str(path)).to_json_dict(),
+            "generators": [{"pair": [p, q], "terms": oracle_json(g, order)} for (p, q), g in gens],
+        }
+        assert capsys.readouterr().out == _json(payload) + "\n"
 
 
 # -- hilbert ----------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import os
+from itertools import combinations
+
 import pytest
 
 from lpdeform import (
@@ -19,8 +22,11 @@ from lpdeform import (
     u_variables,
 )
 from lpdeform.cli import compare_fixture
+from lpdeform.deformation import DEFAULT_MAX_TERMS
+from lpdeform.errors import LpError, ResourceLimitError
+from lpdeform.groebner import _pack_terms
 
-from conftest import chain_tree, fixture_path, load_tree, star_tree
+from conftest import FIXTURES, PolynomialContext, chain_tree, fixture_path, load_tree, star_tree
 
 
 def x(place, p):
@@ -162,6 +168,8 @@ def test_generalized_minor_extends_minor_d():
     ctx = DeformationContext(star_tree(3))
     for i in range(4):
         assert ctx.generalized_minor("a", (i,), ()) == ctx.minor_d("a", i)
+    # lists are index sequences too
+    assert ctx.generalized_minor("a", [0, 2], [1]) == ctx.generalized_minor("a", (0, 2), (1,))
 
 
 def test_generalized_minor_antisymmetry():
@@ -330,3 +338,75 @@ def test_vc2_relation_matrix_transcription():
         [P("-u[a,b]"), P("b1"), P("-u[c,b]*d1 - u[c,d]*u[d,b]")],
         [P("-u[a,c]"), P("-u[b,c]"), P("c1")],
     ]
+
+
+# -- the packed blocks against the Polynomial oracle ---------------------------------
+
+
+def fixture_trees():
+    for path in sorted(os.listdir(FIXTURES)):
+        if path.endswith(".poset"):
+            try:
+                yield load_tree(path[:-6])
+            except LpError:
+                pass  # not a rooted tree
+
+
+def oracle_blocks(tree):
+    """(packed method, arguments) of every block the oracle covers: T_c(b),
+    T(b), the matrix entries, every minor D(a)^i, every generalized minor of
+    the widest node (each index set in increasing and in reversed order),
+    R, S and g."""
+    kids = tree.children
+    for b in tree:
+        yield "t_full_packed", (b,)
+        if b != tree.root:
+            a = tree.parent(b)
+            for c in (a,) + tree.siblings(b):
+                yield "t_sub_packed", (c, b)
+            for x in (a, b) + tree.siblings(b):
+                yield "st_entry_packed", (x, b)
+        for i in range(len(kids(b)) + 1):
+            yield "minor_d_packed", (b, i)
+        for q in tree.filter_at_or_above(b):
+            yield "cover_product_r_packed", (b, q)
+            yield "s_op_packed", (b, q)
+            yield "generator_packed", (b, q)
+    widest = max(tree.linear_extension(), key=lambda a: len(kids(a)))
+    m = len(kids(widest))
+    for k in range(m + 1):
+        for cols in combinations(range(m + 1), k + 1):
+            for rows in combinations(range(1, m + 1), k):
+                yield "generalized_minor_packed", (widest, cols, rows)
+                yield "generalized_minor_packed", (widest, cols[::-1], rows[::-1])
+
+
+@pytest.mark.parametrize("trees", [
+    pytest.param(lambda: all_rooted_trees(6), id="up-to-6-nodes"),
+    pytest.param(lambda: [star_tree(6)], id="star6"),
+    pytest.param(fixture_trees, id="fixtures"),
+])
+def test_packed_blocks_equal_the_polynomial_oracle(trees):
+    # each packed block, as the verifier and the basis read it, against the
+    # Polynomial recursion packed with the same order: packing is
+    # one-to-one, and a key is cheaper than a decode
+    for tree in trees():
+        ctx, oracle = DeformationContext(tree), PolynomialContext(tree)
+        for method, args in oracle_blocks(tree):
+            want = getattr(oracle, method.removesuffix("_packed").replace("generator", "deformed_generator"))
+            assert getattr(ctx, method)(*args) == _pack_terms(want(*args), ctx.order), (method, args)
+
+
+def test_term_budget():
+    # the context charges each block it keeps once, and trips past max_terms
+    tree = star_tree(3)
+    ctx = DeformationContext(tree)
+    gens = ctx.generators_packed()
+    assert ctx.terms > sum(len(g) for _, g in gens) == 40
+    for budget in (ctx.terms - 1, 0):
+        with pytest.raises(ResourceLimitError, match=f"generator expansion exceeded {budget} terms"):
+            DeformationContext(tree, budget).generators_packed()
+    assert DeformationContext(tree, ctx.terms).generators_packed() == gens
+    # star-8, the largest tree run, expands to 362,961 generator terms, and
+    # its context holds 1,147,989; the default leaves room for them
+    assert DEFAULT_MAX_TERMS > 1_147_989

@@ -30,7 +30,7 @@ from lpdeform import (
 )
 from lpdeform import grading
 from lpdeform.grading import MAX_PACKED_DEGREE, _degree_table
-from lpdeform.polynomials import MAX_KEY_WEIGHT
+from lpdeform.polynomials import MAX_KEY_WEIGHT, _pack_terms
 
 from conftest import (
     brute_standard_count,
@@ -131,9 +131,9 @@ EXPONENTS = st.one_of(st.integers(1, 3), st.integers(1, 2**24))
 
 
 @st.composite
-def tree_and_monomials(draw, count):
+def tree_and_monomials(draw, count, exponents=EXPONENTS):
     tree = draw(st.sampled_from(TREES_UP_TO_6))
-    pair = st.tuples(st.sampled_from(ring_variables(tree)), EXPONENTS)
+    pair = st.tuples(st.sampled_from(ring_variables(tree)), exponents)
     monos = [Monomial.from_pairs(draw(st.lists(pair, max_size=6))) for _ in range(count)]
     return tree, monos
 
@@ -169,6 +169,29 @@ def test_non_homogeneous_sums_raise_the_oracle_witness(case, coeffs):
         return
     with pytest.raises(NotHomogeneousError) as exc:
         homogeneous_degree(tree, f)
+    witness, message = expected
+    assert exc.value.witness == witness
+    assert str(exc.value) == message
+
+
+@given(tree_and_monomials(4, st.integers(1, 3)),
+       st.lists(st.integers(-3, 3).filter(bool), min_size=4, max_size=4))
+def test_packed_polynomials_give_the_oracle_degree_and_witness(case, coeffs):
+    # the degree of a packed term comes from its exponent digits; the
+    # witness monomials are decoded from the first term and the first term
+    # of another degree, as for the Polynomial
+    tree, monos = case
+    f = Polynomial.from_terms(zip(monos, coeffs))
+    if f.is_zero:
+        return
+    order = monomial_order_for(tree)
+    packed = _pack_terms(f, order)
+    expected = dict_homogeneity_witness(tree, f)
+    if expected is None:
+        assert homogeneous_degree(tree, packed, order) == dict_monomial_degree(tree, next(iter(f.terms)))
+        return
+    with pytest.raises(NotHomogeneousError) as exc:
+        homogeneous_degree(tree, packed, order)
     witness, message = expected
     assert exc.value.witness == witness
     assert str(exc.value) == message

@@ -10,11 +10,10 @@ from lpdeform import (
     ResourceLimitError,
     UVar,
     Verifier,
-    XVar,
     j_ideal_generators,
 )
 from lpdeform import verifier as verifier_module
-from lpdeform.groebner import _pack_terms
+from lpdeform.groebner import _add, _mul, _pack_terms
 from lpdeform.polynomials import MAX_KEY_WEIGHT
 
 from conftest import (
@@ -184,9 +183,9 @@ def test_negative_degree_is_a_domain_error():
 #
 # Each corruption takes the verifier of the clean run and returns the
 # verifier to run again: one over a mutated generator list, or the same one
-# with a DeformationContext method patched on its own ctx.  The clean run
-# has filled the context's caches, so a patch is seen only by the checks'
-# direct calls.
+# with the packed-block method that the check reads patched on its own ctx.
+# The clean run has filled the context's memos, so a patch is seen only by
+# the checks' direct calls.
 
 
 def twisted(pair, twist):
@@ -201,20 +200,20 @@ def drop_last_generator(clean):
 
 def patch_ctx(method, change):
     def corrupt(clean):
-        orig = getattr(clean.ctx, method)
-        root = clean.tree.root
-        setattr(clean.ctx, method, lambda *args: change(orig(*args), root))
+        ctx = clean.ctx
+        orig = getattr(ctx, method)
+        setattr(ctx, method, lambda *args: change(ctx, orig(*args)))
         return clean
     return corrupt
 
 
-def times_root_x1(f, root):
+def times_root_x1(ctx, f):
     # still homogeneous, but of the wrong degree
-    return f * Polynomial.variable(XVar(1, root))
+    return _mul(f, ctx.x_packed(1, ctx.tree.root), ctx.order)
 
 
-def plus_root_x2(f, root):
-    return f + Polynomial.variable(XVar(2, root))
+def plus_root_x2(ctx, f):
+    return _add(f, ctx.x_packed(2, ctx.tree.root))
 
 
 DEG = r"= .+, wanted .+"
@@ -233,12 +232,15 @@ CORRUPTIONS = {
     "homogeneity": (
         chain_tree(3), twisted(("b", "b"), lambda g: g + STRAY), r"g\(b,b\): .+"
     ),
-    "deg-T": (star_tree(2), patch_ctx("t_full", times_root_x1), r"deg T\(\w+\) " + DEG),
-    "deg-S": (star_tree(2), patch_ctx("s_op", times_root_x1), r"deg S_\w+\(\w+2\) " + DEG),
+    "deg-T": (star_tree(2), patch_ctx("t_full_packed", times_root_x1), r"deg T\(\w+\) " + DEG),
+    "deg-S": (star_tree(2), patch_ctx("s_op_packed", times_root_x1), r"deg S_\w+\(\w+2\) " + DEG),
     "deg-ST": (
-        star_tree(2), patch_ctx("st_entry", times_root_x1), r"deg S_(\w+)T_\1\(\w+\) " + DEG
+        star_tree(2), patch_ctx("st_entry_packed", times_root_x1),
+        r"deg S_(\w+)T_\1\(\w+\) " + DEG,
     ),
-    "deg-D": (star_tree(2), patch_ctx("minor_d", times_root_x1), r"deg D\(\w+\)\^\d+ " + DEG),
+    "deg-D": (
+        star_tree(2), patch_ctx("minor_d_packed", times_root_x1), r"deg D\(\w+\)\^\d+ " + DEG
+    ),
     "flat-basic": (chain_tree(2), twisted(("b", "b"), flip_u), r"\(p,b,c\)=" + TRIPLE + REM),
     "lemma-ts": (chain_tree(2), twisted(("b", "b"), flip_u), r"\(p,q,b\)=" + TRIPLE + REM),
     "lemma-stt": (star_tree(2), twisted(("b", "b"), flip_u), r"\(p,q,r\)=" + TRIPLE + REM),
@@ -246,7 +248,7 @@ CORRUPTIONS = {
         star_tree(3), twisted(("b", "b"), flip_u), r"a=\w+ cols=\([1-9],[1-9]\) T_\w+" + REM
     ),
     "lemma-sum-dt2": (
-        star_tree(2), patch_ctx("generalized_minor", plus_root_x2),
+        star_tree(2), patch_ctx("generalized_minor_packed", plus_root_x2),
         r"a=(\w+) cols=\([1-9],[1-9]\) T_\1" + REM,
     ),
     "lemma-sum-dt3": (
@@ -370,20 +372,26 @@ def test_lift_with_a_u_free_monomial_fails():
     assert v._lift_fault("L", lift, dict(lift)) == "L: lift has a u-free monomial"
 
 
-def test_packed_blocks_live_only_while_their_check_runs():
+def test_packed_blocks_are_built_once_and_live_with_the_context():
+    # the checks read the context's packed blocks: the blocks that the basic
+    # suite built are the very dicts the rest of the suite reads, each was
+    # charged to the term budget once, and they live until clear_memos
     v = Verifier(star_tree(3))
-    run, sizes = v._run, []
-
-    def watching_run(name, faults, count="instances"):
-        def watched():
-            for witness in faults:
-                sizes.append(len(v._memo))
-                yield witness
-
-        report = run(name, watched(), count)
-        assert v._memo == {}, name
-        return report
-
-    v._run = watching_run
+    ctx = v.ctx
+    assert all(r.passed for r in v.run_basic())
+    held = dict(ctx._memo)
+    assert ("generator_packed", "a", "b") in held and ("_det", "a", (0, 1, 2), (0, 1, 2)) in held
     assert all(r.passed for r in v.run_full(max_degree=2))
-    assert max(sizes) > 0
+    assert all(ctx._memo[key] is val for key, val in held.items())
+    # R(a,b) = D(a)^b and S_a(b) = R(a,b) for a leaf b: one dict, charged once
+    assert ctx.s_op_packed("a", "b") is ctx.cover_product_r_packed("a", "b") \
+        is ctx.minor_d_child_packed("a", "b")
+    blocks = {id(val): val for key, val in ctx._memo.items() if key[0] != "_matrix_rows"}
+    assert ctx.terms == sum(len(val) for val in blocks.values()) > 0
+    # the basis and the checks read the context's generators, not copies
+    assert all(g is ctx.generator_packed(p, q) for (p, q), g in v._generators)
+    assert not hasattr(v, "_memo")
+    ctx.clear_memos()
+    assert ctx.terms == 0 and ctx._memo == {}
+    again = ctx.generator_packed("a", "b")
+    assert again == held["generator_packed", "a", "b"] and again is not held["generator_packed", "a", "b"]
