@@ -86,7 +86,7 @@ def wide():
 
 def test_divide_flat_basic(benchmark, wide):
     basis, instances, _ = wide
-    # the packed (P, N, tail) entries GroebnerBasis prepared with _pack;
+    # the packed (P, N, tail) entries GroebnerBasis prepared with _entry;
     # _reduce consumes its input, so each round reduces copies
     leads, order = basis._leads, basis.order
 

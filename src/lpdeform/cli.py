@@ -100,7 +100,9 @@ def compare_fixture(computed, fixture_path, variables):
 
 def _cmd_gens(args):
     """The generators are rendered from their packed form; they are
-    unpacked only for --compare."""
+    unpacked only for --compare, which reads the fixture and renders the
+    differences, so a fixture past the key bound raises, before anything is
+    written."""
     poset = load_poset(args.poset)
     if args.ideal == "L":
         order = _order_for(poset)
@@ -108,6 +110,12 @@ def _cmd_gens(args):
     else:
         ctx = DeformationContext(as_rooted_tree(poset), args.max_terms)
         order, gens = ctx.order, ctx.generators_packed()
+    if args.compare:
+        passed, missing, extra = compare_fixture(
+            [_unpack(g, order) for _, g in gens], args.compare, order.variables
+        )
+        diff = [f"  missing: {render_polynomial(f, order)}" for f in missing]
+        diff += [f"  extra:   {render_polynomial(f, order)}" for f in extra]
     if args.json:
         payload = {
             "ideal": args.ideal,
@@ -121,17 +129,12 @@ def _cmd_gens(args):
         for _, g in gens:
             print(render_packed(g, order))
     if args.compare:
-        passed, missing, extra = compare_fixture(
-            [_unpack(g, order) for _, g in gens], args.compare, order.variables
-        )
         if passed:
             print(f"PASS fixture {args.compare}: {len(gens)} generators match")
             return EXIT_OK
         print(f"FAIL fixture {args.compare}")
-        for f in missing:
-            print(f"  missing: {render_polynomial(f, order)}")
-        for f in extra:
-            print(f"  extra:   {render_polynomial(f, order)}")
+        for line in diff:
+            print(line)
         return EXIT_FAIL
     return EXIT_OK
 

@@ -112,6 +112,10 @@ class DeformationContext:
         self._memo.clear()
         self.terms = 0
 
+    def above(self, p):
+        """The filter at or above p, in linear-extension order."""
+        return sorted(self.tree.filter_at_or_above(p), key=self._linext_pos.__getitem__)
+
     def _charge(self, work):
         """Count a new block's terms against max_terms; returns the block."""
         self.terms += len(work)
@@ -148,8 +152,7 @@ class DeformationContext:
         if c == a:
             return self._charge({x[2, a] + u[a, b]: -1})
         if c in tree.siblings(b):
-            above = sorted(tree.filter_at_or_above(c), key=self._linext_pos.__getitem__)
-            return self._charge({x[2, q] + u[q, b]: -1 for q in above})
+            return self._charge({x[2, q] + u[q, b]: -1 for q in self.above(c)})
         raise RelationError(f"{c!r} is neither the parent nor a sibling of {b!r}")
 
     @_memoized
@@ -211,9 +214,6 @@ class DeformationContext:
         """D(a)^i = (-1)^i * |M(a) with column i deleted|; column 0 is a
         itself, column i >= 1 is the i-th child.  For maximal a only i = 0
         is defined and D(a)^a = 1."""
-        m = len(self.tree.children(a))
-        if not (0 <= i <= m):
-            raise MinorIndexError(f"column {i} out of range 0..{m} for {a!r}")
         return self.generalized_minor_packed(a, (i,), ())
 
     def minor_d_child_packed(self, a, b):
@@ -241,7 +241,7 @@ class DeformationContext:
             raise MinorIndexError("repeated index in generalized minor")
         for i in cols:
             if not (0 <= i <= m):
-                raise MinorIndexError(f"column {i} out of range 0..{m}")
+                raise MinorIndexError(f"column {i} out of range 0..{m} for {a!r}")
         for k in rows:
             if not (1 <= k <= m):
                 raise MinorIndexError(f"row {k} out of range 1..{m}")
@@ -250,9 +250,6 @@ class DeformationContext:
                 f"need one more deleted column than deleted rows, got "
                 f"{len(cols)} columns and {len(rows)} rows"
             )
-        if m == 0:
-            # cols must be (0,), rows (): the empty matrix convention
-            return self._charge({0: 1})
         det = self._det(
             a,
             tuple(r for r in range(m) if r + 1 not in rows),
@@ -267,14 +264,20 @@ class DeformationContext:
     @_memoized
     def cover_product_r_packed(self, a, b):
         """R(a,b): the product of D(p)^q over the covers p -< q on the chain
-        from a up to b; R(a,a) = 1."""
-        tree = self.tree
+        from a up to b; R(a,a) = 1.  R(a,q) = R(a,parent(q)) * D(parent(q))^q
+        for each q on the way up from the nearest R(a,q) the memo holds, and
+        every R(a,q) made is kept, so each product is made and charged once."""
+        tree, memo = self.tree, self._memo
         if not tree.le(a, b):
             raise NotComparableError(f"need {a!r} <= {b!r}")
-        val, q = _ONE, b
-        while q != a:
-            val = self._times(val, self.minor_d_child_packed(tree.parent(q), q))
+        chain, q = [], b
+        while q != a and ("cover_product_r_packed", a, q) not in memo:
+            chain.append(q)
             q = tree.parent(q)
+        val = memo.get(("cover_product_r_packed", a, q), _ONE)
+        for q in reversed(chain):
+            val = self._times(val, self.minor_d_child_packed(tree.parent(q), q))
+            memo["cover_product_r_packed", a, q] = val
         return self._charge({0: 1}) if val is _ONE else val
 
     @_memoized

@@ -1,20 +1,23 @@
 """Buchberger's algorithm, reduced bases, and normal forms.
 
-`buchberger` runs one loop over the S-pairs of its monic generators,
-Polynomials or packed polynomials (below), as the verifier hands it:
-normal selection strategy (smallest S-pair lcm first), the
+`buchberger` packs its generators once at entry (packed polynomials,
+below, as the verifier hands them, pass unchanged) and runs one loop over
+their S-pairs: normal selection strategy (smallest S-pair lcm first), the
 coprime-leading-term criterion (a pair with coprime leads costs one AND of
 the leads' supports and is never queued), full tail reduction at the end.
-Each S-pair is built from the packed entries below, as the two tails
-shifted by their quotient keys, and reduced once by the division kernel,
-with no Polynomial built and no Fraction made for a monic basis.  A zero
-remainder costs nothing more; a nonzero one becomes a new basis element,
-made by the textbook step: s_polynomial, _divide, then _pack.  Generators
-that already are the reduced basis, as the deformed generators of a rooted
-tree are, come out of the loop with every S-pair reduced to zero and no
-lead dividing another lead or a tail term (Buchberger's criterion), so
-they are returned as they were packed.  A GroebnerBasis holds packed
-entries and unpacks its Polynomials only when `polys` is first read.
+Each S-pair is built from the packed entries, as the two tails shifted by
+their quotient keys, and reduced once by the division kernel, with no
+Polynomial built and no Fraction made for a monic basis.  A zero remainder
+costs nothing more; a nonzero one becomes a new basis element, the
+`_entry` of that remainder.  That pair also runs the textbook step,
+s_polynomial then _divide, which the basis does not use: the perfbench
+tracer counts S-pairs and added elements there, until a benchmark change
+moves those counters.  Generators that already are the reduced basis, as
+the deformed generators of a rooted tree are, come out of the loop with
+every S-pair reduced to zero and no lead dividing another lead or a tail
+term (Buchberger's criterion), so they are returned as they were packed.
+A GroebnerBasis holds packed entries and unpacks its Polynomials only when
+`polys` is first read.
 
 Two budgets turn runaway computations into ResourceLimitError instead of
 hangs, both checked once per processed S-pair:
@@ -53,9 +56,9 @@ division using a heap", J. Symb. Comp. 2011):
     against the key bound, with MonomialOrder.key's error: two operands
     within the bound have exponent digits below 2**15, so their sum cannot
     carry into the next digit;
-  * each polynomial of a basis is made monic and packed once, by `_entry`
-    (by `_pack` from a Polynomial, with one MonomialOrder.key call per
-    term).
+  * each polynomial of a basis is packed once, a Polynomial by
+    `_pack_terms` with one MonomialOrder.key call per term, and made monic
+    by `_entry`.
 """
 
 from __future__ import annotations
@@ -137,25 +140,18 @@ def _sub(f, g):
 
 
 def _entry(work, order):
-    """The packed entry (P, N, tail) of the monic multiple of the nonzero
-    packed polynomial `work`, for _reduce: N is the minus key of its
-    leading monomial, P = N & order.mask its exponents, and tail the
-    (minus key, coefficient) pairs of its other terms."""
+    """The packed entry (P, N, tail) of the monic multiple of the packed
+    polynomial `work`, for _reduce: N is the minus key of its leading
+    monomial, P = N & order.mask its exponents, and tail the (minus key,
+    coefficient) pairs of its other terms."""
+    if not work:
+        raise DomainError("the zero polynomial has no leading term")
     n = min(work)
     lc = work[n]
     if lc != 1:
         inv = Fraction(1) / lc
         work = {nm: _as_coeff(inv * c) for nm, c in work.items()}
     return n & order.mask, n, tuple((nm, c) for nm, c in work.items() if nm != n)
-
-
-def _pack(f, order):
-    """Monic f and its packed entry, from one order.key call per term."""
-    if f.is_zero:
-        raise DomainError("the zero polynomial has no leading term")
-    work = _pack_terms(f, order)
-    lc = work[min(work)]
-    return (f if lc == 1 else f * (Fraction(1) / lc)), _entry(work, order)
 
 
 def _entry_polynomial(entry, order):
@@ -233,15 +229,14 @@ class GroebnerBasis:
 
     def __init__(self, polys, order):
         self.order = order
-        packed = [_pack(g, order) for g in polys]
-        self._leads = [entry for _, entry in packed]
-        self._polys = tuple(g for g, _ in packed)
+        self._leads = [_entry(_pack_terms(g, order), order) for g in polys]
+        self._polys = None
 
     @classmethod
     def _from_packed(cls, entries, order):
         """The basis of the packed entries from _entry, taken as they are."""
         basis = cls((), order)
-        basis._leads, basis._polys = entries, None
+        basis._leads = entries
         return basis
 
     @property
@@ -291,18 +286,11 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     max_weight (which bounds every monomial its reduction creates).
     Deterministic: the unique reduced basis, sorted by leading monomial.
     """
-    G, leads = [], []  # G[i]: element i as a monic Polynomial, or None until needed
-    for f in gens:
-        if isinstance(f, dict):
-            if f:
-                G.append(None)
-                leads.append(_entry(f, order))
-        elif not f.is_zero:
-            g, entry = _pack(f, order)
-            G.append(g)
-            leads.append(entry)
+    packed = (f if isinstance(f, dict) else _pack_terms(f, order) for f in gens)
+    leads = [_entry(f, order) for f in packed if f]
     if not leads:
         raise DomainError("no nonzero generators")
+    G = [None] * len(leads)  # G[i]: a Polynomial multiple of element i, or None until needed
 
     def element(i):
         if G[i] is None:
@@ -346,14 +334,14 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         # the S-polynomial of monic f_i, f_j is (l/lead_i) tail_i - (l/lead_j) tail_j
         (_, ni, ti), (_, nj, tj) = leads[i], leads[j]
         work = _sub({n - k - ni: c for n, c in ti}, {n - k - nj: c for n, c in tj})
-        if not _reduce(work, leads, mask, guard):
+        rem = _reduce(work, leads, mask, guard)
+        if not rem:
             continue
-        # the new element comes from the textbook step, where the
-        # perfbench tracer counts the basis elements an S-pair adds
-        g, entry = _pack(_divide(s_polynomial(element(i), element(j), order), leads, order), order)
-        G.append(g)
-        leads.append(entry)
-        lm.append(order.monomial(-entry[1]))
+        # the textbook step, the perfbench tracer's counting point; its
+        # remainder feeds only later textbook steps
+        G.append(_divide(s_polynomial(element(i), element(j), order), leads, order))
+        leads.append(_entry({nm: _as_coeff(c) for nm, c in rem.items()}, order))
+        lm.append(order.monomial(-leads[-1][1]))
         for pair in new_pairs(len(leads) - 1):
             heapq.heappush(heap, pair)
 

@@ -150,9 +150,6 @@ class Verifier:
         self._override = list(generators) if generators is not None else None
         self._generators = None  # ((p,q), packed g), built at first use
         self._basis = None
-        self._pos = self.ctx._linext_pos
-        # the exponent digits of the u-parameters in a packed monomial
-        self._umask = self.ctx.umask
 
     @property
     def generators(self):
@@ -229,20 +226,12 @@ class Verifier:
         (see check_relation_lifts)."""
         if lhs != factored:
             return f"{label}: factorization mismatch"
-        umask = self._umask
+        umask = self.ctx.umask
         if any(not n & umask for n in lhs):
             return f"{label}: lift has a u-free monomial"
         return None
 
     # -- shared instance enumerations --------------------------------------
-
-    def _above(self, p):
-        """The filter at or above p, in linear-extension order."""
-        return sorted(self.tree.filter_at_or_above(p), key=self._pos.__getitem__)
-
-    def _above_pairs(self, p):
-        """The pairs b < c (in linear-extension order) of the filter above p."""
-        return combinations(self._above(p), 2)
 
     def _t_share(self, c, b):
         """T_c(b), reading T_b(b) as T(b), packed."""
@@ -265,7 +254,7 @@ class Verifier:
         if len(expected) != len(gens):
             yield f"{len(gens)} deformed generators vs {len(expected)} letterplace generators"
             return
-        order, umask = self.order, self._umask
+        order, umask = self.order, self.ctx.umask
         for (pair, g), (_, mono) in zip(gens, expected):
             image = {n: c for n, c in g.items() if not n & umask}
             target = {-order.key(mono): 1}
@@ -310,7 +299,7 @@ class Verifier:
         deg_s = (
             self._degree(f"S_{p}({q}2)", ctx.s_op_packed(p, q), unit(2, q) - hat(tree, p))
             for p in tree
-            for q in sorted(tree.filter_at_or_above(p))  # by name, not _above(p)
+            for q in sorted(tree.filter_at_or_above(p))  # by name, not ctx.above(p)
         )
         deg_st = (
             self._degree(
@@ -343,7 +332,7 @@ class Verifier:
                 f"(p,b,c)=({p},{b},{c})", _sub(mul(s(p, b), x(2, c)), mul(x(2, b), s(p, c)))
             )
             for p in self.tree
-            for b, c in self._above_pairs(p)
+            for b, c in combinations(self.ctx.above(p), 2)
         )
         return self._run("flat-basic", faults)
 
@@ -360,7 +349,7 @@ class Verifier:
             for p in tree
             if p != tree.root
             for q in (p,) + tree.siblings(p)
-            for b in self._above(p)
+            for b in self.ctx.above(p)
         )
         # S_pT_p(q) T_p(r) - T_p(q) S_pT_p(r) within each sibling class
         stt = (
@@ -409,7 +398,7 @@ class Verifier:
         faults = (
             self._member(f"(a,b)=({a},{b})", self._flat_p2(a, b))
             for a in self.tree
-            for b in self._above(a)
+            for b in self.ctx.above(a)
         )
         return self._run("flat-p2", faults)
 
@@ -427,29 +416,34 @@ class Verifier:
         by construction, for a mutated generator list too.  It is the
         S-polynomial of the two generators, whose leads a1 b2 and a1 c2
         share a1 (b1 c2 and a1 c2 share c2), and buchberger's loop reduces
-        it once when it builds the basis.
+        it once when it builds the basis.  An override list that lacks a
+        generator the lift needs fails the instance, naming the pair.
         """
         tree, mul, ctx = self.tree, self._product, self.ctx
         s, x, g = ctx.s_op_packed, ctx.x_packed, dict(self._packed_generators())
+
+        def lift(label, m, p, n, q, factored):
+            """The fault of the lift m g(p) - n g(q)."""
+            for pair in (p, q):
+                if pair not in g:
+                    return f"{label}: no generator g{pair} to lift"
+            return self._lift_fault(label, _sub(mul(m, g[p]), mul(n, g[q])), factored)
+
         x2 = (
-            self._lift_fault(
+            lift(
                 f"(a,b,c)=({a},{b},{c})",
-                _sub(mul(x(2, c), g[a, b]), mul(x(2, b), g[a, c])),
+                x(2, c), (a, b), x(2, b), (a, c),
                 mul(ctx.t_full_packed(a), _sub(mul(x(2, b), s(a, c)), mul(x(2, c), s(a, b)))),
             )
             for a in tree
-            for b, c in self._above_pairs(a)
+            for b, c in combinations(self.ctx.above(a), 2)
         )
         x1 = (
-            self._lift_fault(
-                f"(a,b,c)=({a},{b},{c})",
-                _sub(mul(x(1, b), g[a, c]), mul(x(1, a), g[b, c])),
-                mul(s(b, c), p2),
-            )
+            lift(f"(a,b,c)=({a},{b},{c})", x(1, b), (a, c), x(1, a), (b, c), mul(s(b, c), p2))
             for a in tree
-            for b in self._above(a)
+            for b in self.ctx.above(a)
             for p2 in (self._flat_p2(a, b),)
-            for c in self._above(b)
+            for c in self.ctx.above(b)
         )
         return [self._run("relation-lift-x2", x2), self._run("relation-lift-x1", x1)]
 

@@ -258,7 +258,7 @@ def oracle_instances(verifier):
     instances in packed form from its context; these expressions, from the
     Polynomial recursion, are its oracle."""
     tree, ctx = verifier.tree, PolynomialContext(verifier.tree)
-    above, above_pairs, kids = verifier._above, verifier._above_pairs, tree.children
+    above, kids = verifier.ctx.above, tree.children
     gens = verifier._override
     g = dict(ctx.j_ideal_generators() if gens is None else gens)
 
@@ -284,7 +284,7 @@ def oracle_instances(verifier):
         "flat-basic": (
             (f"(p,b,c)=({p},{b},{c})", ctx.s_op(p, b) * x(2, c) - x(2, b) * ctx.s_op(p, c))
             for p in tree
-            for b, c in above_pairs(p)
+            for b, c in combinations(above(p), 2)
         ),
         "lemma-ts": (
             (f"(p,q,b)=({p},{q},{b})", ctx.st_entry(p, q) * x(2, b) - share(p, q) * ctx.s_op(p, b))
@@ -326,7 +326,7 @@ def oracle_instances(verifier):
                 ctx.t_full(a) * (x(2, b) * ctx.s_op(a, c) - x(2, c) * ctx.s_op(a, b)),
             )
             for a in tree
-            for b, c in above_pairs(a)
+            for b, c in combinations(above(a), 2)
         ),
         "relation-lift-x1": (
             (

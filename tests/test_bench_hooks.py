@@ -7,7 +7,7 @@ import os
 
 import lpdeform as lp
 
-from conftest import chain_tree
+from conftest import chain_tree, sign_flip_mutants
 
 SPANS = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "spans.py"
@@ -39,3 +39,24 @@ def test_tracer_wraps_and_restores_the_hilbert_counter():
     assert tracer.calls["grading.hilbert"] == 2
     assert lp.grading.truncated_hilbert is original
     assert lp.truncated_hilbert is original
+
+
+def test_tracer_counts_the_pairs_that_grow_the_basis():
+    # groebner.spairs and groebner.basis_added are counted at buchberger's
+    # textbook step, s_polynomial then _divide, which runs exactly for the
+    # S-pairs whose remainder becomes a new basis element
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for key, tree, gens in sign_flip_mutants(3):
+            before = tracer.metrics()
+            lp.buchberger([g for _, g in gens], lp.monomial_order_for(tree))
+            after = tracer.metrics()
+            grown = after["groebner.basis_added"] - before["groebner.basis_added"]
+            assert after["groebner.spairs"] - before["groebner.spairs"] == grown, key
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["groebner.basis_added"] > 0
+    assert metrics["groebner.spairs"] == metrics["groebner.basis_added"]

@@ -47,6 +47,25 @@ def test_gens_compare_fails_on_mismatch(tmp_path, capsys):
     assert "extra:   b1*b2 - a2*u[a,b]" in text
 
 
+@pytest.mark.parametrize(
+    "fixture, code, message",
+    [
+        ("a1^40000\n", 3, "lp: resource limit: "),  # past the key bound
+        ("z1*a2\n", 2, "lp: "),  # an unknown variable
+        (None, 2, "lp: "),  # no such file
+    ],
+    ids=["key-bound", "unknown-variable", "missing-file"],
+)
+def test_gens_compare_reads_the_fixture_before_any_output(fixture, code, message, tmp_path, capsys):
+    path = tmp_path / "chain2.gens"
+    if fixture is not None:
+        path.write_text(fixture)
+    assert run(["gens", fixture_path("chain2.poset"), "--ideal", "J", "--compare", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
 def test_gens_json_shape(capsys):
     code = run(["gens", fixture_path("star2.poset"), "--ideal", "J", "--json"])
     assert code == 0

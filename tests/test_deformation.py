@@ -410,3 +410,43 @@ def test_term_budget():
     # star-8, the largest tree run, expands to 362,961 generator terms, and
     # its context holds 1,147,989; the default leaves room for them
     assert DEFAULT_MAX_TERMS > 1_147_989
+
+
+def test_term_budget_charges_each_kept_block_once():
+    # R(a,b) is R(a,parent(b)) times one minor, so no product is made and
+    # dropped: after the generators and every R(a,b), the charge is the
+    # terms of the distinct dicts the memo holds, on every tree to 7 nodes
+    trees = list(all_rooted_trees(7))
+    assert len(trees) == 85
+    for tree in trees:
+        ctx = DeformationContext(tree)
+        ctx.generators_packed()
+        for a in tree:
+            for b in tree.filter_at_or_above(a):
+                ctx.cover_product_r_packed(a, b)
+        blocks = {id(val): val for val in ctx._memo.values() if isinstance(val, dict)}
+        assert ctx.terms == sum(len(val) for val in blocks.values()), tree.to_json_dict()
+    # a fresh product down the chain for each R(a,b) would charge chain-4
+    # 57 terms, chain-7 163 and chain-12 533
+    for n, kept in ((4, 56), (7, 143), (12, 368)):
+        ctx = DeformationContext(chain_tree(n))
+        ctx.generators_packed()
+        assert ctx.terms == kept
+
+
+def test_cover_product_is_one_loop_down_the_chain(monkeypatch):
+    # a direct call on a deep chain walks down to a, keeping every R(a,q) on
+    # the way, with no call of itself per cover
+    tree = chain_tree(26)
+    ctx = DeformationContext(tree)
+    calls, method = [], DeformationContext.cover_product_r_packed
+    monkeypatch.setattr(
+        DeformationContext, "cover_product_r_packed", lambda self, *a: calls.append(a) or method(self, *a)
+    )
+    top = ctx.cover_product_r_packed("a", "z")
+    assert calls == [("a", "z")]
+    oracle = PolynomialContext(tree)
+    for q in tree.linear_extension()[1:]:
+        held = ctx._memo["cover_product_r_packed", "a", q]
+        assert held == _pack_terms(oracle.cover_product_r("a", q), ctx.order), q
+    assert top is held

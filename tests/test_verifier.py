@@ -11,6 +11,8 @@ from lpdeform import (
     UVar,
     Verifier,
     j_ideal_generators,
+    rooted_tree_shapes,
+    shape_to_tree,
 )
 from lpdeform import verifier as verifier_module
 from lpdeform.groebner import _add, _mul, _pack_terms
@@ -147,6 +149,33 @@ def test_missing_generator_breaks_hilbert():
     assert not hilbert.passed
     assert hilbert.params["J"][2] > hilbert.params["L"][2]
     assert "vs" in hilbert.witness
+
+
+def test_missing_generator_fails_the_relation_lifts_it_feeds():
+    # every single-generator drop answers the whole suite: specialization
+    # fails on the count and a relation lift names the missing pair.  The
+    # one-node tree's only drop leaves no generator, which the basis rejects
+    drops = 0
+    for n in range(1, 5):
+        for shape in rooted_tree_shapes(n):
+            tree = shape_to_tree(shape)
+            gens = j_ideal_generators(tree)
+            for k, (pair, _) in enumerate(gens):
+                v = Verifier(tree, generators=gens[:k] + gens[k + 1 :])
+                if len(gens) == 1:
+                    with pytest.raises(DomainError, match="no nonzero generators"):
+                        v.run_full(max_degree=2)
+                    continue
+                reports = v.run_full(max_degree=2)
+                assert [r.name for r in reports] == FULL_SUITE
+                by_name = {r.name: r for r in reports}
+                assert not by_name["specialization"].passed
+                lifts = [by_name[name] for name in FULL_SUITE[13:15]]
+                assert any(
+                    not r.passed and r.witness.endswith(f": no generator g{pair} to lift") for r in lifts
+                ), (pair, [r.witness for r in lifts])
+                drops += 1
+    assert drops == 48
 
 
 def test_resource_limits_propagate():
