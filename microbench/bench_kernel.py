@@ -16,7 +16,9 @@ and for each single sign flip of a generator's u-part on the trees of up to
 minors of M(a) at that root, the widest node; the expansion case builds
 the star's packed generators in a new DeformationContext, and the basic
 suite case runs `Verifier.run_basic` on the star, expansion included, as
-`lp check` does; the Hilbert counts are the
+`lp check` does, and the full suite case runs `Verifier.run_full` at degree
+2 on the wide tree, where the flatness checks certify the generators as the
+basis and buchberger does not run; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
 and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
 `Verifier.check_homogeneity` makes on the wide tree's packed generators.
@@ -194,6 +196,14 @@ def test_basic_suite_star6(benchmark):
     reports = benchmark.pedantic(basic, rounds=10, warmup_rounds=1)
     assert [r.name for r in reports][:2] == ["specialization", "homogeneity"]
     assert all(r.passed for r in reports)
+
+
+def test_run_full_wide7(benchmark):
+    def full():
+        return Verifier(parse_poset(WIDE_TREE)).run_full(max_degree=2)
+
+    reports = benchmark.pedantic(full, rounds=10, warmup_rounds=1)
+    assert len(reports) == 16 and all(r.passed for r in reports)
 
 
 def test_truncated_hilbert_chain3(benchmark):

@@ -16,8 +16,13 @@ moves those counters.  Generators that already are the reduced basis, as
 the deformed generators of a rooted tree are, come out of the loop with
 every S-pair reduced to zero and no lead dividing another lead or a tail
 term (Buchberger's criterion), so they are returned as they were packed.
-A GroebnerBasis holds packed entries and unpacks its Polynomials only when
-`polys` is first read.
+On a passing suite the verifier does not run the loop for them: its
+flatness checks reduce a factor of each S-pair instead, and it certifies
+the generators with the loop's own pair enumeration (`_spairs`) and lead
+and tail divisibility test (`_divisible`); see verifier.py.  The loop
+still runs for compare_hilbert on its own (`lp hilbert`), for a partial
+suite and for generators that fail a check.  A GroebnerBasis holds packed
+entries and unpacks its Polynomials only when `polys` is first read.
 
 Two budgets turn runaway computations into ResourceLimitError instead of
 hangs, both checked once per processed S-pair:
@@ -277,6 +282,39 @@ def normal_form(f, basis):
     return basis.normal_form(f)
 
 
+def _spairs(leads, seen, order):
+    """Heap entries (lcm key, t, k) of the non-coprime pairs t < k of the
+    packed entries `leads`, for every k from len(seen) on; `seen` holds
+    (Monomial, support) per lead already paired, the support being the
+    guard bits of the lead's nonzero digits, and grows to len(leads).
+    A coprime pair is never an entry, but when its lcm, the product, passes
+    the key bound, order.key raises its error: buchberger's loop and the
+    verifier's certificate enumerate pairs, and meet that error, alike."""
+    guard = order.guard
+    low = guard >> (DIGIT_BITS - 1)  # the low bit of every exponent digit
+    max_key = MAX_KEY_WEIGHT * (order.mask + 1)
+    pairs = []
+    for k in range(len(seen), len(leads)):
+        pk, nk, _ = leads[k]
+        mk, sk = order.monomial(-nk), ((pk | guard) - low) & guard
+        for t, (mt, st) in enumerate(seen):
+            if st & sk:
+                pairs.append((order.key(mk.lcm(mt)), t, k))
+            elif -(nk + leads[t][1]) > max_key:
+                # a coprime lcm is the product, and its key the sum; past
+                # the encoding's bound, order.key raises its error
+                order.key(mk.mul(mt))
+        seen.append((mk, sk))
+    return pairs
+
+
+def _divisible(exponents, leads, guard):
+    """Whether the lead of one of the packed entries `leads` divides one of
+    the packed exponents (N & order.mask) in `exponents`."""
+    pls = [pl for pl, _, _ in leads]
+    return any((q - pl) & guard == guard for q in (p | guard for p in exponents) for pl in pls)
+
+
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_WEIGHT):
     """Reduced Groebner basis of the ideal generated by `gens`, Polynomials
     or packed polynomials (minus key -> coefficient, left unchanged).
@@ -298,29 +336,9 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         return G[i]
 
     mask, guard = order.mask, order.guard
-    low = guard >> (DIGIT_BITS - 1)  # the low bit of every exponent digit
-    max_key = MAX_KEY_WEIGHT * (mask + 1)
     shift = mask.bit_length()
-    lm = [order.monomial(-n) for _, n, _ in leads]
-    support = []  # per lead, the guard bits of its nonzero digits
-
-    def new_pairs(k):
-        """Heap entries (lcm key, t, k) of lead k's non-coprime pairs with
-        the leads before it; records lead k's support."""
-        pk, nk, _ = leads[k]
-        sk = ((pk | guard) - low) & guard
-        support.append(sk)
-        pairs = []
-        for t in range(k):
-            if support[t] & sk:
-                pairs.append((order.key(lm[k].lcm(lm[t])), t, k))
-            elif -(nk + leads[t][1]) > max_key:
-                # a coprime lcm is the product, and its key the sum; past
-                # the encoding's bound, order.key raises its error
-                order.key(lm[k].mul(lm[t]))
-        return pairs
-
-    heap = [pair for k in range(len(leads)) for pair in new_pairs(k)]
+    seen = []
+    heap = _spairs(leads, seen, order)
     heapq.heapify(heap)
     processed = 0
     while heap:
@@ -341,28 +359,25 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         # remainder feeds only later textbook steps
         G.append(_divide(s_polynomial(element(i), element(j), order), leads, order))
         leads.append(_entry({nm: _as_coeff(c) for nm, c in rem.items()}, order))
-        lm.append(order.monomial(-leads[-1][1]))
-        for pair in new_pairs(len(leads) - 1):
+        for pair in _spairs(leads, seen, order):
             heapq.heappush(heap, pair)
 
     # minimalize: drop any element whose lead a smaller kept lead divides
     kept = []
-    for i in sorted(range(len(leads)), key=lambda i: -leads[i][1]):
-        p = leads[i][0] | guard
-        if not any((p - leads[j][0]) & guard == guard for j in kept):
-            kept.append(i)
+    for entry in sorted(leads, key=lambda e: -e[1]):
+        if not _divisible((entry[0],), kept, guard):
+            kept.append(entry)
     # a survivor no kept lead divides a tail term of is reduced already;
     # tail-reduce the others.  The leads stay, so the result is sorted by lead
-    exponents = [leads[j][0] for j in kept]
     entries = []
-    for i in kept:
-        _, n, tail = leads[i]
-        terms = [(nm & mask) | guard for nm, _ in tail]
-        if any((p - pl) & guard == guard for p in terms for pl in exponents):
+    for entry in kept:
+        _, n, tail = entry
+        others = [e for e in kept if e is not entry]
+        if _divisible((nm & mask for nm, _ in tail), others, guard):
             work = dict(tail)
             work[n] = 1
-            rem = _reduce(work, [leads[j] for j in kept if j != i], mask, guard)
+            rem = _reduce(work, others, mask, guard)
             entries.append(_entry({nm: _as_coeff(c) for nm, c in rem.items()}, order))
         else:
-            entries.append(leads[i])
+            entries.append(entry)
     return GroebnerBasis._from_packed(entries, order)

@@ -16,6 +16,7 @@ Names match [A-Za-z][A-Za-z0-9]*.  Repeating a relation is harmless.
 
 from __future__ import annotations
 
+import heapq
 import re
 from functools import lru_cache
 
@@ -62,15 +63,25 @@ class Poset:
                 raise CycleError(f"cycle through element {p!r}")
             above[p] = frozenset(seen)
         self._above = above
-        self._below = {
-            p: frozenset(q for q in self.elements if p in above[q]) for p in self.elements
-        }
+        below = {p: [] for p in self.elements}
+        for q in self.elements:
+            for p in above[q]:
+                below[p].append(q)
+        self._below = {p: frozenset(qs) for p, qs in below.items()}
+        # q covers p when q is a direct successor of p and lies above none
+        # of the others: anything between p and q lies at or above one
+        index = self._index.__getitem__
         self.covers = tuple(
             (p, q)
             for p in self.elements
-            for q in self.elements
-            if q in above[p] and not any(q in above[r] for r in above[p])
+            for q in sorted(succ[p], key=index)
+            if not any(q in above[r] for r in succ[p])
         )
+        self._upper = {p: [] for p in self.elements}
+        self._lower = {p: [] for p in self.elements}
+        for p, q in self.covers:
+            self._upper[p].append(q)
+            self._lower[q].append(p)
         self._linext = None
 
     # -- basic relation queries ------------------------------------------
@@ -94,10 +105,10 @@ class Poset:
         return self.le(p, q) or self.le(q, p)
 
     def upper_covers(self, p):
-        return tuple(q for (r, q) in self.covers if r == p)
+        return tuple(self._upper[p])
 
     def lower_covers(self, q):
-        return tuple(p for (p, r) in self.covers if r == q)
+        return tuple(self._lower[q])
 
     # -- ideals and filters ----------------------------------------------
 
@@ -124,16 +135,21 @@ class Poset:
     # -- global structure --------------------------------------------------
 
     def linear_extension(self):
-        """Topological order; ties broken by element name (lexicographic)."""
+        """Topological order; ties broken by element name (lexicographic):
+        Kahn's algorithm, the ready elements on a min-heap of names."""
         if self._linext is not None:
             return self._linext
-        remaining = set(self.elements)
+        waiting = {q: len(ps) for q, ps in self._lower.items()}
+        ready = [p for p, n in waiting.items() if not n]
+        heapq.heapify(ready)
         out = []
-        while remaining:
-            ready = [p for p in remaining if not (self._below[p] & remaining)]
-            ready.sort()
-            out.append(ready[0])
-            remaining.discard(ready[0])
+        while ready:
+            p = heapq.heappop(ready)
+            out.append(p)
+            for q in self._upper[p]:
+                waiting[q] -= 1
+                if not waiting[q]:
+                    heapq.heappush(ready, q)
         self._linext = tuple(out)
         return self._linext
 

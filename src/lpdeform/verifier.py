@@ -1,8 +1,8 @@
 """Machine checks for the structural claims about J(2,P).
 
 A Verifier owns one rooted tree, its deformation context (which owns the
-weighted monomial order), and a lazily built Groebner basis of J that every
-membership test shares.
+weighted monomial order), and a lazily built Groebner basis of J, which on
+a passing suite is the generators themselves (see "The certificate" below).
 
 Every check is a name paired with a lazy stream of instances; the table
 below lists them.  The stream yields one item per instance, None when the
@@ -10,9 +10,9 @@ instance holds and a witness string when it does not.  One runner, Verifier._run
 stream, counts the instances it draws, stops at the first witness (so a
 FAIL does no further polynomial work) and builds the CheckReport carrying
 the verdict, the count, the witness and the wall time.  Instances are
-tested through three helpers: _member (normal form modulo J is zero),
-_degree (a degree law) and _lift_fault (a relation lift's factorization
-and u-positivity).
+tested through three helpers: _member (membership in J), _degree (a
+degree law) and _lift_fault (a relation lift's factorization and
+u-positivity).
 
 Every check reads its blocks (S_p, T, T_c, the sibling entries, the
 minors, R, the generators and the x-variables) in the division kernel's
@@ -40,8 +40,8 @@ The checks, in run_full order:
   flat-p2             a1 T(b) - T(a) R(a,b) b1 lies in J    (all a<=b)
   relation-lift-x2,   the two Koszul-type relation lifts: exact
   relation-lift-x1    factorization and u-positivity; membership holds by
-                      construction, is buchberger's S-pair reduction, and
-                      is not re-checked (see check_relation_lifts)
+                      construction and is not re-checked; with flat-basic
+                      and flat-p2 they certify the basis (see below)
   hilbert             truncated weighted Hilbert functions of J and L agree
 
 lemma-sum-dt2 vanishes in B itself, before any reduction: T_a(x) =
@@ -55,6 +55,50 @@ The bridging identity used by the flatness induction (parent step composed
 with sibling steps) is exactly a combination of the child-sum identities
 and the defining recursion, so it carries no separate check; lemma-sum-*
 and flat-basic are its content.
+
+Membership and the certificate
+------------------------------
+
+_member reduces a packed instance modulo the generators' packed entries
+while no basis exists.  Division by any generating set that leaves a zero
+remainder writes the instance as a combination of the generators, so the
+instance PASSes with no basis.  A nonzero remainder proves nothing by
+itself: it makes the verifier build the reduced basis and reduce that
+remainder again.  The remainder differs from the instance by an element of
+J, and the normal form modulo a reduced basis is unique, so the witness is
+the normal form of the instance itself, the one a verifier that built the
+basis first reports.
+
+The basis (compare_hilbert reads it) is the generators' entries, sorted by
+lead, when four conditions hold; otherwise buchberger builds it:
+
+  1. every generator's lead is the monic quadric p1*q2 of its pair;
+  2. no lead divides another lead or a term of a tail;
+  3. every non-coprime pair of leads is the pair of a relation lift: in a
+     rooted tree, a1b2 and a1c2 share a1 (x2), a1c2 and b1c2 share c2 (x1);
+  4. flat-basic, flat-p2 and both relation lifts ran to the end and
+     passed, every membership remainder being zero modulo the generators
+     (no basis was built on the way).
+
+Then each lift's lhs is the S-polynomial of its pair and equals
+-T(a)*flat-basic(a,b,c) (x2) or S_b(c)*flat-p2(a,b) (x1).  The flat
+instance divides to zero by the generators, so it is a sum of h_i g_i with
+no lm(h_i g_i) above its own lead; times T(a) or S_b(c), that is a
+representation of the S-polynomial whose every term lies strictly below
+the pair's lcm.  Coprime pairs need none, so by Buchberger's criterion in
+its lcm-representation form (Cox-Little-O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 par. 9; Becker-Weispfenning, Groebner Bases, par. 5.5)
+the generators are a Groebner basis, and by 1 and 2 the reduced one: the
+basis buchberger would return, entry for entry.  This is the paper's
+flatness argument: the relations among the quadrics lift.
+
+The budgets keep buchberger's contract.  At the first membership test the
+non-coprime pairs are charged to max_pairs and max_weight as buchberger's
+loop charges them; a trip calls buchberger right there, whose loop trips
+too and raises its own error.  A suite that would trip buchberger later
+(when the loop grows the basis) still raises its error, at the first
+nonzero remainder or at compare_hilbert.  With no nonzero generator J is
+the zero ideal, whose basis is empty.
 
 Verifiers accept an override generator list so mutated ideals can be
 exercised: checks that quote g(p,q) pull from the override while the
@@ -71,10 +115,14 @@ from .grading import MultiDegree, hat_degree, homogeneous_degree, truncated_hilb
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_WEIGHT,
+    GroebnerBasis,
     _add,
+    _divisible,
+    _entry,
     _mul,
     _pack_terms,
     _reduce,
+    _spairs,
     _sub,
     buchberger,
 )
@@ -82,6 +130,11 @@ from .errors import DomainError, NotHomogeneousError, ResourceLimitError
 from .letterplace import letterplace_generators
 from .polynomials import MAX_KEY_WEIGHT, render_packed
 from .posets import as_rooted_tree
+
+
+# the checks whose passing runs, all remainders zero modulo the generators,
+# make the generators J's reduced basis (see the module docstring)
+CERTIFYING = {"flat-basic", "flat-p2", "relation-lift-x2", "relation-lift-x1"}
 
 
 class CheckReport:
@@ -149,6 +202,9 @@ class Verifier:
         self.max_weight = max_weight
         self._override = list(generators) if generators is not None else None
         self._generators = None  # ((p,q), packed g), built at first use
+        self._entries = None  # their packed entries, made at the first membership test
+        self._passed = set()  # the checks that ran to the end and passed
+        self._lifted = set()  # {(p,q), (r,s)} of every relation lift that held
         self._basis = None
 
     @property
@@ -171,14 +227,65 @@ class Verifier:
 
     @property
     def basis(self):
+        """The reduced Groebner basis of J: the generators themselves when
+        the flatness checks certify them, else buchberger's, and the empty
+        basis of the zero ideal when no generator is nonzero."""
         if self._basis is None:
-            self._basis = buchberger(
-                [g for _, g in self._packed_generators()],
-                self.order,
-                max_pairs=self.max_pairs,
-                max_weight=self.max_weight,
-            )
+            entries = self._certified()
+            gens = [g for _, g in self._packed_generators() if g]
+            if entries is None and gens:
+                self._basis = buchberger(
+                    gens, self.order, max_pairs=self.max_pairs, max_weight=self.max_weight
+                )
+            else:
+                self._basis = GroebnerBasis._from_packed(entries or [], self.order)
         return self._basis
+
+    def _generator_entries(self):
+        """The nonzero generators' packed entries, for _reduce.  At the first
+        call their S-pairs are charged to the budgets as buchberger's loop
+        charges them, and a trip builds the basis there: buchberger's loop
+        trips too and raises its error."""
+        if self._entries is None:
+            order = self.order
+            entries = [_entry(g, order) for _, g in self._packed_generators() if g]
+            # an lcm weighs at most its two leads together, so when every
+            # pair fits the budgets and the key bound, none is enumerated
+            shift, n = order.mask.bit_length(), len(entries)
+            heaviest = sorted(-(e[1] >> shift) for e in entries)[-2:]
+            if n * (n - 1) // 2 > self.max_pairs or sum(heaviest) > min(
+                self.max_weight, MAX_KEY_WEIGHT
+            ):
+                pairs = _spairs(entries, [], order)
+                if len(pairs) > self.max_pairs or any(
+                    -(-k >> shift) > self.max_weight for k, _, _ in pairs
+                ):
+                    return self.basis._leads
+            self._entries = entries
+        return self._entries
+
+    def _certified(self):
+        """The generators' packed entries, sorted by lead, when they are J's
+        reduced Groebner basis by Buchberger's criterion (see the module
+        docstring), else None."""
+        if self._entries is None or not CERTIFYING <= self._passed:
+            return None
+        gens, entries = self._packed_generators(), self._entries
+        if len(entries) != len(gens):
+            return None  # a zero generator
+        tree, x, mask, guard = self.tree, self.ctx.x_packed, self.order.mask, self.order.guard
+        for ((p, q), g), (_, n, _) in zip(gens, entries):
+            if p not in tree or q not in tree or {n: g[n]} != self._product(x(1, p), x(2, q)):
+                return None
+        for entry in entries:
+            _, n, tail = entry
+            others = [e for e in entries if e is not entry]
+            if _divisible((n & mask, *(nm & mask for nm, _ in tail)), others, guard):
+                return None
+        pairs = _spairs(entries, [], self.order)
+        if any(frozenset((gens[t][0], gens[k][0])) not in self._lifted for _, t, k in pairs):
+            return None
+        return sorted(entries, key=lambda e: -e[1])
 
     def _product(self, f, *gs):
         """The packed product of f and gs."""
@@ -197,15 +304,21 @@ class Verifier:
             n += 1
             if witness is not None:
                 break
+        if witness is None:
+            self._passed.add(name)
         return CheckReport(
             name, witness is None, {count: n}, witness, time.monotonic() - t0
         )
 
     def _member(self, label, f):
         """None when the packed polynomial f (consumed) lies in J, else the
-        clipped remainder as witness."""
-        basis, order = self.basis, self.order
-        rem = _reduce(f, basis._leads, order.mask, order.guard)
+        clipped remainder modulo the reduced basis as witness."""
+        order = self.order
+        mask, guard = order.mask, order.guard
+        if self._basis is None:
+            # a zero remainder modulo any generating set proves membership
+            f = _reduce(f, self._generator_entries(), mask, guard)
+        rem = f and _reduce(f, self.basis._leads, mask, guard)
         if not rem:
             return None
         return f"{label}: remainder {_clip(render_packed(rem, order))}"
@@ -221,9 +334,8 @@ class Verifier:
     def _lift_fault(self, label, lhs, factored):
         """A relation lift, packed, must equal its packed closed-form
         factorization and vanish at u = 0 (every monomial carries a
-        u-parameter: a nonzero u-digit).  Its membership in J is the
-        S-pair reduction of buchberger's loop, so it is not tested again
-        (see check_relation_lifts)."""
+        u-parameter: a nonzero u-digit).  Its membership in J holds by
+        construction, so it is not tested (see check_relation_lifts)."""
         if lhs != factored:
             return f"{label}: factorization mismatch"
         umask = self.ctx.umask
@@ -415,8 +527,10 @@ class Verifier:
         is a combination of the generators J is built from, so it lies in J
         by construction, for a mutated generator list too.  It is the
         S-polynomial of the two generators, whose leads a1 b2 and a1 c2
-        share a1 (b1 c2 and a1 c2 share c2), and buchberger's loop reduces
-        it once when it builds the basis.  An override list that lacks a
+        share a1 (b1 c2 and a1 c2 share c2), and its factorization through
+        a flat-basic or flat-p2 instance is what certifies the generators
+        as the basis (see the module docstring); each lift that holds
+        records its pair for that.  An override list that lacks a
         generator the lift needs fails the instance, naming the pair.
         """
         tree, mul, ctx = self.tree, self._product, self.ctx
@@ -427,7 +541,10 @@ class Verifier:
             for pair in (p, q):
                 if pair not in g:
                     return f"{label}: no generator g{pair} to lift"
-            return self._lift_fault(label, _sub(mul(m, g[p]), mul(n, g[q])), factored)
+            fault = self._lift_fault(label, _sub(mul(m, g[p]), mul(n, g[q])), factored)
+            if fault is None:
+                self._lifted.add(frozenset((p, q)))
+            return fault
 
         x2 = (
             lift(

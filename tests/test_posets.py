@@ -81,6 +81,17 @@ def test_linear_extension_is_topological_and_deterministic():
     assert p.linear_extension() is p.linear_extension()  # cached
 
 
+def test_long_chain_builds_in_quadratic_time():
+    # named against its order, so the extension follows the relations and
+    # not the names; the cover and extension scans were cubic, and a
+    # 1,200-element chain took about 34 s to parse and re-validate
+    names = [f"c{1199 - i:04d}" for i in range(1200)]
+    tree = as_rooted_tree(parse_poset("".join(f"{p} < {q}\n" for p, q in zip(names, names[1:]))))
+    assert tree.covers == tuple(zip(names, names[1:]))
+    assert tree.linear_extension() == tuple(names)
+    assert tree.root == names[0] and tree.depth(names[0]) == 1199
+
+
 # -- poset DSL ---------------------------------------------------------------
 
 def test_parse_poset_basics():
@@ -197,3 +208,26 @@ def test_random_relations_closure_or_cycle(pairs):
                     assert p.lt(x, z)
     ext = {e: i for i, e in enumerate(p.linear_extension())}
     assert all(ext[x] < ext[y] for x in elems for y in elems if p.lt(x, y))
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12))
+def test_covers_and_extension_match_their_definitions(pairs):
+    elems = [f"n{i}" for i in (3, 0, 5, 1, 4, 2)]
+    rels = [(f"n{i}", f"n{j}") for i, j in pairs]
+    try:
+        p = Poset(elems, rels)
+    except CycleError:
+        return
+    # y covers x when nothing lies strictly between, listed in element order
+    covers = tuple(
+        (x, y) for x in elems for y in elems
+        if p.lt(x, y) and not any(p.lt(x, z) and p.lt(z, y) for z in elems)
+    )
+    assert p.covers == covers
+    # the lexicographically smallest topological order
+    remaining, ext = set(elems), []
+    while remaining:
+        ext.append(min(x for x in remaining if not any(p.lt(y, x) for y in remaining)))
+        remaining.discard(ext[-1])
+    assert p.linear_extension() == tuple(ext)
+    assert all(p.strict_ideal_below(x) == {y for y in elems if p.lt(y, x)} for x in elems)

@@ -154,7 +154,8 @@ def test_missing_generator_breaks_hilbert():
 def test_missing_generator_fails_the_relation_lifts_it_feeds():
     # every single-generator drop answers the whole suite: specialization
     # fails on the count and a relation lift names the missing pair.  The
-    # one-node tree's only drop leaves no generator, which the basis rejects
+    # one-node tree's only drop leaves no generator: J is the zero ideal,
+    # whose basis is empty, so hilbert fails too
     drops = 0
     for n in range(1, 5):
         for shape in rooted_tree_shapes(n):
@@ -162,11 +163,10 @@ def test_missing_generator_fails_the_relation_lifts_it_feeds():
             gens = j_ideal_generators(tree)
             for k, (pair, _) in enumerate(gens):
                 v = Verifier(tree, generators=gens[:k] + gens[k + 1 :])
-                if len(gens) == 1:
-                    with pytest.raises(DomainError, match="no nonzero generators"):
-                        v.run_full(max_degree=2)
-                    continue
                 reports = v.run_full(max_degree=2)
+                if len(gens) == 1:
+                    hilbert = reports[-1]
+                    assert not hilbert.passed and hilbert.witness == "J: [1, 2, 4] vs L: [1, 2, 3]"
                 assert [r.name for r in reports] == FULL_SUITE
                 by_name = {r.name: r for r in reports}
                 assert not by_name["specialization"].passed
@@ -175,7 +175,7 @@ def test_missing_generator_fails_the_relation_lifts_it_feeds():
                     not r.passed and r.witness.endswith(f": no generator g{pair} to lift") for r in lifts
                 ), (pair, [r.witness for r in lifts])
                 drops += 1
-    assert drops == 48
+    assert drops == 49
 
 
 def test_resource_limits_propagate():
