@@ -22,8 +22,15 @@ basis and buchberger does not run; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
 and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
 `Verifier.check_homogeneity` makes on the wide tree's packed generators.
+The two `lp` cases time the process layer in one process, as the
+`cli-sweep` benchmark calls it: `cli.run` with stdout captured, for
+`lp gens --ideal J --json` on the star and `lp info --json` on the wide
+tree.
 """
 
+import contextlib
+import io
+import json
 import os
 
 import pytest
@@ -43,6 +50,7 @@ from lpdeform import (
     parse_poset,
     truncated_hilbert,
 )
+from lpdeform import cli
 from lpdeform.groebner import _reduce
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
@@ -239,3 +247,34 @@ def test_homogeneous_degree(benchmark):
 
     values = benchmark.pedantic(degrees, setup=fresh_tree, rounds=20)
     assert len(values) == len(generators)
+
+
+def run_lp(argv):
+    """cli.run(argv) with its output captured: the exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+def test_cli_gens_json_star6(benchmark, tmp_path):
+    path = tmp_path / "star6.poset"
+    path.write_text(STAR6)
+
+    code, text = benchmark.pedantic(
+        run_lp, args=(["gens", str(path), "--ideal", "J", "--json"],), rounds=10, warmup_rounds=1
+    )
+    assert code == 0
+    assert sum(len(g["terms"]) for g in json.loads(text)["generators"]) == 5089
+
+
+def test_cli_info_wide7(benchmark, tmp_path):
+    path = tmp_path / "wide7.poset"
+    path.write_text(WIDE_TREE)
+
+    code, text = benchmark.pedantic(
+        run_lp, args=(["info", str(path), "--json"],), rounds=50, warmup_rounds=1
+    )
+    assert code == 0
+    info = json.loads(text)
+    assert info["elements"] == 7 and info["u_parameters"] == info["t1_generators"]

@@ -10,11 +10,18 @@
 
 Exit codes: 0 success / everything PASS, 1 a verification or comparison
 failed, 2 usage or input problems, 3 a resource budget tripped.
+
+`run` is reentrant: it builds its argument parser once per process, at the
+first call (`build_parser` is cached; importing this module builds none),
+and every call parses into a fresh namespace, so one process can run many
+commands.  `gens --json` writes each generator's terms straight from the
+packed form (`render_packed_json`); `_json` writes the rest of the payload.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -27,10 +34,10 @@ from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT, _unpack
 from .letterplace import letterplace_generators, u_variables, x_variables
 from .polynomials import (
     MonomialOrder,
-    packed_to_json,
     parse_polynomial,
     render_monomial,
     render_packed,
+    render_packed_json,
     render_polynomial,
     variable_table,
 )
@@ -46,7 +53,8 @@ EXIT_RESOURCE = 3
 def _json(x, pad="\n"):
     """json.dumps(x, indent=2), byte for byte: CPython's C encoder does not
     indent, so json.dumps falls back to pure Python when `indent` is set.
-    `pad` is the newline and indentation of x's own line."""
+    `pad` is the newline and indentation of x's own line; a callable x
+    writes itself, called with `pad`."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if type(x) is int:
@@ -65,6 +73,8 @@ def _json(x, pad="\n"):
             return "[]"
         inner = pad + "  "
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]"
+    if callable(x):
+        return x(pad)
     return json.dumps(x)  # floats, bools, None
 
 
@@ -121,7 +131,8 @@ def _cmd_gens(args):
             "ideal": args.ideal,
             "poset": poset.to_json_dict(),
             "generators": [
-                {"pair": [p, q], "terms": packed_to_json(g, order)} for (p, q), g in gens
+                {"pair": [p, q], "terms": functools.partial(render_packed_json, g, order)}
+                for (p, q), g in gens
             ],
         }
         print(_json(payload))
@@ -285,7 +296,10 @@ def _add_budgets(p):
     _add_max_terms(p)
 
 
+@functools.cache
 def build_parser():
+    """The `lp` parser, built once per process (parse_args leaves it as it
+    was); `build_parser.__wrapped__()` builds a fresh one."""
     parser = argparse.ArgumentParser(
         prog="lp",
         description="Deformed letterplace ideals of rooted-tree posets.",

@@ -1,8 +1,9 @@
 """Buchberger's algorithm, reduced bases, and normal forms.
 
-`buchberger` packs its generators once at entry (packed polynomials,
-below, as the verifier hands them, pass unchanged) and runs one loop over
-their S-pairs: normal selection strategy (smallest S-pair lcm first), the
+`buchberger` packs its generators once at entry (`_entries`: a packed
+polynomial, below, is taken as it is, and the packed entries the verifier
+already holds pass unchanged) and runs one loop over their S-pairs:
+normal selection strategy (smallest S-pair lcm first), the
 coprime-leading-term criterion (a pair with coprime leads costs one AND of
 the leads' supports and is never queued), full tail reduction at the end.
 Each S-pair is built from the packed entries, as the two tails shifted by
@@ -315,17 +316,27 @@ def _divisible(exponents, leads, guard):
     return any((q - pl) & guard == guard for q in (p | guard for p in exponents) for pl in pls)
 
 
+def _entries(gens, order):
+    """The packed entries of the nonzero elements of `gens`: Polynomials,
+    packed polynomials (minus key -> coefficient, left unchanged) or the
+    packed entries of `_entry`, which pass as they are."""
+    return [
+        f if type(f) is tuple else _entry(f if isinstance(f, dict) else _pack_terms(f, order), order)
+        for f in gens
+        if f
+    ]
+
+
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_WEIGHT):
-    """Reduced Groebner basis of the ideal generated by `gens`, Polynomials
-    or packed polynomials (minus key -> coefficient, left unchanged).
+    """Reduced Groebner basis of the ideal generated by `gens`, as
+    `_entries` takes them (the caller's entries are not modified).
 
     Raises ResourceLimitError when more than max_pairs S-pairs are
     processed or a processed S-pair's lcm has weighted degree above
     max_weight (which bounds every monomial its reduction creates).
     Deterministic: the unique reduced basis, sorted by leading monomial.
     """
-    packed = (f if isinstance(f, dict) else _pack_terms(f, order) for f in gens)
-    leads = [_entry(f, order) for f in packed if f]
+    leads = _entries(gens, order)
     if not leads:
         raise DomainError("no nonzero generators")
     G = [None] * len(leads)  # G[i]: a Polynomial multiple of element i, or None until needed

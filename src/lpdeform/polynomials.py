@@ -26,6 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import (
@@ -419,6 +420,7 @@ class MonomialOrder:
         self._digits = sorted((v, DIGIT_BITS * i) for v, i in self.index.items())
         self._bytes = 2 * len(self.variables)
         self._names = None  # the variables' rendered names, made at the first render
+        self._json_keys = None  # their JSON object keys, '"name": ', made at the first JSON render
 
     def weight(self, mono):
         try:
@@ -497,13 +499,18 @@ def _pack_terms(f, order):
     return {-key(m): c for m, c in f.terms.items()}
 
 
+def _names(order):
+    """The rendered names of the order's variables, in sequence order."""
+    if order._names is None:
+        order._names = tuple(v.render() for v in order.variables)
+    return order._names
+
+
 def _factors(n, order):
     """(name, exponent) of the variables of the monomial with minus key n,
     in the order's sequence."""
-    if order._names is None:
-        order._names = tuple(v.render() for v in order.variables)
     e = order.exponents(n)
-    return zip(compress(order._names, e), compress(e, e))
+    return zip(compress(_names(order), e), compress(e, e))
 
 
 def _render_factors(n, order):
@@ -552,6 +559,35 @@ def packed_to_json(work, order):
 def polynomial_to_json(poly, order):
     """JSON-ready list of terms, leading term first."""
     return packed_to_json(_pack_terms(poly, order), order)
+
+
+def render_packed_json(work, order, pad="\n"):
+    """json.dumps(packed_to_json(work, order), indent=2) with every line
+    after the first indented by `pad`, the newline and indentation of the
+    line the list starts on.  Each term is written from its exponent
+    digits, with the variables' JSON keys made once per order, so no term
+    dict is built."""
+    if not work:
+        return "[]"
+    keys = order._json_keys
+    if keys is None:
+        keys = order._json_keys = tuple(encode_basestring_ascii(s) + ": " for s in _names(order))
+    inner = pad + "  "  # a term's line
+    field = inner + "  "  # "coeff" and "monomial"
+    factor = field + "  "  # one variable's exponent
+    joint = "," + factor
+    head = "{" + field + '"coeff": "'
+    middle = '",' + field + '"monomial": '
+    tail = inner + "}"
+    exponents = order.exponents
+    terms = []
+    for n in sorted(work):
+        c = work[n]
+        e = exponents(n)
+        mono = joint.join([k + str(x) for k, x in zip(compress(keys, e), compress(e, e))])
+        mono = "{" + factor + mono + field + "}" if mono else "{}"
+        terms.append(f"{head}{c.numerator}/{c.denominator}{middle}{mono}{tail}")
+    return "[" + inner + ("," + inner).join(terms) + pad + "]"
 
 
 _COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")

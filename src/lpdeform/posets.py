@@ -208,6 +208,11 @@ class RootedTree(Poset):
 
     def __init__(self, elements, relations):
         super().__init__(elements, relations)
+        self._root()
+
+    def _root(self):
+        """Check that the Hasse diagram is a tree with a unique minimum, and
+        make the root, parent, children and depth tables."""
         roots = self.minimal_elements()
         if len(self.elements) == 0:
             raise NotATreeError("empty poset has no root")
@@ -268,10 +273,16 @@ class RootedTree(Poset):
 
 
 def as_rooted_tree(poset):
-    """Re-validate a Poset as a RootedTree (raises NotATreeError)."""
+    """The Poset as a RootedTree (raises NotATreeError).  The tree shares
+    the Poset's closure, covers and linear extension, which a RootedTree
+    built from the covers would compute again to the same values, and only
+    the tree conditions are checked."""
     if isinstance(poset, RootedTree):
         return poset
-    return RootedTree(poset.elements, list(poset.covers))
+    tree = RootedTree.__new__(RootedTree)
+    tree.__dict__.update(poset.__dict__)
+    tree._root()
+    return tree
 
 
 def parse_poset(text):

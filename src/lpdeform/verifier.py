@@ -229,10 +229,12 @@ class Verifier:
     def basis(self):
         """The reduced Groebner basis of J: the generators themselves when
         the flatness checks certify them, else buchberger's, and the empty
-        basis of the zero ideal when no generator is nonzero."""
+        basis of the zero ideal when no generator is nonzero.  buchberger
+        takes the generators' packed entries when a membership test made
+        them, and packs the generators itself otherwise."""
         if self._basis is None:
             entries = self._certified()
-            gens = [g for _, g in self._packed_generators() if g]
+            gens = self._entries or [g for _, g in self._packed_generators() if g]
             if entries is None and gens:
                 self._basis = buchberger(
                     gens, self.order, max_pairs=self.max_pairs, max_weight=self.max_weight

@@ -214,6 +214,25 @@ def test_sign_flip_mutants_report_as_with_the_basis_built_first(buchberger_calls
     assert certified == 1
 
 
+def test_the_fallback_basis_starts_from_the_verifiers_entries(buchberger_calls):
+    # the membership tests made the generators' packed entries: buchberger
+    # takes that list, leaves it as it was and returns the basis it builds
+    # from the generators themselves
+    built = 0
+    for key, tree, gens in sign_flip_mutants(4):
+        v = Verifier(tree, generators=gens)
+        v.run_full(max_degree=2)
+        if not buchberger_calls:
+            continue
+        [(handed, order)] = buchberger_calls
+        buchberger_calls.clear()
+        packed = [g for _, g in v._packed_generators() if g]
+        assert handed is v._entries and handed == [_entry(g, order) for g in packed], key
+        assert v.basis._leads == buchberger([g for _, g in gens], order)._leads, key
+        built += 1
+    assert built == 48
+
+
 def test_no_nonzero_generator_is_the_zero_ideal():
     v = Verifier(chain_tree(1), generators=[])
     assert len(v.basis) == 0 and v.basis.leading_monomials() == ()

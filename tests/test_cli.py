@@ -1,12 +1,14 @@
 import glob
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from lpdeform import Verifier, all_rooted_trees, load_poset, monomial_order_for
+from lpdeform import Polynomial, Verifier, all_rooted_trees, letterplace_generators, load_poset, monomial_order_for
+from lpdeform import cli
 from lpdeform.cli import _json, run
 
 from conftest import FIXTURES, PolynomialContext, fixture_path, oracle_json, oracle_render, poset_text
@@ -184,22 +186,26 @@ def test_term_budget_trips_with_exit_3(command, capsys):
 
 
 def test_gens_render_the_polynomial_oracle_byte_for_byte(tmp_path, capsys):
-    # lp gens renders J from the packed generators; the text and the JSON
-    # are those of the Polynomial recursion, rendered term by term
+    # lp gens renders L and J from packed generators; the text and the JSON
+    # are those of the Polynomials (the recursion's for J), rendered term
+    # by term
     for k, tree in enumerate(all_rooted_trees(6)):
         path = tmp_path / f"t{k}.poset"
         path.write_text(poset_text(tree))
         order = monomial_order_for(tree)
-        gens = PolynomialContext(tree).j_ideal_generators()
-        assert run(["gens", str(path), "--ideal", "J"]) == 0
-        assert capsys.readouterr().out == "".join(oracle_render(g, order) + "\n" for _, g in gens)
-        assert run(["gens", str(path), "--ideal", "J", "--json"]) == 0
-        payload = {
-            "ideal": "J",
-            "poset": load_poset(str(path)).to_json_dict(),
-            "generators": [{"pair": [p, q], "terms": oracle_json(g, order)} for (p, q), g in gens],
-        }
-        assert capsys.readouterr().out == _json(payload) + "\n"
+        for ideal, gens in [
+            ("L", [(pair, Polynomial.term(m)) for pair, m in letterplace_generators(tree)]),
+            ("J", PolynomialContext(tree).j_ideal_generators()),
+        ]:
+            assert run(["gens", str(path), "--ideal", ideal]) == 0
+            assert capsys.readouterr().out == "".join(oracle_render(g, order) + "\n" for _, g in gens)
+            assert run(["gens", str(path), "--ideal", ideal, "--json"]) == 0
+            payload = {
+                "ideal": ideal,
+                "poset": load_poset(str(path)).to_json_dict(),
+                "generators": [{"pair": [p, q], "terms": oracle_json(g, order)} for (p, q), g in gens],
+            }
+            assert capsys.readouterr().out == _json(payload) + "\n"
 
 
 # -- hilbert ----------------------------------------------------------------------
@@ -321,6 +327,79 @@ def test_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_the_cached_parser_holds_no_state_between_calls(monkeypatch, capsys):
+    # one process runs every argv in turn on the parser run() builds once;
+    # each result must be the one a freshly built parser gives
+    chain2, star2 = fixture_path("chain2.poset"), fixture_path("star2.poset")
+    valid = ["check", chain2]
+    bad = [[], ["frobnicate"], ["gens", chain2], ["--help"]]
+    bad += [
+        [command, chain2, flag, value]
+        for command in ("check", "hilbert")
+        for flag in ("--max-pairs", "--max-weight")
+        for value in ("-1", "many", "2.5")
+    ]
+    compare = ["gens", star2, "--ideal", "J", "--compare", fixture_path("star2_J.gens")]
+    sequence = [step for argv in bad for step in (argv, valid)]
+    sequence += [["--help"], ["--help"], ["gens", "--help"], ["gens", "--help"]]
+    sequence += [["check", chain2, "--suite", "full", "--max-degree", "2"], valid]
+    sequence += [["hilbert", chain2, "--max-degree", "2"], ["hilbert", chain2]]
+    sequence += [compare, compare[:4]]
+
+    suites = []
+
+    class Spy(Verifier):
+        def run_basic(self):
+            suites.append("basic")
+            return super().run_basic()
+
+        def run_full(self, max_degree=4):
+            suites.append(("full", max_degree))
+            return super().run_full(max_degree)
+
+    def run_all():
+        suites.clear()
+        results = []
+        for argv in sequence:
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, re.sub(r"\(\d+\.\d+s\)", "", captured.out), captured.err))
+        return results, list(suites)
+
+    monkeypatch.setattr(cli, "Verifier", Spy)
+    cached = run_all()
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = run_all()
+    assert cached == fresh
+
+    results, ran = cached
+    assert [code for code, _, _ in results[: 2 * len(bad)]] == [2, 0, 2, 0, 2, 0, 0, 0] + [2, 0] * 12
+    help_texts = results[2 * len(bad): 2 * len(bad) + 4]
+    assert help_texts[0] == help_texts[1] and help_texts[0][1].startswith("usage: lp ")
+    assert help_texts[2] == help_texts[3] and help_texts[2][1].startswith("usage: lp gens ")
+    # after --suite full --max-degree 2 (whose run_full runs the basic
+    # checks first), a plain check runs the basic suite at the default
+    # degree, and a plain hilbert compares up to degree 4
+    assert ran[-3:] == [("full", 2), "basic", "basic"]
+    args = parser.parse_args(valid)
+    assert (args.suite, args.max_degree) == ("basic", 4)
+    assert results[-3][1].splitlines()[0] == "J: [1, 4, 11, 22, 40]"
+    # a plain gens after --compare prints no verdict
+    assert results[-2][1].splitlines()[-1].startswith("PASS fixture")
+    assert not any(line.startswith(("PASS", "FAIL")) for line in results[-1][1].splitlines())
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lpdeform.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "0\n"
 
 
 def test_installed_entry_point():

@@ -514,6 +514,22 @@ def test_sign_flip_mutants_add_s_pair_remainders_to_the_basis(monkeypatch):
     assert grown == 48
 
 
+def test_buchberger_takes_polynomials_packed_polynomials_and_entries_alike():
+    # the packing step leaves a packed entry as it is, and the loop does not
+    # modify the list it is handed
+    for key, tree, gens in sign_flip_mutants(4):
+        order = monomial_order_for(tree)
+        polys = [g for _, g in gens]
+        basis = buchberger(polys, order)
+        entries = [groebner._entry(groebner._pack_terms(g, order), order) for g in polys]
+        handed = list(entries)
+        assert buchberger(entries, order)._leads == basis._leads, key
+        assert entries == handed
+        mixed = [e if k % 3 == 0 else g if k % 3 == 1 else groebner._pack_terms(g, order)
+                 for k, (e, g) in enumerate(zip(entries, polys))]
+        assert buchberger(mixed + [Polynomial.zero(), {}], order)._leads == basis._leads, key
+
+
 def test_budgets_trip_at_the_last_processed_pair_of_sign_flip_mutants(monkeypatch):
     mutants = list(sign_flip_mutants(4))
     budgeted = 0

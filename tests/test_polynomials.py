@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ from lpdeform import (
     polynomial_to_json,
 )
 
-from lpdeform.polynomials import MAX_KEY_WEIGHT
+from lpdeform.cli import _json
+from lpdeform.polynomials import MAX_KEY_WEIGHT, _pack_terms, packed_to_json, render_packed_json
 
 from conftest import tuple_order_key
 
@@ -308,6 +310,29 @@ def test_json_shape():
     assert [t["coeff"] for t in data] == ["1/1", "-1/1"]
 
 
+PADS = ["\n", "\n  ", "\n      ", "\n\t"]
+
+
+@pytest.mark.parametrize("text", [
+    "x1 - 1/2*y1",  # a non-unit Fraction coefficient
+    "-3*x1*y2 + 2*u[x,y]",  # negative and positive int coefficients
+    "x1^2*u[0,x] - 7",  # an exponent above 1 and the constant monomial
+    "5",  # the constant monomial alone
+    "u[x,y]^3*u[0,x]*x2 - 2/3*u[0,x]^2*y1*y2 + x1 - y2^2",
+])
+@pytest.mark.parametrize("pad", PADS, ids=repr)
+def test_packed_json_render_is_the_json_of_packed_to_json(text, pad):
+    work = _pack_terms(poly(text), ORDER)
+    assert render_packed_json(work, ORDER, pad) == _json(packed_to_json(work, ORDER), pad)
+
+
+def test_packed_json_render_of_the_constant_and_zero_polynomials():
+    assert render_packed_json(_pack_terms(poly("-1/2"), ORDER), ORDER, "\n  ") == (
+        '[\n    {\n      "coeff": "-1/2",\n      "monomial": {}\n    }\n  ]'
+    )
+    assert render_packed_json({}, ORDER) == "[]" == _json(packed_to_json({}, ORDER))
+
+
 # -- hypothesis round trips ------------------------------------------------------------
 
 coeffs = st.fractions(
@@ -322,6 +347,15 @@ polys = st.lists(st.tuples(monomials, coeffs), max_size=5).map(Polynomial.from_t
 @given(polys)
 def test_render_parse_round_trip(p):
     assert parse_polynomial(render_polynomial(p, ORDER), POOL) == p
+
+
+@given(polys, st.sampled_from(PADS))
+def test_packed_json_render_matches_json_dumps(p, pad):
+    work = _pack_terms(p, ORDER)
+    text = render_packed_json(work, ORDER, pad)
+    assert text == _json(packed_to_json(work, ORDER), pad)
+    if pad == "\n":
+        assert text == json.dumps(polynomial_to_json(p, ORDER), indent=2)
 
 
 @given(polys, polys)

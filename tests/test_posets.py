@@ -1,3 +1,5 @@
+import glob
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -159,6 +161,49 @@ def test_non_trees_rejected():
 def test_as_rooted_tree_idempotent():
     t = chain_tree(3)
     assert as_rooted_tree(t) is t
+
+
+def tree_tables(poset, make):
+    """Everything the RootedTree make(poset) answers, as plain values, or
+    the message of its NotATreeError."""
+    try:
+        t = make(poset)
+    except NotATreeError as exc:
+        return str(exc)
+    return (
+        t.elements,
+        t.covers,
+        t.linear_extension(),
+        {p: t.strict_filter_above(p) for p in t},
+        {p: t.strict_ideal_below(p) for p in t},
+        t.root,
+        {p: (t.parent(p), t.children(p), t.depth(p)) for p in t},
+    )
+
+
+def test_as_rooted_tree_shares_the_posets_closure():
+    # as_rooted_tree takes the Poset's closure, covers and linear extension
+    # instead of closing the covers again: every answer, and every
+    # NotATreeError message, is that of a RootedTree built from the covers
+    posets = [load_poset(path) for path in sorted(glob.glob(fixture_path("*.poset")))]
+    for t in all_rooted_trees(8):
+        posets.append(Poset(t.elements, t.covers))
+        # elements in reverse, every relation of the closure given, and
+        # the linear extension made before
+        posets.append(Poset(t.elements[::-1], [(p, q) for p in t for q in t.strict_filter_above(p)]))
+        posets[-1].linear_extension()
+    posets += [
+        parse_poset(text)
+        for text in ("", "elem a\nelem b", "a < c\nb < c", "a < b\na < c\nb < d\nc < d", "a < b\nc < d")
+    ]
+    rebuilt = lambda poset: RootedTree(poset.elements, list(poset.covers))  # noqa: E731
+    non_trees = 0
+    for poset in posets:
+        want = tree_tables(poset, rebuilt)
+        assert tree_tables(poset, as_rooted_tree) == want, poset
+        non_trees += isinstance(want, str)
+    assert len(posets) == 400 + 5 + len(glob.glob(fixture_path("*.poset")))
+    assert non_trees == 6  # diamond5.poset and the last five
 
 
 # -- exhaustive shape enumeration ---------------------------------------------
