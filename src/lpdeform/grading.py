@@ -311,8 +311,9 @@ def positivity_witness(tree):
 
 def monomial_order_for(tree):
     """The package's working order on B(2,P): positivity-witness weights,
-    reverse-lex tie-break, x-variables before u-parameters."""
-    return MonomialOrder(ring_variables(tree), positivity_witness(tree))
+    reverse-lex tie-break, the witness's keys (x before u) as variables."""
+    weights = positivity_witness(tree)
+    return MonomialOrder(weights, weights)
 
 
 def _divides(a, b):

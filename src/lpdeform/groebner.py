@@ -19,8 +19,8 @@ every S-pair reduced to zero and no lead dividing another lead or a tail
 term (Buchberger's criterion), so they are returned as they were packed.
 On a passing suite the verifier does not run the loop for them: its
 flatness checks reduce a factor of each S-pair instead, and it certifies
-the generators with the loop's own pair enumeration (`_spairs`) and lead
-and tail divisibility test (`_divisible`); see verifier.py.  The loop
+the generators with the loop's lead and tail divisibility test
+(`_divisible`); see verifier.py.  The loop
 still runs for compare_hilbert on its own (`lp hilbert`), for a partial
 suite and for generators that fail a check.  A GroebnerBasis holds packed
 entries and unpacks its Polynomials only when `polys` is first read.
@@ -288,12 +288,9 @@ def _spairs(leads, seen, order):
     packed entries `leads`, for every k from len(seen) on; `seen` holds
     (Monomial, support) per lead already paired, the support being the
     guard bits of the lead's nonzero digits, and grows to len(leads).
-    A coprime pair is never an entry, but when its lcm, the product, passes
-    the key bound, order.key raises its error: buchberger's loop and the
-    verifier's certificate enumerate pairs, and meet that error, alike."""
+    A coprime pair is never an entry, and its lcm is never formed."""
     guard = order.guard
     low = guard >> (DIGIT_BITS - 1)  # the low bit of every exponent digit
-    max_key = MAX_KEY_WEIGHT * (order.mask + 1)
     pairs = []
     for k in range(len(seen), len(leads)):
         pk, nk, _ = leads[k]
@@ -301,10 +298,6 @@ def _spairs(leads, seen, order):
         for t, (mt, st) in enumerate(seen):
             if st & sk:
                 pairs.append((order.key(mk.lcm(mt)), t, k))
-            elif -(nk + leads[t][1]) > max_key:
-                # a coprime lcm is the product, and its key the sum; past
-                # the encoding's bound, order.key raises its error
-                order.key(mk.mul(mt))
         seen.append((mk, sk))
     return pairs
 

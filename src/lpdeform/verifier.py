@@ -70,18 +70,20 @@ the normal form of the instance itself, the one a verifier that built the
 basis first reports.
 
 The basis (compare_hilbert reads it) is the generators' entries, sorted by
-lead, when four conditions hold; otherwise buchberger builds it:
+lead, when three conditions hold; otherwise buchberger builds it:
 
-  1. every generator's lead is the monic quadric p1*q2 of its pair;
+  1. every generator's pair is a comparable pair p <= q of the tree and
+     its lead is the monic quadric p1*q2;
   2. no lead divides another lead or a term of a tail;
-  3. every non-coprime pair of leads is the pair of a relation lift: in a
-     rooted tree, a1b2 and a1c2 share a1 (x2), a1c2 and b1c2 share c2 (x1);
-  4. flat-basic, flat-p2 and both relation lifts ran to the end and
+  3. flat-basic, flat-p2 and both relation lifts ran to the end and
      passed, every membership remainder being zero modulo the generators
      (no basis was built on the way).
 
-Then each lift's lhs is the S-polynomial of its pair and equals
--T(a)*flat-basic(a,b,c) (x2) or S_b(c)*flat-p2(a,b) (x1).  The flat
+Two leads that share a variable share a1, as a1b2 and a1c2 (x2), or c2,
+as a1c2 and b1c2 (x1), where a < b say, since the down-set of c is a
+chain in a rooted tree.  So by 1 and 3 every such pair's lift held, its
+lhs is the S-polynomial of the pair, and it equals
+T(a)*flat-basic(a,c,b) (x2) or S_b(c)*flat-p2(a,b) (x1).  The flat
 instance divides to zero by the generators, so it is a sum of h_i g_i with
 no lm(h_i g_i) above its own lead; times T(a) or S_b(c), that is a
 representation of the S-polynomial whose every term lies strictly below
@@ -127,7 +129,7 @@ from .groebner import (
     buchberger,
 )
 from .errors import DomainError, NotHomogeneousError, ResourceLimitError
-from .letterplace import letterplace_generators
+from .letterplace import comparable_pairs, letterplace_generators
 from .polynomials import MAX_KEY_WEIGHT, render_packed
 from .posets import as_rooted_tree
 
@@ -204,7 +206,6 @@ class Verifier:
         self._generators = None  # ((p,q), packed g), built at first use
         self._entries = None  # their packed entries, made at the first membership test
         self._passed = set()  # the checks that ran to the end and passed
-        self._lifted = set()  # {(p,q), (r,s)} of every relation lift that held
         self._basis = None
 
     @property
@@ -275,19 +276,21 @@ class Verifier:
         gens, entries = self._packed_generators(), self._entries
         if len(entries) != len(gens):
             return None  # a zero generator
-        tree, x, mask, guard = self.tree, self.ctx.x_packed, self.order.mask, self.order.guard
+        tree, mask, guard = self.tree, self.order.mask, self.order.guard
         for ((p, q), g), (_, n, _) in zip(gens, entries):
-            if p not in tree or q not in tree or {n: g[n]} != self._product(x(1, p), x(2, q)):
+            if not (p in tree and tree.le(p, q)) or {n: g[n]} != self._quadric(p, q):
                 return None
         for entry in entries:
             _, n, tail = entry
             others = [e for e in entries if e is not entry]
             if _divisible((n & mask, *(nm & mask for nm, _ in tail)), others, guard):
                 return None
-        pairs = _spairs(entries, [], self.order)
-        if any(frozenset((gens[t][0], gens[k][0])) not in self._lifted for _, t, k in pairs):
-            return None
         return sorted(entries, key=lambda e: -e[1])
+
+    def _quadric(self, p, q):
+        """The letterplace quadric p1*q2, packed."""
+        x = self.ctx.x_packed
+        return self._product(x(1, p), x(2, q))
 
     def _product(self, f, *gs):
         """The packed product of f and gs."""
@@ -328,7 +331,10 @@ class Verifier:
     def _degree(self, label, f, want):
         """None when the packed polynomial f is homogeneous of multidegree
         `want`."""
-        got = homogeneous_degree(self.tree, f, self.order)
+        try:
+            got = homogeneous_degree(self.tree, f, self.order)
+        except NotHomogeneousError as exc:
+            return f"deg {label}: {exc}"
         if got == want:
             return None
         return f"deg {label} = {got.render()}, wanted {want.render()}"
@@ -364,14 +370,14 @@ class Verifier:
     # -- individual checks -------------------------------------------------
 
     def _specialization_faults(self):
-        gens, expected = self._packed_generators(), letterplace_generators(self.tree)
-        if len(expected) != len(gens):
-            yield f"{len(gens)} deformed generators vs {len(expected)} letterplace generators"
+        gens, pairs = self._packed_generators(), comparable_pairs(self.tree)
+        if len(pairs) != len(gens):
+            yield f"{len(gens)} deformed generators vs {len(pairs)} letterplace generators"
             return
         order, umask = self.order, self.ctx.umask
-        for (pair, g), (_, mono) in zip(gens, expected):
+        for (pair, g), (p, q) in zip(gens, pairs):
             image = {n: c for n, c in g.items() if not n & umask}
-            target = {-order.key(mono): 1}
+            target = self._quadric(p, q)
             if image == target:
                 yield None
                 continue
@@ -438,13 +444,15 @@ class Verifier:
             self._run("deg-D", deg_d),
         ]
 
+    def _flat_basic(self, p, b, c):
+        """S_p(b)c2 - b2 S_p(c), packed."""
+        mul, s, x = self._product, self.ctx.s_op_packed, self.ctx.x_packed
+        return _sub(mul(s(p, b), x(2, c)), mul(x(2, b), s(p, c)))
+
     def check_flat_basic(self):
         """S_p(b)c2 - b2 S_p(c) lies in J for all p <= b, p <= c."""
-        mul, s, x = self._product, self.ctx.s_op_packed, self.ctx.x_packed
         faults = (
-            self._member(
-                f"(p,b,c)=({p},{b},{c})", _sub(mul(s(p, b), x(2, c)), mul(x(2, b), s(p, c)))
-            )
+            self._member(f"(p,b,c)=({p},{b},{c})", self._flat_basic(p, b, c))
             for p in self.tree
             for b, c in combinations(self.ctx.above(p), 2)
         )
@@ -531,9 +539,8 @@ class Verifier:
         S-polynomial of the two generators, whose leads a1 b2 and a1 c2
         share a1 (b1 c2 and a1 c2 share c2), and its factorization through
         a flat-basic or flat-p2 instance is what certifies the generators
-        as the basis (see the module docstring); each lift that holds
-        records its pair for that.  An override list that lacks a
-        generator the lift needs fails the instance, naming the pair.
+        as the basis (see the module docstring).  An override list that
+        lacks a generator the lift needs fails the instance, naming the pair.
         """
         tree, mul, ctx = self.tree, self._product, self.ctx
         s, x, g = ctx.s_op_packed, ctx.x_packed, dict(self._packed_generators())
@@ -543,16 +550,13 @@ class Verifier:
             for pair in (p, q):
                 if pair not in g:
                     return f"{label}: no generator g{pair} to lift"
-            fault = self._lift_fault(label, _sub(mul(m, g[p]), mul(n, g[q])), factored)
-            if fault is None:
-                self._lifted.add(frozenset((p, q)))
-            return fault
+            return self._lift_fault(label, _sub(mul(m, g[p]), mul(n, g[q])), factored)
 
         x2 = (
             lift(
                 f"(a,b,c)=({a},{b},{c})",
                 x(2, c), (a, b), x(2, b), (a, c),
-                mul(ctx.t_full_packed(a), _sub(mul(x(2, b), s(a, c)), mul(x(2, c), s(a, b)))),
+                mul(ctx.t_full_packed(a), self._flat_basic(a, c, b)),
             )
             for a in tree
             for b, c in combinations(self.ctx.above(a), 2)

@@ -15,9 +15,12 @@ import pytest
 
 from lpdeform import (
     DomainError,
+    Monomial,
     NotATreeError,
+    Polynomial,
     ResourceLimitError,
     Verifier,
+    XVar,
     all_rooted_trees,
     as_rooted_tree,
     buchberger,
@@ -87,6 +90,19 @@ def test_run_full_certifies_every_small_tree(buchberger_calls):
         assert v.basis._leads == want._leads, tree.covers
 
 
+@pytest.mark.parametrize("text", WIDE_TREES, ids=["wide-b", "wide-f"])
+def test_the_certificate_enumerates_no_pairs(monkeypatch, text):
+    # the relation lifts cover every non-coprime pair of a rooted tree, so
+    # neither the first membership test nor the certificate enumerates one
+    calls = []
+    real = verifier_module._spairs
+    monkeypatch.setattr(verifier_module, "_spairs", lambda *a: calls.append(a) or real(*a))
+    v = Verifier(tree_from(text))
+    assert all(r.passed for r in v.run_full(max_degree=2))
+    assert v._certified() is not None and v.basis._leads == v._certified()
+    assert calls == []
+
+
 def test_compare_hilbert_alone_builds_the_basis_with_buchberger(buchberger_calls):
     v = Verifier(star_tree(3))
     assert v.compare_hilbert(3).passed
@@ -122,11 +138,17 @@ def test_each_condition_of_the_certificate_is_needed():
     (lp, ln, tail), other = v._entries[0], v._entries[1]
     v._entries[0] = (lp, ln, tail + ((other[1], 1),))
     assert v._certified() is None
-    # a non-coprime pair whose lift was not seen to hold
-    v = certifying_run()
-    _, t, k = _spairs(v._entries, [], v.order)[0]
-    v._lifted.remove(frozenset((v._generators[t][0], v._generators[k][0])))
+    # a lead that is the quadric of an incomparable pair: no relation lift
+    # covers the non-coprime pairs b1c2 makes with b1b2, a1c2 and c1c2, so
+    # the generators are no basis although all four certifying checks pass
+    tree = star_tree(3)
+    extra = Polynomial.term(Monomial.from_pairs([(XVar(1, "b"), 1), (XVar(2, "c"), 1)]))
+    gens = [*Verifier(tree).generators, (("b", "c"), extra)]
+    v = Verifier(tree, generators=gens)
+    assert all(r.passed for r in run_checks(v, ["flat_basic", "flat_p2", "relation_lifts"]))
     assert v._certified() is None
+    assert v.basis._leads == buchberger([g for _, g in gens], v.order)._leads
+    assert len(v.basis) == 12
     # a certifying check that did not pass
     v = certifying_run()
     v._passed.discard("flat-p2")

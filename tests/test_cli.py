@@ -1,6 +1,8 @@
 import glob
 import json
+import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -467,3 +469,32 @@ def test_every_json_output_is_json_dumps_indent_2(command, capsys):
         assert out == json.dumps(json.loads(out), indent=2) + "\n", path
         printed += 1
     assert printed >= 9
+
+
+# -- the README examples ------------------------------------------------------------
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def readme_commands():
+    """The `lp ...` lines of README's "Command line" block, each with the
+    exit code it documents: the N of a `# exit N` comment, else 0."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("lp "):
+            command, _, comment = line.partition("#")
+            code = re.match(r"\s*exit (\d+)", comment)
+            commands.append((shlex.split(command)[1:], int(code[1]) if code else 0))
+    return commands
+
+
+def test_readme_command_lines_exit_as_documented(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv, code in commands:
+        assert run(argv) == code, argv
+        capsys.readouterr()

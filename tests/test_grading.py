@@ -276,6 +276,19 @@ def test_positivity_witness_is_positive_and_coarsens():
             assert len(weights) == 1
 
 
+def test_monomial_order_enumerates_the_ring_variables_once(monkeypatch):
+    # the witness's keys are the ring variables in order, and the order is
+    # built from them instead of a second enumeration of the parameters
+    calls = []
+    real = grading.ring_variables
+    monkeypatch.setattr(grading, "ring_variables", lambda tree: calls.append(tree) or real(tree))
+    for tree in TREES_UP_TO_6:
+        calls.clear()
+        order = monomial_order_for(tree)
+        assert len(calls) == 1
+        assert order.variables == tuple(real(tree))
+
+
 def test_monomial_order_prefers_heavier_monomials():
     tree = chain_tree(2)
     order = monomial_order_for(tree)

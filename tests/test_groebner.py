@@ -415,6 +415,19 @@ def test_weight_budget():
         gb("x1*y1 - 1", "y1^2 - 1", max_weight=1)
 
 
+def test_coprime_leads_past_the_key_bound_are_their_own_basis():
+    # a coprime pair is never formed, so their product's weight, 40000, is
+    # never met
+    basis = gb("x1^20000", "y1^20000")
+    assert set(basis.leading_monomials()) == {Monomial.var(X, 20000), Monomial.var(Y, 20000)}
+
+
+def test_a_non_coprime_lcm_past_the_key_bound_raises():
+    message = f"^monomial weight 40000 exceeds {MAX_KEY_WEIGHT}, the packed-key bound$"
+    with pytest.raises(ResourceLimitError, match=message):
+        gb("x1^20000*y1", "x1*y1^20000")
+
+
 # -- the deformed generators are already a reduced basis ----------------------------
 
 @pytest.mark.parametrize("tree", [chain_tree(3), star_tree(2), star_tree(3)],

@@ -316,6 +316,21 @@ def test_every_check_can_fail(name):
     assert re.fullmatch(pattern, report.witness), report.witness
 
 
+def test_a_non_homogeneous_block_fails_its_degree_check():
+    # b1 added to T(b) mixes degrees: deg-T FAILs naming two monomials of
+    # different degree, and the suite goes on
+    v = Verifier(star_tree(2))
+    assert all(r.passed for r in v.run_basic())
+    ctx = v.ctx
+    orig = ctx.t_full_packed
+    ctx.t_full_packed = lambda p: _add(orig(p), ctx.x_packed(1, "b")) if p == "b" else orig(p)
+    reports = v.run_basic()
+    assert [r.name for r in reports] == FULL_SUITE[:6]
+    assert [r.name for r in reports if not r.passed] == ["deg-T"]
+    witness = reports[2].witness
+    assert re.fullmatch(r"deg T\(b\): monomial .+ has degree .+ but b1 has b1", witness), witness
+
+
 # -- the packed instances against the Polynomial oracle -------------------------
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
