@@ -227,14 +227,16 @@ def _cmd_info(args):
         tree = as_rooted_tree(poset)
     except LpError:
         tree = None
-    t1 = t1_generators(poset)
+    # the order-ideal count refuses large posets before the cotangent
+    # enumeration, which has no budget, runs
+    multiplicity = poset.count_order_ideals()
     info = {
         "elements": len(poset),
         "codimension": len(poset),
-        "multiplicity": poset.count_order_ideals(),
+        "multiplicity": multiplicity,
         "tree": tree is not None,
         "u_parameters": None,
-        "t1_generators": len(t1),
+        "t1_generators": len(t1_generators(poset)),
     }
     agree = True
     if tree is not None:

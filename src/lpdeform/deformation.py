@@ -175,7 +175,9 @@ class DeformationContext:
 
         The diagonal and parent cases are symbolic shortcuts:
             S_b T_b(b) = b1,   S_a T_a(b) = -u_{a,b};
-        only the sibling case is a genuine composition S_c(T_c(b)).
+        only the sibling case is a genuine composition S_c(T_c(b)), built
+        straight from the parameters u_{q,b} that T_c(b) is made of:
+            S_c T_c(b) = -sum_{q >= c} S_c(q2) * u_{q,b}.
         """
         tree = self.tree
         a = tree.parent(b)
@@ -186,7 +188,10 @@ class DeformationContext:
         if x == a:
             return self._charge({self._u[a, b]: -1})
         if x in tree.siblings(b):
-            return self._charge(self._s_linear(x, self.t_sub_packed(x, b)))
+            val = {}
+            for q in self.above(x):
+                _addmul(val, self.s_op_packed(x, q), {self._u[q, b]: -1})
+            return self._charge(val)
         raise RelationError(f"{x!r} is not {b!r} or its parent or a sibling")
 
     @_memoized
@@ -287,23 +292,6 @@ class DeformationContext:
             raise NotComparableError(f"need {a!r} <= {b!r}")
         return self._times(self.cover_product_r_packed(a, b), self.minor_d_packed(b, 0))
 
-    def _s_linear(self, a, work):
-        """S_a over a packed polynomial whose every monomial is (one q2 with
-        q >= a) times a product of u-parameters."""
-        out = {}
-        for n, c in work.items():
-            mono = self.order.monomial(-n)
-            xs = [(v, e) for v, e in mono.pairs if isinstance(v, XVar)]
-            if len(xs) != 1 or xs[0] != (XVar(2, xs[0][0].element), 1):
-                what = "is not q2 times a u-monomial" if xs else "has no place-2 variable"
-                raise DomainError(f"monomial {mono!r} {what}")
-            target = xs[0][0].element
-            if not self.tree.le(a, target):
-                raise DomainError(f"S_{a!r} hit {target!r}2 but {a!r} <= {target!r} fails")
-            # the u-part's minus key is the term's less target2's
-            _addmul(out, self.s_op_packed(a, target), {n - self._x[2, target]: c})
-        return out
-
     # -- the deformed ideal ---------------------------------------------------
 
     @_memoized
@@ -338,7 +326,19 @@ class DeformationContext:
     def s_op_linear(self, a, f):
         """Extend S_a over a polynomial whose every monomial is (one q2 with
         q >= a) times a product of u-parameters."""
-        return _unpack(self._s_linear(a, _pack_terms(f, self.order)), self.order)
+        out = {}
+        for n, c in _pack_terms(f, self.order).items():
+            mono = self.order.monomial(-n)
+            xs = [(v, e) for v, e in mono.pairs if isinstance(v, XVar)]
+            if len(xs) != 1 or xs[0] != (XVar(2, xs[0][0].element), 1):
+                what = "is not q2 times a u-monomial" if xs else "has no place-2 variable"
+                raise DomainError(f"monomial {mono!r} {what}")
+            target = xs[0][0].element
+            if not self.tree.le(a, target):
+                raise DomainError(f"S_{a!r} hit {target!r}2 but {a!r} <= {target!r} fails")
+            # the u-part's minus key is the term's less target2's
+            _addmul(out, self.s_op_packed(a, target), {n - self._x[2, target]: c})
+        return _unpack(out, self.order)
 
     def j_ideal_generators(self):
         """All ((p,q), g(p,q)) in linear-extension order of the pairs."""

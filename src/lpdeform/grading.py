@@ -48,8 +48,8 @@ from collections import Counter
 from itertools import compress
 from operator import mul
 
-from .errors import DomainError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
-from .letterplace import ring_variables, x_variables
+from .errors import NotHomogeneousError, ResourceLimitError, UnknownVariableError
+from .letterplace import _parameters_of, ring_variables, x_variables
 from .polynomials import MAX_KEY_WEIGHT, Monomial, MonomialOrder, UVar, XVar
 
 DEGREE_DIGIT_BITS = 32
@@ -155,19 +155,15 @@ def variable_degree(tree, v):
             raise UnknownVariableError(f"{v!r}: {v.element!r} is not a poset element")
         return MultiDegree.unit(v.place, v.element)
     if isinstance(v, UVar):
-        p = v.lower
+        p, q = v.lower, v.upper
         if p not in tree:
             raise UnknownVariableError(f"{v!r}: {p!r} is not a poset element")
-        if v.upper is None:
-            if p != tree.root:
+        if q not in _parameters_of(tree, p):
+            if q is None:
                 raise UnknownVariableError(f"{v!r}: empty upper slot is for the root")
-            return MultiDegree.unit(1, p) + hat_degree(tree, p)
-        q = v.upper
-        if q not in tree or p == tree.root or tree.meet(q, p) != tree.parent(p):
             raise UnknownVariableError(f"{v!r} is not a parameter of this tree")
-        return (
-            MultiDegree.unit(1, p) - MultiDegree.unit(2, q) + hat_degree(tree, p)
-        )
+        deg = MultiDegree.unit(1, p) + hat_degree(tree, p)
+        return deg if q is None else deg - MultiDegree.unit(2, q)
     raise UnknownVariableError(f"unsupported variable {v!r}")
 
 
@@ -285,27 +281,19 @@ def homogeneous_degree(tree, f, order=None):
 def positivity_witness(tree):
     """Strictly positive integer weights that coarsen the multigrading.
 
-    Returns an ordered map over ring_variables(tree); every u-parameter
-    lands on weight 1 except the root's, which gets 2.
+    Returns an ordered map over ring_variables(tree), written down from the
+    tree as the module docstring derives it: p2 -> 1, p1 -> 1 + the
+    children's p1, u_{q,p} -> 1 and the root's u_{0,r} -> 2.
     """
-    order = tree.linear_extension()
     d1 = {}
-    for p in reversed(order):
+    for p in reversed(tree.linear_extension()):
         d1[p] = 1 + sum(d1[b] for b in tree.children(p))
-    symbol_weight = {}
-    for p in order:
-        symbol_weight[XVar(1, p)] = d1[p]
-        symbol_weight[XVar(2, p)] = 1
     weights = {}
     for v in ring_variables(tree):
         if isinstance(v, XVar):
-            w = symbol_weight[v]
+            weights[v] = d1[v.element] if v.place == 1 else 1
         else:
-            deg = variable_degree(tree, v)
-            w = sum(c * symbol_weight[sym] for sym, c in deg.coords.items())
-        if w <= 0:
-            raise DomainError(f"weight of {v!r} came out nonpositive ({w})")
-        weights[v] = w
+            weights[v] = 2 if v.upper is None else 1
     return weights
 
 

@@ -3,8 +3,9 @@
 L(2,P) lives in k[x_{i,p} : i in {1,2}, p in P] and is generated by the
 monomials p1*q2 over all comparable pairs p <= q.  For a rooted tree the
 deformation of each non-root p introduces one parameter u_{q,p} per element
-q whose meet with p is p's parent (q is either the parent itself or sits
+q >= parent(p) with q not >= p (q is either the parent itself or sits
 weakly above a sibling of p); the root gets the single parameter u_{0,root}.
+_parameters_of states that rule, and every layer reads it from there.
 """
 
 from __future__ import annotations
@@ -32,21 +33,28 @@ def letterplace_polynomials(poset):
     return [Polynomial.term(m) for _, m in letterplace_generators(poset)]
 
 
+def _parameters_of(tree, p):
+    """The q of the parameters u_{q,p} of the tree's element p, in
+    linear-extension order: [None] for the root, and otherwise every
+    q >= parent(p) with q not >= p, which is every q other than p whose meet
+    with p is p's parent (the parent itself, or an element at or above a
+    sibling of p)."""
+    a = tree.parent(p)
+    if a is None:
+        return [None]
+    return [q for q in tree.linear_extension() if tree.le(a, q) and not tree.le(p, q)]
+
+
 def parameter_pairs(tree):
     """The index pairs (q, p) of the deformation parameters u_{q,p}, ordered
-    by p, then q, along the linear extension: q runs over the elements other
-    than p whose meet with p is p's parent.  The root, which begins every
-    linear extension, comes first as (None, root)."""
+    by p, then q, along the linear extension: q runs over _parameters_of(p),
+    the q >= parent(p) with q not >= p (equally: the q other than p whose
+    meet with p is p's parent).  The root, which begins every linear
+    extension, comes first as (None, root)."""
     tree = as_rooted_tree(tree)
-    order = tree.linear_extension()
-    for p in order:
-        if p == tree.root:
-            yield None, p
-            continue
-        a = tree.parent(p)
-        for q in order:
-            if q != p and tree.meet(q, p) == a:
-                yield q, p
+    for p in tree.linear_extension():
+        for q in _parameters_of(tree, p):
+            yield q, p
 
 
 def u_variables(tree):

@@ -94,12 +94,14 @@ the generators are a Groebner basis, and by 1 and 2 the reduced one: the
 basis buchberger would return, entry for entry.  This is the paper's
 flatness argument: the relations among the quadrics lift.
 
-The budgets keep buchberger's contract.  At the first membership test the
-non-coprime pairs are charged to max_pairs and max_weight as buchberger's
-loop charges them; a trip calls buchberger right there, whose loop trips
-too and raises its own error.  A suite that would trip buchberger later
-(when the loop grows the basis) still raises its error, at the first
-nonzero remainder or at compare_hilbert.  With no nonzero generator J is
+The budgets keep buchberger's contract, and buchberger alone charges
+them.  At the first membership test the generators' pairs can trip a
+budget only when there are more than max_pairs of them, or when the two
+heaviest leads together, which bound every lcm, weigh more than
+max_weight or the key bound.  Then buchberger builds the basis right
+there, and its loop raises its own error if a budget trips.  A suite that
+would trip buchberger later (when the loop grows the basis) still raises
+its error, at the first nonzero remainder or at compare_hilbert.  With no nonzero generator J is
 the zero ideal, whose basis is empty.
 
 Verifiers accept an override generator list so mutated ideals can be
@@ -124,7 +126,6 @@ from .groebner import (
     _mul,
     _pack_terms,
     _reduce,
-    _spairs,
     _sub,
     buchberger,
 )
@@ -245,25 +246,21 @@ class Verifier:
         return self._basis
 
     def _generator_entries(self):
-        """The nonzero generators' packed entries, for _reduce.  At the first
-        call their S-pairs are charged to the budgets as buchberger's loop
-        charges them, and a trip builds the basis there: buchberger's loop
-        trips too and raises its error."""
+        """The nonzero generators' packed entries, for _reduce, or the
+        basis's when the budgets might not hold buchberger's first pairs:
+        then buchberger builds the basis at the first call, charging the
+        pairs and raising its own error if a budget trips."""
         if self._entries is None:
             order = self.order
             entries = [_entry(g, order) for _, g in self._packed_generators() if g]
-            # an lcm weighs at most its two leads together, so when every
-            # pair fits the budgets and the key bound, none is enumerated
+            # an lcm weighs at most its two leads together, so when all the
+            # pairs fit the budgets and the key bound, none can trip
             shift, n = order.mask.bit_length(), len(entries)
             heaviest = sorted(-(e[1] >> shift) for e in entries)[-2:]
             if n * (n - 1) // 2 > self.max_pairs or sum(heaviest) > min(
                 self.max_weight, MAX_KEY_WEIGHT
             ):
-                pairs = _spairs(entries, [], order)
-                if len(pairs) > self.max_pairs or any(
-                    -(-k >> shift) > self.max_weight for k, _, _ in pairs
-                ):
-                    return self.basis._leads
+                return self.basis._leads
             self._entries = entries
         return self._entries
 

@@ -1,9 +1,11 @@
+import glob
 import itertools
 import os
 from itertools import combinations, permutations, product
 
 from lpdeform import (
     Monomial,
+    NotATreeError,
     PolyMatrix,
     Polynomial,
     UVar,
@@ -20,6 +22,15 @@ from lpdeform import (
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures")
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, so a
+    child process imports the working tree and not an installed copy."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
 
@@ -27,6 +38,17 @@ def fixture_path(name):
 def load_tree(name):
     """Load fixtures/<name>.poset as a rooted tree."""
     return as_rooted_tree(load_poset(fixture_path(name + ".poset")))
+
+
+def fixture_trees():
+    """The fixtures that are rooted trees, in file-name order."""
+    trees = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.poset"))):
+        try:
+            trees.append(as_rooted_tree(load_poset(path)))
+        except NotATreeError:
+            continue
+    return trees
 
 
 def tree_from(text):

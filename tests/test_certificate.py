@@ -8,44 +8,29 @@ Whenever a condition fails, buchberger builds the basis and the reports
 are those of a verifier whose basis was built first.
 """
 
-import glob
-import os
-
 import pytest
 
 from lpdeform import (
     DomainError,
     Monomial,
-    NotATreeError,
     Polynomial,
     ResourceLimitError,
     Verifier,
     XVar,
     all_rooted_trees,
-    as_rooted_tree,
     buchberger,
-    load_poset,
 )
+from lpdeform import groebner as groebner_module
 from lpdeform import verifier as verifier_module
 from lpdeform.verifier import CERTIFYING
 from lpdeform.groebner import _add, _entry, _spairs
 
-from conftest import FIXTURES, chain_tree, load_tree, sign_flip_mutants, star_tree, tree_from
+from conftest import chain_tree, fixture_trees, load_tree, sign_flip_mutants, star_tree, tree_from
 
 WIDE_TREES = [
     "a < b\na < c\na < d\na < e\na < f\nb < g\n",
     "a < b\na < c\na < d\na < e\na < f\nf < g\n",
 ]
-
-
-def fixture_trees():
-    trees = []
-    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.poset"))):
-        try:
-            trees.append(as_rooted_tree(load_poset(path)))
-        except NotATreeError:
-            continue
-    return trees
 
 
 @pytest.fixture
@@ -93,10 +78,11 @@ def test_run_full_certifies_every_small_tree(buchberger_calls):
 @pytest.mark.parametrize("text", WIDE_TREES, ids=["wide-b", "wide-f"])
 def test_the_certificate_enumerates_no_pairs(monkeypatch, text):
     # the relation lifts cover every non-coprime pair of a rooted tree, so
-    # neither the first membership test nor the certificate enumerates one
+    # no pair is enumerated anywhere: buchberger does not run and neither
+    # the first membership test nor the certificate enumerates one
     calls = []
-    real = verifier_module._spairs
-    monkeypatch.setattr(verifier_module, "_spairs", lambda *a: calls.append(a) or real(*a))
+    real = groebner_module._spairs
+    monkeypatch.setattr(groebner_module, "_spairs", lambda *a: calls.append(a) or real(*a))
     v = Verifier(tree_from(text))
     assert all(r.passed for r in v.run_full(max_degree=2))
     assert v._certified() is not None and v.basis._leads == v._certified()
@@ -303,6 +289,23 @@ def test_budget_trips_are_buchbergers(name):
         assert got == want, (budget, got, want)
         trips += want is not None
     assert trips == len(keys) + weight
+
+
+@pytest.mark.parametrize("name", ["star2", "chain3", "tree7"])
+def test_a_budget_that_holds_every_pair_gets_buchbergers_basis(name, buchberger_calls):
+    # max_pairs at the non-coprime count holds every pair buchberger charges,
+    # but not all n(n-1)/2 pairs, so the first membership test leaves the
+    # budget to buchberger, which builds the basis there
+    tree = BUDGET_TREES[name]
+    probe = Verifier(tree)
+    order = probe.order
+    gens = [g for _, g in probe._packed_generators()]
+    pairs = len(_spairs([_entry(g, order) for g in gens], [], order))
+    assert pairs < len(gens) * (len(gens) - 1) // 2
+    v = Verifier(tree, max_pairs=pairs)
+    assert report_rows(v.run_full(max_degree=2)) == report_rows(probe.run_full(max_degree=2))
+    assert len(buchberger_calls) == 1
+    assert v.basis._leads == buchberger(gens, order)._leads
 
 
 def test_budget_trips_on_mutants_are_buchbergers():

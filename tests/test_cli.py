@@ -13,7 +13,7 @@ from lpdeform import Polynomial, Verifier, all_rooted_trees, letterplace_generat
 from lpdeform import cli
 from lpdeform.cli import _json, run
 
-from conftest import FIXTURES, PolynomialContext, fixture_path, oracle_json, oracle_render, poset_text
+from conftest import FIXTURES, PolynomialContext, fixture_path, oracle_json, oracle_render, poset_text, src_env
 
 
 def out_lines(capsys):
@@ -251,6 +251,18 @@ def test_info_non_tree_json(capsys):
     assert payload["agree"] is True
 
 
+def test_info_refuses_a_large_poset_before_the_cotangent_enumeration(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "t1_generators", lambda poset: calls.append(poset) or [])
+    path = tmp_path / "chain21.poset"
+    path.write_text("".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(20)))
+    assert run(["info", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "lp: order-ideal count is only supported up to 20 elements (got 21)\n"
+    assert calls == []
+
+
 # -- failure modes -----------------------------------------------------------------
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -398,7 +410,7 @@ def test_the_cached_parser_holds_no_state_between_calls(monkeypatch, capsys):
 def test_importing_the_cli_builds_no_parser():
     proc = subprocess.run(
         [sys.executable, "-c", "import lpdeform.cli as c; print(c.build_parser.cache_info().currsize)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "0\n"
@@ -408,7 +420,7 @@ def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lpdeform.cli", "info",
          fixture_path("star3.poset")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     assert "elements:       4" in proc.stdout
@@ -417,7 +429,7 @@ def test_installed_entry_point():
 def test_python_dash_m_runs_the_cli(capsys):
     args = ["info", fixture_path("tree7.poset"), "--json"]
     proc = subprocess.run(
-        [sys.executable, "-m", "lpdeform", *args], capture_output=True, text=True,
+        [sys.executable, "-m", "lpdeform", *args], capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stderr == ""

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import src_env
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 # demo -> smallest command-line argument it takes ([] when it takes none)
@@ -24,12 +26,9 @@ def test_every_demo_is_listed():
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "demos", demo), *DEMOS[demo]],
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,

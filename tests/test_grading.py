@@ -5,13 +5,17 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lpdeform import (
+    DeformationContext,
     Monomial,
+    MonomialOrder,
     MultiDegree,
     NotHomogeneousError,
     Polynomial,
     ResourceLimitError,
+    RootedTree,
     UnknownVariableError,
     UVar,
+    Verifier,
     XVar,
     all_rooted_trees,
     buchberger,
@@ -21,6 +25,7 @@ from lpdeform import (
     letterplace_generators,
     monomial_degree,
     monomial_order_for,
+    parameter_pairs,
     parse_polynomial,
     positivity_witness,
     ring_variables,
@@ -274,6 +279,54 @@ def test_positivity_witness_is_positive_and_coarsens():
         for _, g in j_ideal_generators(tree):
             weights = {sum(w[v] * e for v, e in m.pairs) for m in g.terms}
             assert len(weights) == 1
+
+
+def test_variable_degree_knows_exactly_the_parameters():
+    for tree in all_rooted_trees(5):
+        params = set(parameter_pairs(tree))
+        for p in tree:
+            for q in (None, *tree):
+                if (q, p) in params:
+                    assert isinstance(variable_degree(tree, UVar(q, p)), MultiDegree)
+                else:
+                    with pytest.raises(UnknownVariableError):
+                        variable_degree(tree, UVar(q, p))
+
+
+def test_the_witness_coarsens_variable_by_variable():
+    # the witness is written down from the tree; evaluated on each
+    # variable's multidegree it gives that variable's weight back
+    for tree in all_rooted_trees(7):
+        w = positivity_witness(tree)
+        for v, wt in w.items():
+            assert wt > 0
+            assert wt == sum(c * w[sym] for sym, c in variable_degree(tree, v).coords.items()), v
+
+
+def test_the_parameters_are_read_not_rederived(monkeypatch):
+    # the order and the expansion take the parameters from their one rule:
+    # no meet, no parameter degree and no decoded monomial; the degree
+    # table enters each parameter's degree once
+    calls = {"variable_degree": 0, "meet": 0, "monomial": 0}
+
+    def spy(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(grading, "variable_degree", spy("variable_degree", grading.variable_degree))
+    monkeypatch.setattr(RootedTree, "meet", spy("meet", RootedTree.meet))
+    monkeypatch.setattr(MonomialOrder, "monomial", spy("monomial", MonomialOrder.monomial))
+    for tree in (load_tree("tree7"), star_tree(3)):
+        monomial_order_for(tree)
+        assert calls == {"variable_degree": 0, "meet": 0, "monomial": 0}
+        DeformationContext(tree).generators_packed()
+        assert calls == {"variable_degree": 0, "meet": 0, "monomial": 0}
+    tree = load_tree("tree7")
+    assert all(r.passed for r in Verifier(tree).run_basic())
+    assert calls == {"variable_degree": len(u_variables(tree)), "meet": 0, "monomial": 0}
+    assert calls["variable_degree"] == 21
 
 
 def test_monomial_order_enumerates_the_ring_variables_once(monkeypatch):

@@ -2,6 +2,7 @@ from lpdeform import (
     Monomial,
     UVar,
     XVar,
+    all_rooted_trees,
     comparable_pairs,
     letterplace_generators,
     letterplace_polynomials,
@@ -11,7 +12,7 @@ from lpdeform import (
     x_variables,
 )
 
-from conftest import chain_tree, load_tree, star_tree
+from conftest import chain_tree, fixture_trees, load_tree, star_tree
 
 
 def test_comparable_pairs_counts():
@@ -54,17 +55,20 @@ def test_u_variables_star_includes_sibling_parameters():
 
 
 def test_u_variables_admissibility():
-    # u[q,p] exists iff q != p and meet(q, p) = parent(p)
-    tree = load_tree("tree7")
-    got = set(u_variables(tree))
-    expected = {UVar(None, tree.root)}
-    for p in tree.elements:
-        if p == tree.root:
-            continue
-        for q in tree.elements:
-            if q != p and tree.meet(q, p) == tree.parent(p):
-                expected.add(UVar(q, p))
-    assert got == expected
+    # u[q,p] exists iff q != p and meet(q, p) = parent(p), on every tree of
+    # up to 7 nodes and every tree fixture
+    trees = [*all_rooted_trees(7), *fixture_trees()]
+    assert len(trees) == 85 + 9
+    for tree in trees:
+        got = set(u_variables(tree))
+        expected = {UVar(None, tree.root)}
+        for p in tree.elements:
+            if p == tree.root:
+                continue
+            for q in tree.elements:
+                if q != p and tree.meet(q, p) == tree.parent(p):
+                    expected.add(UVar(q, p))
+        assert got == expected, tree.covers
 
 
 def test_x_variables_follow_linear_extension():
