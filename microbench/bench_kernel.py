@@ -22,10 +22,13 @@ basis and buchberger does not run; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
 and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
 `Verifier.check_homogeneity` makes on the wide tree's packed generators.
-The two `lp` cases time the process layer in one process, as the
+The three `lp` cases time the process layer in one process, as the
 `cli-sweep` benchmark calls it: `cli.run` with stdout captured, for
-`lp gens --ideal J --json` on the star and `lp info --json` on the wide
-tree.
+`lp gens --ideal J --json` on the star, `lp info --json` on the wide tree
+and `lp check --json` (the basic suite, expansion and degree table
+included) on the wide tree.  The cotangent case enumerates the T^1
+generators of the 20-element chain with `t1_generators`, the general
+poset search that `lp t1` and `lp info` run.
 """
 
 import contextlib
@@ -48,6 +51,7 @@ from lpdeform import (
     load_poset,
     monomial_order_for,
     parse_poset,
+    t1_generators,
     truncated_hilbert,
 )
 from lpdeform import cli
@@ -56,6 +60,7 @@ from lpdeform.groebner import _reduce
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
 CHAIN3 = "a < b\nb < c\n"
+CHAIN20 = "".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(19))
 TREE7 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tree7.poset")
 
 
@@ -278,3 +283,22 @@ def test_cli_info_wide7(benchmark, tmp_path):
     assert code == 0
     info = json.loads(text)
     assert info["elements"] == 7 and info["u_parameters"] == info["t1_generators"]
+
+
+def test_cli_check_basic_wide7(benchmark, tmp_path):
+    path = tmp_path / "wide7.poset"
+    path.write_text(WIDE_TREE)
+
+    code, text = benchmark.pedantic(
+        run_lp, args=(["check", str(path), "--json"],), rounds=20, warmup_rounds=1
+    )
+    assert code == 0
+    reports = json.loads(text)["reports"]
+    assert len(reports) == 6 and all(r["passed"] for r in reports)
+
+
+def test_t1_chain20(benchmark):
+    chain = parse_poset(CHAIN20)
+
+    gens = benchmark.pedantic(t1_generators, args=(chain,), rounds=3)
+    assert len(gens) == 20

@@ -56,24 +56,32 @@ def _minimal_bound_sets(poset, targets, within, lower):
     """Inclusion-minimal S within `within` such that every target t admits
     s in S with t <= s (upper) or s <= t (lower=True).
 
+    A set bounds every target exactly when it bounds the extremal ones (the
+    maximal targets for upper bounds, the minimal for lower), and each
+    member of a minimal S bounds an extremal target that no other member
+    bounds.  So the search runs over the members of `within` that bound an
+    extremal target, and S has at most as many members as there are
+    extremal targets; it is still exponential in that number.
+
     Deterministic: results sorted by size, then by linear-extension index
     tuple.  The trivial answer for no targets is the empty set.
     """
-    targets = tuple(targets)
-    pos = {p: i for i, p in enumerate(poset.linear_extension())}
-    pool = sorted(within, key=pos.__getitem__)
+    targets = set(targets)
     if not targets:
         return [()]
 
     def bounds(s, t):
         return poset.le(s, t) if lower else poset.le(t, s)
 
+    extremal = [t for t in targets if not any(u != t and bounds(u, t) for u in targets)]
+    pos = {p: i for i, p in enumerate(poset.linear_extension())}
+    pool = [s for s in sorted(within, key=pos.__getitem__) if any(bounds(s, t) for t in extremal)]
     found = []
-    for size in range(1, len(pool) + 1):
+    for size in range(1, min(len(extremal), len(pool)) + 1):
         for combo in combinations(pool, size):
             if any(set(f) <= set(combo) for f in found):
                 continue
-            if all(any(bounds(s, t) for s in combo) for t in targets):
+            if all(any(bounds(s, t) for s in combo) for t in extremal):
                 found.append(combo)
     found.sort(key=lambda c: (len(c), tuple(pos[s] for s in c)))
     return found

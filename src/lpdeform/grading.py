@@ -24,8 +24,9 @@ k) is then the int
 
     D = sum_k c_k * B**k
 
-with signed digits c_k.  The table holds D_v for every variable v in use
-(each u-parameter is entered at its first use); a monomial's degree is
+with signed digits c_k.  The table holds D_v for every variable v of the
+ring, all entered when it is built: the u-parameters by the rule above,
+with p1 + hat(p) packed once per element.  A monomial's degree is
 sum e * D_v, and homogeneity compares one int per term.  Only the common
 degree and the two degrees of a NotHomogeneousError witness are decoded
 back to MultiDegree.
@@ -48,9 +49,10 @@ from collections import Counter
 from itertools import compress
 from operator import mul
 
-from .errors import NotHomogeneousError, ResourceLimitError, UnknownVariableError
-from .letterplace import _parameters_of, ring_variables, x_variables
-from .polynomials import MAX_KEY_WEIGHT, Monomial, MonomialOrder, UVar, XVar
+from .errors import NotATreeError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
+from .letterplace import _parameters_of, parameter_pairs, ring_variables, x_variables
+from .polynomials import MAX_KEY_WEIGHT, MonomialOrder, UVar, XVar
+from .posets import as_rooted_tree
 
 DEGREE_DIGIT_BITS = 32
 MAX_PACKED_DEGREE = (1 << (DEGREE_DIGIT_BITS - 1)) - 1  # largest total degree packed
@@ -74,17 +76,6 @@ class MultiDegree:
     @staticmethod
     def unit(place, element):
         return MultiDegree({XVar(place, element): 1})
-
-    @staticmethod
-    def of_pairs(pairs):
-        acc = {}
-        for sym, c in pairs:
-            s = acc.get(sym, 0) + c
-            if s:
-                acc[sym] = s
-            else:
-                acc.pop(sym, None)
-        return MultiDegree(acc)
 
     @property
     def is_zero(self):
@@ -142,14 +133,11 @@ _ZERO_DEGREE = MultiDegree({})
 
 def hat_degree(tree, p):
     """hat(p) = p2 - sum of b1 over the children b of p."""
-    pairs = [(XVar(2, p), 1)]
-    for b in tree.children(p):
-        pairs.append((XVar(1, b), -1))
-    return MultiDegree.of_pairs(pairs)
+    return MultiDegree({XVar(2, p): 1, **{XVar(1, b): -1 for b in tree.children(p)}})
 
 
 def variable_degree(tree, v):
-    """The multidegree of a ring variable of B(2,P)."""
+    """The multidegree of a ring variable of B(2,P), P any poset."""
     if isinstance(v, XVar):
         if v.element not in tree:
             raise UnknownVariableError(f"{v!r}: {v.element!r} is not a poset element")
@@ -158,6 +146,10 @@ def variable_degree(tree, v):
         p, q = v.lower, v.upper
         if p not in tree:
             raise UnknownVariableError(f"{v!r}: {p!r} is not a poset element")
+        try:
+            tree = as_rooted_tree(tree)
+        except NotATreeError:
+            raise UnknownVariableError(f"{v!r}: only a rooted tree has parameters") from None
         if q not in _parameters_of(tree, p):
             if q is None:
                 raise UnknownVariableError(f"{v!r}: empty upper slot is for the root")
@@ -168,24 +160,36 @@ def variable_degree(tree, v):
 
 
 class _DegreeTable:
-    """The packed degrees of one tree's variables (see the module docstring
-    for the encoding).  The symbols, which are the x-variables, are entered
-    up front; a u-parameter is entered at its first use, from
-    variable_degree, which raises for a variable foreign to the tree."""
+    """The packed degrees of one poset's variables (see the module docstring
+    for the encoding), all entered up front: the symbols, which are the
+    x-variables, and on a rooted tree the u-parameters.  A variable missing
+    from the table is foreign, and raises variable_degree's error."""
 
     __slots__ = ("symbols", "codes", "_order", "_packed")
 
-    def __init__(self, tree):
-        self.symbols = tuple(x_variables(tree))
-        self.codes = {sym: 1 << DEGREE_DIGIT_BITS * k for k, sym in enumerate(self.symbols)}
+    def __init__(self, poset):
+        self.symbols = tuple(x_variables(poset))
+        codes = self.codes = {s: 1 << DEGREE_DIGIT_BITS * k for k, s in enumerate(self.symbols)}
         self._order = self._packed = None
+        try:
+            tree = as_rooted_tree(poset)
+        except NotATreeError:
+            return  # no parameters
+        x1 = {p: codes[XVar(1, p)] for p in tree}
+        hat = {p: codes[XVar(2, p)] - sum(map(x1.get, tree.children(p))) for p in tree}
+        for q, p in parameter_pairs(tree):
+            codes[UVar(q, p)] = x1[p] + hat[p] - (0 if q is None else codes[XVar(2, q)])
 
     def packed(self, tree, order):
         """The packed degree of a packed monomial of `order`, a MonomialOrder
         on the tree's variables, from its minus key; kept for the last order
         asked for."""
         if self._order is not order:
-            codes = [self.code(tree, Monomial(((v, 1),))) for v in order.variables]
+            try:
+                codes = [self.codes[v] for v in order.variables]
+            except KeyError as exc:
+                variable_degree(tree, exc.args[0])  # raises for a foreign variable
+                raise
             exponents = order.exponents
 
             def degree(n):
@@ -211,14 +215,12 @@ class _DegreeTable:
     def code(self, tree, mono):
         """The packed degree of a monomial of B(2,P), P = tree."""
         codes = self.codes
-        code = total = 0
-        for v, e in mono.pairs:
-            c = codes.get(v)
-            if c is None:
-                deg = variable_degree(tree, v)
-                c = codes[v] = sum(k * codes[sym] for sym, k in deg.coords.items())
-            code += c * e
-            total += e
+        try:
+            code = sum(codes[v] * e for v, e in mono.pairs)
+        except KeyError as exc:
+            variable_degree(tree, exc.args[0])  # raises for a foreign variable
+            raise
+        total = mono.degree()
         if total > MAX_PACKED_DEGREE:
             raise ResourceLimitError(
                 f"monomial of total degree {total} exceeds {MAX_PACKED_DEGREE}, "

@@ -11,7 +11,8 @@ stream, counts the instances it draws, stops at the first witness (so a
 FAIL does no further polynomial work) and builds the CheckReport carrying
 the verdict, the count, the witness and the wall time.  Instances are
 tested through three helpers: _member (membership in J), _degree (a
-degree law) and _lift_fault (a relation lift's factorization and
+generator's homogeneity or a degree law, its hat(p) read from one table
+per check) and _lift_fault (a relation lift's factorization and
 u-positivity).
 
 Every check reads its blocks (S_p, T, T_c, the sibling entries, the
@@ -325,16 +326,17 @@ class Verifier:
             return None
         return f"{label}: remainder {_clip(render_packed(rem, order))}"
 
-    def _degree(self, label, f, want):
+    def _degree(self, label, f, want, of=" = "):
         """None when the packed polynomial f is homogeneous of multidegree
-        `want`."""
+        `want`, else a witness: `label` and either the NotHomogeneousError
+        or f's degree after `of`."""
         try:
             got = homogeneous_degree(self.tree, f, self.order)
         except NotHomogeneousError as exc:
-            return f"deg {label}: {exc}"
+            return f"{label}: {exc}"
         if got == want:
             return None
-        return f"deg {label} = {got.render()}, wanted {want.render()}"
+        return f"{label}{of}{got.render()}, wanted {want.render()}"
 
     def _lift_fault(self, label, lhs, factored):
         """A relation lift, packed, must equal its packed closed-form
@@ -390,49 +392,36 @@ class Verifier:
         report.params = {"generators": len(self._packed_generators())}
         return report
 
-    def _homogeneity_fault(self, p, q, g):
-        want = MultiDegree.unit(1, p) + MultiDegree.unit(2, q)
-        try:
-            got = homogeneous_degree(self.tree, g, self.order)
-        except NotHomogeneousError as exc:
-            return f"g({p},{q}): {exc}"
-        if got == want:
-            return None
-        return f"g({p},{q}) is homogeneous of {got.render()}, wanted {want.render()}"
-
     def check_homogeneity(self):
         """Every g(p,q) must be homogeneous of multidegree p1 + q2."""
-        faults = (self._homogeneity_fault(p, q, g) for (p, q), g in self._packed_generators())
+        unit = MultiDegree.unit
+        faults = (
+            self._degree(f"g({p},{q})", g, unit(1, p) + unit(2, q), of=" is homogeneous of ")
+            for (p, q), g in self._packed_generators()
+        )
         return self._run("homogeneity", faults, count="generators")
 
     def check_degree_formulas(self):
         """The four degree laws for T, S, sibling ST, and the minors D."""
-        tree, ctx = self.tree, self.ctx
-        unit, hat = MultiDegree.unit, hat_degree
-        deg_t = (
-            self._degree(f"T({p})", ctx.t_full_packed(p), unit(1, p) + hat(tree, p))
-            for p in tree
-        )
+        tree, ctx, deg = self.tree, self.ctx, self._degree
+        unit, hat = MultiDegree.unit, {p: hat_degree(tree, p) for p in tree}
+        deg_t = (deg(f"deg T({p})", ctx.t_full_packed(p), unit(1, p) + hat[p]) for p in tree)
         deg_s = (
-            self._degree(f"S_{p}({q}2)", ctx.s_op_packed(p, q), unit(2, q) - hat(tree, p))
+            deg(f"deg S_{p}({q}2)", ctx.s_op_packed(p, q), unit(2, q) - hat[p])
             for p in tree
             for q in sorted(tree.filter_at_or_above(p))  # by name, not ctx.above(p)
         )
         deg_st = (
-            self._degree(
-                f"S_{q}T_{q}({p})",
-                ctx.st_entry_packed(q, p),
-                unit(1, p) + hat(tree, p) - hat(tree, q),
-            )
+            deg(f"deg S_{q}T_{q}({p})", ctx.st_entry_packed(q, p), unit(1, p) + hat[p] - hat[q])
             for a in tree
             for q, p in permutations(tree.children(a), 2)
         )
         # D(a)^0 has degree a2 - hat(a); D(a)^i, for the i-th child b,
         # has degree hat(b) - hat(a)
         deg_d = (
-            self._degree(f"D({a})^{i}", ctx.minor_d_packed(a, i), top - hat(tree, a))
+            deg(f"deg D({a})^{i}", ctx.minor_d_packed(a, i), top - hat[a])
             for a in tree
-            for i, top in enumerate([unit(2, a)] + [hat(tree, b) for b in tree.children(a)])
+            for i, top in enumerate([unit(2, a)] + [hat[b] for b in tree.children(a)])
         )
         return [
             self._run("deg-T", deg_t),

@@ -105,6 +105,16 @@ def test_t1_json(capsys):
                         "image": "c2*d2"}
 
 
+def test_t1_on_a_30_chain_prints_30_lines(tmp_path, capsys):
+    # each element's bound sets have one extremal target, so the search
+    # tries one set per bound instead of every subset of the chain
+    path = tmp_path / "chain30.poset"
+    path.write_text("".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(29)))
+    assert run(["t1", str(path)]) == 0
+    lines = out_lines(capsys)
+    assert len(lines) == 30
+
+
 # -- check -------------------------------------------------------------------------
 
 def test_check_basic(capsys):

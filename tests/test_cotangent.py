@@ -1,7 +1,13 @@
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from lpdeform import (
     Monomial,
     MonomialOrder,
     MultiDegree,
+    Poset,
     T1Generator,
     XVar,
     all_rooted_trees,
@@ -17,6 +23,8 @@ from lpdeform import (
     variable_degree,
     x_variables,
 )
+from lpdeform import cotangent
+from lpdeform.cotangent import _minimal_bound_sets
 
 from conftest import chain_tree, fixture_path, load_tree, star_tree, tree_from
 
@@ -43,6 +51,69 @@ def test_minimal_bound_sets_prune_supersets():
     # a alone bounds both from below; (b, c) is not minimal once a is found
     assert minimal_lower_bound_sets(tree, ["b", "c"], ["a", "b", "c"]) == \
         [("a",), ("b", "c")]
+
+
+def exhaustive_bound_sets(poset, targets, within, lower):
+    """The reference search: every subset of `within`, smallest first,
+    kept when it bounds every target and holds no set found before."""
+    targets = tuple(targets)
+    pos = {p: i for i, p in enumerate(poset.linear_extension())}
+    pool = sorted(within, key=pos.__getitem__)
+    if not targets:
+        return [()]
+
+    def bounds(s, t):
+        return poset.le(s, t) if lower else poset.le(t, s)
+
+    found = []
+    for size in range(1, len(pool) + 1):
+        for combo in combinations(pool, size):
+            if any(set(f) <= set(combo) for f in found):
+                continue
+            if all(any(bounds(s, t) for s in combo) for t in targets):
+                found.append(combo)
+    found.sort(key=lambda c: (len(c), tuple(pos[s] for s in c)))
+    return found
+
+
+@st.composite
+def posets(draw, max_size=7):
+    """A poset on up to max_size elements: any set of relations i < j
+    between positions, under shuffled names."""
+    n = draw(st.integers(1, max_size))
+    names = draw(st.permutations("abcdefg"[:n]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    relations = draw(st.lists(st.sampled_from(pairs), max_size=2 * n) if pairs else st.just([]))
+    return Poset(names, [(names[i], names[j]) for i, j in relations])
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_bounded_search_matches_the_exhaustive_one(data):
+    poset = data.draw(posets())
+    subsets = st.lists(st.sampled_from(poset.elements), unique=True)
+    targets, within = data.draw(subsets), data.draw(subsets)
+    for lower in (False, True):
+        assert _minimal_bound_sets(poset, targets, within, lower) == \
+            exhaustive_bound_sets(poset, targets, within, lower)
+
+
+@given(posets())
+@settings(max_examples=100)
+def test_t1_generators_match_the_exhaustive_search(poset):
+    got = t1_generators(poset)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cotangent, "_minimal_bound_sets", exhaustive_bound_sets)
+        assert got == t1_generators(poset)
+
+
+def test_t1_on_a_long_chain_and_a_wide_star():
+    # one extremal target per bound on a chain, so a 30-chain's search
+    # stays linear; a star's root still searches the sets of its leaves
+    chain = tree_from("".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(29)))
+    star = star_tree(10)
+    for tree in (chain, star):
+        assert t1_generators(tree) == t1_generators_tree(tree)
 
 
 # -- the general computation on a non-tree poset -------------------------------------

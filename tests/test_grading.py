@@ -18,6 +18,7 @@ from lpdeform import (
     Verifier,
     XVar,
     all_rooted_trees,
+    as_rooted_tree,
     buchberger,
     hat_degree,
     homogeneous_degree,
@@ -27,13 +28,15 @@ from lpdeform import (
     monomial_order_for,
     parameter_pairs,
     parse_polynomial,
+    parse_poset,
     positivity_witness,
     ring_variables,
     truncated_hilbert,
     u_variables,
     variable_degree,
+    x_variables,
 )
-from lpdeform import grading
+from lpdeform import grading, verifier
 from lpdeform.grading import MAX_PACKED_DEGREE, _degree_table
 from lpdeform.polynomials import MAX_KEY_WEIGHT, _pack_terms
 
@@ -255,6 +258,43 @@ def test_degree_table_goes_with_its_tree():
     assert alive() is None
 
 
+def test_the_degree_table_holds_every_variable_at_its_degree():
+    # written down from the tree when it is built, each code decodes to
+    # variable_degree, the independent statement of the rule
+    for tree in TREES_UP_TO_6:
+        table = _degree_table(tree)
+        assert set(table.codes) == set(ring_variables(tree))
+        for v in ring_variables(tree):
+            assert table.decode(table.codes[v]) == variable_degree(tree, v), v
+
+
+def test_variable_degree_on_a_plain_poset():
+    # a tree-shaped Poset gets its RootedTree's degrees; a poset that is not
+    # a rooted tree has no parameters, and its x-degrees work as on a tree
+    shaped = parse_poset("a < b\na < c\nc < d\n")
+    tree = as_rooted_tree(parse_poset("a < b\na < c\nc < d\n"))
+    assert not isinstance(shaped, RootedTree)
+    table = _degree_table(shaped)
+    for v in ring_variables(tree):
+        assert variable_degree(shaped, v) == variable_degree(tree, v), v
+        assert table.decode(table.codes[v]) == variable_degree(tree, v), v
+    assert set(table.codes) == set(ring_variables(tree))
+
+    vee = parse_poset("a < c\nb < c\n")
+    table = _degree_table(vee)
+    for p in vee:
+        for q in (None, *vee):
+            with pytest.raises(UnknownVariableError):
+                variable_degree(vee, UVar(q, p))
+            with pytest.raises(UnknownVariableError):
+                monomial_degree(vee, Monomial.var(UVar(q, p)))
+    assert set(table.codes) == set(x_variables(vee))
+    mono = Monomial.from_pairs([(XVar(1, "a"), 2), (XVar(2, "c"), 1)])
+    assert monomial_degree(vee, mono) == 2 * unit(1, "a") + unit(2, "c")
+    for v in x_variables(vee):
+        assert variable_degree(vee, v) == unit(v.place, v.element)
+
+
 def test_positivity_witness_values():
     tree = load_tree("vc2")  # a < b, a < c < d
     w = positivity_witness(tree)
@@ -306,8 +346,10 @@ def test_the_witness_coarsens_variable_by_variable():
 def test_the_parameters_are_read_not_rederived(monkeypatch):
     # the order and the expansion take the parameters from their one rule:
     # no meet, no parameter degree and no decoded monomial; the degree
-    # table enters each parameter's degree once
+    # table writes every degree down from the tree, and the degree laws
+    # compute hat(p) once per element
     calls = {"variable_degree": 0, "meet": 0, "monomial": 0}
+    hats = []
 
     def spy(name, real):
         def call(*args):
@@ -318,6 +360,12 @@ def test_the_parameters_are_read_not_rederived(monkeypatch):
     monkeypatch.setattr(grading, "variable_degree", spy("variable_degree", grading.variable_degree))
     monkeypatch.setattr(RootedTree, "meet", spy("meet", RootedTree.meet))
     monkeypatch.setattr(MonomialOrder, "monomial", spy("monomial", MonomialOrder.monomial))
+    def hat_spy(tree, p):
+        hats.append(p)
+        return hat_degree(tree, p)
+
+    for module in (grading, verifier):
+        monkeypatch.setattr(module, "hat_degree", hat_spy)
     for tree in (load_tree("tree7"), star_tree(3)):
         monomial_order_for(tree)
         assert calls == {"variable_degree": 0, "meet": 0, "monomial": 0}
@@ -325,8 +373,8 @@ def test_the_parameters_are_read_not_rederived(monkeypatch):
         assert calls == {"variable_degree": 0, "meet": 0, "monomial": 0}
     tree = load_tree("tree7")
     assert all(r.passed for r in Verifier(tree).run_basic())
-    assert calls == {"variable_degree": len(u_variables(tree)), "meet": 0, "monomial": 0}
-    assert calls["variable_degree"] == 21
+    assert calls == {"variable_degree": 0, "meet": 0, "monomial": 0}
+    assert sorted(hats) == sorted(tree) and len(hats) == len(tree) == 7
 
 
 def test_monomial_order_enumerates_the_ring_variables_once(monkeypatch):

@@ -10,6 +10,7 @@ from lpdeform import (
     ResourceLimitError,
     UVar,
     Verifier,
+    XVar,
     j_ideal_generators,
     rooted_tree_shapes,
     shape_to_tree,
@@ -329,6 +330,42 @@ def test_a_non_homogeneous_block_fails_its_degree_check():
     assert [r.name for r in reports if not r.passed] == ["deg-T"]
     witness = reports[2].witness
     assert re.fullmatch(r"deg T\(b\): monomial .+ has degree .+ but b1 has b1", witness), witness
+
+
+A1 = Polynomial.variable(XVar(1, "a"))
+
+
+def plus_b1_to_t_b(clean):
+    ctx = clean.ctx
+    orig = ctx.t_full_packed
+    ctx.t_full_packed = lambda p: _add(orig(p), ctx.x_packed(1, "b")) if p == "b" else orig(p)
+    return clean
+
+
+# check -> (tree, corruption, the exact witness); homogeneity and the four
+# degree laws share one instance test, and each keeps its two witness forms
+DEGREE_WITNESSES = [
+    ("homogeneity", *CORRUPTIONS["homogeneity"][:2],
+     "g(b,b): monomial b1*b2 has degree b1+b2 but u[a,b] has -a2+b1+b2-c1"),
+    ("homogeneity", chain_tree(3), twisted(("b", "b"), lambda g: g * A1),
+     "g(b,b) is homogeneous of a1+b1+b2, wanted b1+b2"),
+    ("deg-T", *CORRUPTIONS["deg-T"][:2], "deg T(a) = 2*a1+a2-b1-c1, wanted a1+a2-b1-c1"),
+    ("deg-T", star_tree(2), plus_b1_to_t_b,
+     "deg T(b): monomial a2*u[a,b] has degree b1+b2 but b1 has b1"),
+    ("deg-S", *CORRUPTIONS["deg-S"][:2], "deg S_a(a2) = a1+b1+c1, wanted b1+c1"),
+    ("deg-ST", *CORRUPTIONS["deg-ST"][:2], "deg S_bT_b(c) = a1-b2+c1+c2, wanted -b2+c1+c2"),
+    ("deg-D", *CORRUPTIONS["deg-D"][:2], "deg D(a)^0 = a1+b1+c1, wanted b1+c1"),
+]
+
+
+@pytest.mark.parametrize("name, tree, corrupt, witness", DEGREE_WITNESSES)
+def test_degree_witnesses_are_exact(name, tree, corrupt, witness):
+    # the clean run fills the memo, so only the check's own read is corrupted
+    clean = Verifier(tree)
+    assert named_report(clean, name).passed
+    report = named_report(corrupt(clean), name)
+    assert not report.passed
+    assert report.witness == witness
 
 
 # -- the packed instances against the Polynomial oracle -------------------------
