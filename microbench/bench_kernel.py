@@ -26,9 +26,11 @@ The three `lp` cases time the process layer in one process, as the
 `cli-sweep` benchmark calls it: `cli.run` with stdout captured, for
 `lp gens --ideal J --json` on the star, `lp info --json` on the wide tree
 and `lp check --json` (the basic suite, expansion and degree table
-included) on the wide tree.  The cotangent case enumerates the T^1
-generators of the 20-element chain with `t1_generators`, the general
-poset search that `lp t1` and `lp info` run.
+included) on the wide tree.  The cotangent cases enumerate the T^1
+generators of the 20-element chain and of the star with sixteen leaves
+with `t1_generators`, the general poset search that `lp t1` and `lp info`
+run.  The decode case turns every packed key of the star with six leaves'
+generators back into its Monomial with `MonomialOrder.monomial`.
 """
 
 import contextlib
@@ -59,6 +61,7 @@ from lpdeform.groebner import _reduce
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
+STAR16 = "".join(f"r < l{k:02d}\n" for k in range(16))
 CHAIN3 = "a < b\nb < c\n"
 CHAIN20 = "".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(19))
 TREE7 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tree7.poset")
@@ -172,6 +175,18 @@ def test_order_key(benchmark, wide):
     keys = benchmark(key_all)
     assert len(set(keys)) == len(monomials)
     assert [order.monomial(k) for k in keys] == monomials
+
+
+def test_decode_star6_generators(benchmark):
+    ctx = DeformationContext(parse_poset(STAR6))
+    order = ctx.order
+    keys = [n for _, g in ctx.generators_packed() for n in g]
+
+    def decode_all():
+        return [order.monomial(-n) for n in keys]
+
+    monomials = benchmark.pedantic(decode_all, rounds=10, warmup_rounds=1)
+    assert len(keys) == 5089 and [-order.key(m) for m in monomials] == keys
 
 
 def test_minor_d_widest_node(benchmark):
@@ -302,3 +317,10 @@ def test_t1_chain20(benchmark):
 
     gens = benchmark.pedantic(t1_generators, args=(chain,), rounds=3)
     assert len(gens) == 20
+
+
+def test_t1_star16(benchmark):
+    star = parse_poset(STAR16)
+
+    gens = benchmark.pedantic(t1_generators, args=(star,), rounds=10, warmup_rounds=1)
+    assert len(gens) == 16 * 16 + 1

@@ -15,7 +15,7 @@ in bijection with the deformation parameters u_{q,p}."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
 
 from .letterplace import parameter_pairs
 from .posets import as_rooted_tree
@@ -57,11 +57,16 @@ def _minimal_bound_sets(poset, targets, within, lower):
     s in S with t <= s (upper) or s <= t (lower=True).
 
     A set bounds every target exactly when it bounds the extremal ones (the
-    maximal targets for upper bounds, the minimal for lower), and each
-    member of a minimal S bounds an extremal target that no other member
-    bounds.  So the search runs over the members of `within` that bound an
-    extremal target, and S has at most as many members as there are
-    extremal targets; it is still exponential in that number.
+    maximal targets for upper bounds, the minimal for lower), and it is
+    inclusion-minimal exactly when each member bounds an extremal target
+    that no other member bounds.  Every minimal S holds a bounder of the
+    first extremal target that a part of S leaves unbounded, so the search
+    grows S from the empty set by one such bounder at a time, on an explicit
+    stack.  A branch that takes the r-th bounder of a target leaves the r
+    before it out for good, so no set is reached twice; a finished set is
+    kept when it is minimal.  On a rooted tree each target of the lower
+    search has one bounder, itself, and the upper search has one extremal
+    target, so the search is linear in the pool.
 
     Deterministic: results sorted by size, then by linear-extension index
     tuple.  The trivial answer for no targets is the empty set.
@@ -73,16 +78,37 @@ def _minimal_bound_sets(poset, targets, within, lower):
     def bounds(s, t):
         return poset.le(s, t) if lower else poset.le(t, s)
 
-    extremal = [t for t in targets if not any(u != t and bounds(u, t) for u in targets)]
     pos = {p: i for i, p in enumerate(poset.linear_extension())}
-    pool = [s for s in sorted(within, key=pos.__getitem__) if any(bounds(s, t) for t in extremal)]
+    extremal = sorted(
+        (t for t in targets if not any(u != t and bounds(u, t) for u in targets)),
+        key=pos.__getitem__,
+    )
+    pool = sorted(within, key=pos.__getitem__)
+    bounders = [[s for s in pool if bounds(s, t)] for t in extremal]
+    covers = {}  # bounder -> the indices of the extremal targets it bounds
+    for k, b in enumerate(bounders):
+        for s in b:
+            covers[s] = covers.get(s, frozenset()) | {k}
     found = []
-    for size in range(1, min(len(extremal), len(pool)) + 1):
-        for combo in combinations(pool, size):
-            if any(set(f) <= set(combo) for f in found):
+    # (the set so far, the indices of the extremal targets it bounds, the
+    # first index not yet looked at, and (k, r) for each member taken as the
+    # r-th bounder of target k, r > 0: the r bounders before it stay out)
+    stack = [((), frozenset(), 0, ())]
+    while stack:
+        chosen, covered, k, skips = stack.pop()
+        while k < len(extremal) and k in covered:
+            k += 1
+        if k < len(extremal):
+            for r, s in enumerate(bounders[k]):
+                if not any(s in bounders[j][:rj] for j, rj in skips):
+                    more = skips + ((k, r),) if r else skips
+                    stack.append((chosen + (s,), covered | covers[s], k + 1, more))
+            continue
+        if len(chosen) > 1:
+            count = Counter(t for s in chosen for t in covers[s])
+            if not all(any(count[t] == 1 for t in covers[s]) for s in chosen):
                 continue
-            if all(any(bounds(s, t) for s in combo) for t in extremal):
-                found.append(combo)
+        found.append(tuple(sorted(chosen, key=pos.__getitem__)))
     found.sort(key=lambda c: (len(c), tuple(pos[s] for s in c)))
     return found
 

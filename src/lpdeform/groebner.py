@@ -11,7 +11,8 @@ their quotient keys, and reduced once by the division kernel, with no
 Polynomial built and no Fraction made for a monic basis.  A zero remainder
 costs nothing more; a nonzero one becomes a new basis element, the
 `_entry` of that remainder.  That pair also runs the textbook step,
-s_polynomial then _divide, which the basis does not use: the perfbench
+s_polynomial then _divide, on its two monic entries unpacked at the call
+(the loop keeps no Polynomial), which the basis does not use: the perfbench
 tracer counts S-pairs and added elements there, until a benchmark change
 moves those counters.  Generators that already are the reduced basis, as
 the deformed generators of a rooted tree are, come out of the loop with
@@ -55,13 +56,13 @@ division using a heap", J. Symb. Comp. 2011):
     2**15 - 1), and `_unpack` is its inverse, with canonical coefficients;
     `_divide` is pack -> `_reduce` -> unpack.  A division step never raises
     weight, so checking the input is enough;
-  * `_mul`, `_add` and `_sub` are the ring operations on packed
-    polynomials, and `_addmul` and `_iadd` their in-place forms, so the
-    deformation context builds its blocks packed and the verifier its
-    instances, unpacking only a nonzero remainder.  `_mul` checks its result
-    against the key bound, with MonomialOrder.key's error: two operands
-    within the bound have exponent digits below 2**15, so their sum cannot
-    carry into the next digit;
+  * `_mul` is the product of packed polynomials, and `_addmul` and `_iadd`
+    accumulate a product or a sum in place, so the deformation context
+    builds its blocks packed and the verifier each instance in one new
+    dict, unpacking only a nonzero remainder.  `_check_product`, which
+    `_mul` calls first, checks a product against the key bound from the
+    factors' leads, with MonomialOrder.key's error: two operands within the
+    bound have exponent digits below 2**15, so their sum cannot carry;
   * each polynomial of a basis is packed once, a Polynomial by
     `_pack_terms` with one MonomialOrder.key call per term, and made monic
     by `_entry`.
@@ -103,25 +104,30 @@ def _addmul(acc, f, g, sign=1):
     return acc
 
 
+def _check_product(f, g, order):
+    """Raise MonomialOrder.key's ResourceLimitError when a term of the
+    packed product f * g passes the key bound.  The heaviest term, lead(f) *
+    lead(g), never cancels; its minus key N = min(f) + min(g) is the
+    smallest, and -(N >> 16n) its weight, the exponent digits being below
+    B**n."""
+    if f and g:
+        w = -((min(f) + min(g)) >> order.mask.bit_length())
+        if w > MAX_KEY_WEIGHT:
+            raise key_bound_error(w)
+
+
 def _mul(f, g, order):
     """The packed product f * g: a product of monomials is one addition.
-    Raises MonomialOrder.key's ResourceLimitError when a term of the
-    product passes the key bound."""
+    Raises MonomialOrder.key's ResourceLimitError, before multiplying, when
+    a term of the product passes the key bound."""
+    _check_product(f, g, order)
     if len(f) < len(g):
         f, g = g, f
     if len(g) == 1:
         # a term times a polynomial: the keys stay distinct, nothing cancels
         [(n2, c2)] = g.items()
-        acc = {n + n2: c * c2 for n, c in f.items()}
-    else:
-        acc = _addmul({}, f, g)
-    if acc:
-        # the smallest minus key is the heaviest monomial: -(N >> 16n) is its
-        # weight, the exponent digits being below B**n
-        w = -(min(acc) >> order.mask.bit_length())
-        if w > MAX_KEY_WEIGHT:
-            raise key_bound_error(w)
-    return acc
+        return {n + n2: c * c2 for n, c in f.items()}
+    return _addmul({}, f, g)
 
 
 def _iadd(acc, g, sign=1):
@@ -133,16 +139,6 @@ def _iadd(acc, g, sign=1):
         else:
             del acc[n]
     return acc
-
-
-def _add(f, g, sign=1):
-    """The packed sum f + sign * g."""
-    return _iadd(dict(f), g, sign)
-
-
-def _sub(f, g):
-    """The packed difference f - g."""
-    return _iadd(dict(f), g, -1)
 
 
 def _entry(work, order):
@@ -332,13 +328,6 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     leads = _entries(gens, order)
     if not leads:
         raise DomainError("no nonzero generators")
-    G = [None] * len(leads)  # G[i]: a Polynomial multiple of element i, or None until needed
-
-    def element(i):
-        if G[i] is None:
-            G[i] = _entry_polynomial(leads[i], order)
-        return G[i]
-
     mask, guard = order.mask, order.guard
     shift = mask.bit_length()
     seen = []
@@ -355,13 +344,14 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
             raise ResourceLimitError(f"S-pair lcm weight exceeded {max_weight}")
         # the S-polynomial of monic f_i, f_j is (l/lead_i) tail_i - (l/lead_j) tail_j
         (_, ni, ti), (_, nj, tj) = leads[i], leads[j]
-        work = _sub({n - k - ni: c for n, c in ti}, {n - k - nj: c for n, c in tj})
+        work = _iadd({n - k - ni: c for n, c in ti}, {n - k - nj: c for n, c in tj}, -1)
         rem = _reduce(work, leads, mask, guard)
         if not rem:
             continue
-        # the textbook step, the perfbench tracer's counting point; its
-        # remainder feeds only later textbook steps
-        G.append(_divide(s_polynomial(element(i), element(j), order), leads, order))
+        # the textbook step, the perfbench tracer's counting point, on the
+        # two monic entries; its remainder is not used
+        fi, fj = _entry_polynomial(leads[i], order), _entry_polynomial(leads[j], order)
+        _divide(s_polynomial(fi, fj, order), leads, order)
         leads.append(_entry({nm: _as_coeff(c) for nm, c in rem.items()}, order))
         for pair in _spairs(leads, seen, order):
             heapq.heappush(heap, pair)

@@ -417,7 +417,7 @@ class MonomialOrder:
         self._max_key = MAX_KEY_WEIGHT << shift
         self.mask = (1 << shift) - 1
         self.guard = sum(1 << (DIGIT_BITS * i + DIGIT_BITS - 1) for i in self.index.values())
-        self._digits = sorted((v, DIGIT_BITS * i) for v, i in self.index.items())
+        self._slots = sorted(self.index.items())  # (variable, digit index), in Monomial order
         self._bytes = 2 * len(self.variables)
         self._names = None  # the variables' rendered names, made at the first render
         self._json_keys = None  # their JSON object keys, '"name": ', made at the first JSON render
@@ -466,8 +466,8 @@ class MonomialOrder:
 
     def monomial(self, key):
         """The monomial whose key is `key` (the inverse of `key`)."""
-        p = -key & self.mask
-        return Monomial((v, e) for v, s in self._digits if (e := (p >> s) & DIGIT_MASK))
+        digits = self.exponents(-key)
+        return Monomial([(v, e) for v, i in self._slots if (e := digits[i])])
 
     def greater(self, m1, m2):
         return self.key(m1) > self.key(m2)

@@ -21,12 +21,14 @@ packed form, a dict minus order key -> coefficient (see groebner.py),
 straight from the context's memo, so each block is built once for the
 whole suite; the verifier keeps no memo.  The generators, the context's or
 an override list packed once, are also the basis input.  A product of
-monomials is one int addition; _member reduces a packed instance with
-groebner._reduce.  The degree checks read packed terms too: u-freeness is
-an AND with the u-digits, a multidegree comes from the exponent digits
-(grading.homogeneous_degree), and a monomial is decoded only to render a
-witness.  _lift_fault compares a lift with its factorization as packed
-dicts and reads u-positivity off the u-digits.
+monomials is one int addition, and an instance, a signed sum of products
+of blocks, is accumulated in one new dict (_combination, which checks each
+product against the key bound first), so no block is copied or written;
+_member reduces it with groebner._reduce.  The degree checks read packed
+terms too: u-freeness is an AND with the u-digits, a multidegree comes
+from the exponent digits (grading.homogeneous_degree), and a monomial is
+decoded only to render a witness.  _lift_fault compares a lift with its
+factorization as packed dicts and reads u-positivity off the u-digits.
 
 The checks, in run_full order:
 
@@ -121,13 +123,14 @@ from .groebner import (
     DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_WEIGHT,
     GroebnerBasis,
-    _add,
+    _addmul,
+    _check_product,
     _divisible,
     _entry,
+    _iadd,
     _mul,
     _pack_terms,
     _reduce,
-    _sub,
     buchberger,
 )
 from .errors import DomainError, NotHomogeneousError, ResourceLimitError
@@ -287,14 +290,18 @@ class Verifier:
 
     def _quadric(self, p, q):
         """The letterplace quadric p1*q2, packed."""
-        x = self.ctx.x_packed
-        return self._product(x(1, p), x(2, q))
+        [p1], [q2] = self.ctx.x_packed(1, p), self.ctx.x_packed(2, q)
+        return {p1 + q2: 1}
 
-    def _product(self, f, *gs):
-        """The packed product of f and gs."""
-        for g in gs:
-            f = _mul(f, g, self.order)
-        return f
+    def _combination(self, *terms):
+        """The packed sum of sign * f * g over the (sign, f, g) terms, built
+        in one new dict; each product is checked against the key bound, in
+        order, before it is added."""
+        order, acc = self.order, {}
+        for sign, f, g in terms:
+            _check_product(f, g, order)
+            _addmul(acc, f, g, sign)
+        return acc
 
     # -- the runner and its instance tests ---------------------------------
 
@@ -361,10 +368,9 @@ class Verifier:
     def _child_sum(self, a, cols, d):
         """The sum over the children x of a of D(a)^{cols}_{(x)} T_d(x),
         packed."""
-        minor, expr = self.ctx.generalized_minor_packed, {}
-        for ix, x in enumerate(self.tree.children(a), start=1):
-            expr = _add(expr, self._product(minor(a, cols, (ix,)), self._t_share(d, x)))
-        return expr
+        minor, share = self.ctx.generalized_minor_packed, self._t_share
+        children = enumerate(self.tree.children(a), start=1)
+        return self._combination(*((1, minor(a, cols, (ix,)), share(d, x)) for ix, x in children))
 
     # -- individual checks -------------------------------------------------
 
@@ -382,7 +388,7 @@ class Verifier:
                 continue
             yield (
                 f"g{pair}: u->0 gave {_clip(render_packed(image, order))}; "
-                f"difference {_clip(render_packed(_sub(image, target), order))}"
+                f"difference {_clip(render_packed(_iadd(dict(image), target, -1), order))}"
             )
 
     def check_specialization(self):
@@ -432,8 +438,8 @@ class Verifier:
 
     def _flat_basic(self, p, b, c):
         """S_p(b)c2 - b2 S_p(c), packed."""
-        mul, s, x = self._product, self.ctx.s_op_packed, self.ctx.x_packed
-        return _sub(mul(s(p, b), x(2, c)), mul(x(2, b), s(p, c)))
+        s, x = self.ctx.s_op_packed, self.ctx.x_packed
+        return self._combination((1, s(p, b), x(2, c)), (-1, x(2, b), s(p, c)))
 
     def check_flat_basic(self):
         """S_p(b)c2 - b2 S_p(c) lies in J for all p <= b, p <= c."""
@@ -446,13 +452,13 @@ class Verifier:
 
     def check_lemma_identities(self):
         """The sibling-level identities feeding the flatness induction."""
-        tree, mul, ctx = self.tree, self._product, self.ctx
+        tree, ctx, comb = self.tree, self.ctx, self._combination
         s, st, share, x = ctx.s_op_packed, ctx.st_entry_packed, self._t_share, ctx.x_packed
         # S_pT_p(q) b2 - T_p(q) S_p(b) for q in {p} + siblings, b >= p
         ts = (
             self._member(
                 f"(p,q,b)=({p},{q},{b})",
-                _sub(mul(st(p, q), x(2, b)), mul(share(p, q), s(p, b))),
+                comb((1, st(p, q), x(2, b)), (-1, share(p, q), s(p, b))),
             )
             for p in tree
             if p != tree.root
@@ -463,7 +469,7 @@ class Verifier:
         stt = (
             self._member(
                 f"(p,q,r)=({p},{q},{r})",
-                _sub(mul(st(p, q), share(p, r)), mul(share(p, q), st(p, r))),
+                comb((1, st(p, q), share(p, r)), (-1, share(p, q), st(p, r))),
             )
             for a in tree
             for p, q, r in product(tree.children(a), repeat=3)
@@ -497,9 +503,10 @@ class Verifier:
 
     def _flat_p2(self, a, b):
         """a1 T(b) - T(a) R(a,b) b1, packed."""
-        mul, ctx = self._product, self.ctx
+        ctx = self.ctx
         t, x = ctx.t_full_packed, ctx.x_packed
-        return _sub(mul(x(1, a), t(b)), mul(t(a), ctx.cover_product_r_packed(a, b), x(1, b)))
+        tr = _mul(t(a), ctx.cover_product_r_packed(a, b), self.order)
+        return self._combination((1, x(1, a), t(b)), (-1, tr, x(1, b)))
 
     def check_flat_p2(self):
         """a1 T(b) - T(a) R(a,b) b1 lies in J for all a <= b."""
@@ -528,27 +535,28 @@ class Verifier:
         as the basis (see the module docstring).  An override list that
         lacks a generator the lift needs fails the instance, naming the pair.
         """
-        tree, mul, ctx = self.tree, self._product, self.ctx
+        tree, ctx, order = self.tree, self.ctx, self.order
         s, x, g = ctx.s_op_packed, ctx.x_packed, dict(self._packed_generators())
 
-        def lift(label, m, p, n, q, factored):
-            """The fault of the lift m g(p) - n g(q)."""
+        def lift(abc, m, p, n, q, factored):
+            """The fault of the lift m g(p) - n g(q) at the triple abc."""
+            label = "(a,b,c)=({},{},{})".format(*abc)
             for pair in (p, q):
                 if pair not in g:
                     return f"{label}: no generator g{pair} to lift"
-            return self._lift_fault(label, _sub(mul(m, g[p]), mul(n, g[q])), factored)
+            lhs = self._combination((1, m, g[p]), (-1, n, g[q]))
+            return self._lift_fault(label, lhs, factored)
 
         x2 = (
             lift(
-                f"(a,b,c)=({a},{b},{c})",
-                x(2, c), (a, b), x(2, b), (a, c),
-                mul(ctx.t_full_packed(a), self._flat_basic(a, c, b)),
+                (a, b, c), x(2, c), (a, b), x(2, b), (a, c),
+                _mul(ctx.t_full_packed(a), self._flat_basic(a, c, b), order),
             )
             for a in tree
             for b, c in combinations(self.ctx.above(a), 2)
         )
         x1 = (
-            lift(f"(a,b,c)=({a},{b},{c})", x(1, b), (a, c), x(1, a), (b, c), mul(s(b, c), p2))
+            lift((a, b, c), x(1, b), (a, c), x(1, a), (b, c), _mul(s(b, c), p2, order))
             for a in tree
             for b in self.ctx.above(a)
             for p2 in (self._flat_p2(a, b),)

@@ -23,7 +23,7 @@ from lpdeform import (
 from lpdeform import groebner as groebner_module
 from lpdeform import verifier as verifier_module
 from lpdeform.verifier import CERTIFYING
-from lpdeform.groebner import _add, _entry, _spairs
+from lpdeform.groebner import _entry, _iadd, _spairs
 
 from conftest import chain_tree, fixture_trees, load_tree, sign_flip_mutants, star_tree, tree_from
 
@@ -152,7 +152,7 @@ def times_root_x1(ctx, args, f):
 
 def plus_root_x2_at(target):
     def change(ctx, args, f):
-        return _add(f, ctx.x_packed(2, ctx.tree.root)) if args == target else f
+        return _iadd(dict(f), ctx.x_packed(2, ctx.tree.root)) if args == target else f
     return change
 
 

@@ -116,6 +116,15 @@ def test_t1_on_a_long_chain_and_a_wide_star():
         assert t1_generators(tree) == t1_generators_tree(tree)
 
 
+def test_a_star_with_a_thousand_leaves_searches_on_a_stack():
+    # outside the root, the one minimal lower bound set for the leaves is
+    # all of them, found down a single branch a thousand members deep
+    leaves = [f"l{k:04d}" for k in range(1000)]
+    star = tree_from("".join(f"r < {x}\n" for x in leaves))
+    assert minimal_lower_bound_sets(star, leaves, ["r", *leaves]) == [("r",), tuple(leaves)]
+    assert minimal_upper_bound_sets(star, ["r"], leaves[:3]) == [(x,) for x in leaves[:3]]
+
+
 # -- the general computation on a non-tree poset -------------------------------------
 
 EXPECTED_DIAMOND = [

@@ -24,7 +24,7 @@ from lpdeform import (
 )
 
 from lpdeform import groebner
-from lpdeform.polynomials import MAX_KEY_WEIGHT
+from lpdeform.polynomials import MAX_KEY_WEIGHT, key_bound_error
 
 from conftest import chain_tree, sign_flip_mutants, star_tree, tuple_order_key
 
@@ -165,15 +165,15 @@ def canonical(f):
 @given(small_polys, small_polys)
 def test_packed_ring_operations_match_polynomials(p, q):
     assert groebner._mul(packed(p), packed(q), SMALL) == packed(p * q)
-    assert groebner._add(packed(p), packed(q)) == packed(p + q)
-    assert groebner._sub(packed(p), packed(q)) == packed(p - q)
+    assert groebner._iadd(packed(p), packed(q)) == packed(p + q)
+    assert groebner._iadd(packed(p), packed(q), -1) == packed(p - q)
 
 
 def test_packed_operations_drop_cancelled_terms():
     # (x + y)(x - y): the two x*y terms cancel inside the product
     f, g = poly("x1 + y1"), poly("x1 - y1")
     assert groebner._mul(packed(f), packed(g), SMALL) == packed(poly("x1^2 - y1^2"))
-    assert groebner._sub(packed(f), packed(f)) == groebner._add(packed(f), packed(-f)) == {}
+    assert groebner._iadd(packed(f), packed(f), -1) == groebner._iadd(packed(f), packed(-f)) == {}
 
 
 @given(small_polys, small_polys)
@@ -182,8 +182,8 @@ def test_packed_round_trip_keeps_coefficients_canonical(p, q):
     # packed sums and products may hold integral Fractions; unpacking
     # makes them ints again
     for f, want in (
-        (groebner._add(packed(p), packed(q)), p + q),
-        (groebner._sub(packed(p), packed(q)), p - q),
+        (groebner._iadd(packed(p), packed(q)), p + q),
+        (groebner._iadd(packed(p), packed(q), -1), p - q),
         (groebner._mul(packed(p), packed(q), SMALL), p * q),
     ):
         got = groebner._unpack(f, SMALL)
@@ -226,6 +226,43 @@ def test_packed_product_at_the_key_bound_is_exact():
     f, g = Polynomial.term(m1) - 1, Polynomial.term(m2) + Polynomial.variable(Y)
     product = groebner._mul(packed(f), packed(g), SMALL)
     assert groebner._unpack(product, SMALL) == f * g
+
+
+
+@st.composite
+def heavy_monomial(draw):
+    """A monomial in X, Y and Z within the key bound, its weight drawn near
+    0, half the bound or the bound."""
+    weight = draw(st.one_of(
+        st.integers(0, 20),
+        st.integers(MAX_KEY_WEIGHT // 2 - 20, MAX_KEY_WEIGHT // 2 + 20),
+        st.integers(MAX_KEY_WEIGHT - 20, MAX_KEY_WEIGHT),
+    ))
+    y = draw(st.integers(0, weight // 2))
+    x = draw(st.integers(0, weight - 2 * y))
+    return Monomial.from_pairs([(X, x), (Y, y), (Z, weight - 2 * y - x)])
+
+
+heavy_polys = st.lists(
+    st.tuples(heavy_monomial(), st.integers(-3, 3).filter(bool)), min_size=1, max_size=4
+).map(Polynomial.from_terms).filter(bool)
+
+
+@given(heavy_polys, heavy_polys)
+def test_check_product_reads_the_products_heaviest_term(f, g):
+    # _check_product reads only the leads; the product formed without any
+    # check says when a term passes the bound, and which weight it has
+    pf, pg = packed(f), packed(g)
+    product = groebner._addmul({}, pf, pg)
+    heaviest = max(SMALL.weight(SMALL.monomial(-n)) for n in product)
+    if heaviest <= MAX_KEY_WEIGHT:
+        groebner._check_product(pf, pg, SMALL)
+        assert groebner._mul(pf, pg, SMALL) == product
+        return
+    message = f"^{re.escape(str(key_bound_error(heaviest)))}$"
+    for check in (groebner._check_product, groebner._mul):
+        with pytest.raises(ResourceLimitError, match=message):
+            check(pf, pg, SMALL)
 
 
 # -- the division kernel against a textbook oracle ----------------------------------

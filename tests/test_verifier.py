@@ -1,22 +1,25 @@
 import json
 import re
+from copy import deepcopy
 
 import pytest
 
 from lpdeform import (
     CheckReport,
+    DeformationContext,
     DomainError,
     Polynomial,
     ResourceLimitError,
     UVar,
     Verifier,
     XVar,
+    all_rooted_trees,
     j_ideal_generators,
     rooted_tree_shapes,
     shape_to_tree,
 )
 from lpdeform import verifier as verifier_module
-from lpdeform.groebner import _add, _mul, _pack_terms
+from lpdeform.groebner import _iadd, _mul, _pack_terms
 from lpdeform.polynomials import MAX_KEY_WEIGHT
 
 from conftest import (
@@ -243,7 +246,7 @@ def times_root_x1(ctx, f):
 
 
 def plus_root_x2(ctx, f):
-    return _add(f, ctx.x_packed(2, ctx.tree.root))
+    return _iadd(dict(f), ctx.x_packed(2, ctx.tree.root))
 
 
 DEG = r"= .+, wanted .+"
@@ -324,7 +327,7 @@ def test_a_non_homogeneous_block_fails_its_degree_check():
     assert all(r.passed for r in v.run_basic())
     ctx = v.ctx
     orig = ctx.t_full_packed
-    ctx.t_full_packed = lambda p: _add(orig(p), ctx.x_packed(1, "b")) if p == "b" else orig(p)
+    ctx.t_full_packed = lambda p: _iadd(dict(orig(p)), ctx.x_packed(1, "b")) if p == "b" else orig(p)
     reports = v.run_basic()
     assert [r.name for r in reports] == FULL_SUITE[:6]
     assert [r.name for r in reports if not r.passed] == ["deg-T"]
@@ -338,7 +341,7 @@ A1 = Polynomial.variable(XVar(1, "a"))
 def plus_b1_to_t_b(clean):
     ctx = clean.ctx
     orig = ctx.t_full_packed
-    ctx.t_full_packed = lambda p: _add(orig(p), ctx.x_packed(1, "b")) if p == "b" else orig(p)
+    ctx.t_full_packed = lambda p: _iadd(dict(orig(p)), ctx.x_packed(1, "b")) if p == "b" else orig(p)
     return clean
 
 
@@ -476,3 +479,45 @@ def test_packed_blocks_are_built_once_and_live_with_the_context():
     assert ctx.terms == 0 and ctx._memo == {}
     again = ctx.generator_packed("a", "b")
     assert again == held["generator_packed", "a", "b"] and again is not held["generator_packed", "a", "b"]
+
+
+def remaining_checks(v):
+    """The checks of run_full after run_basic, at degree 2."""
+    return [v.check_flat_basic(), *v.check_lemma_identities(), v.check_flat_p2(),
+            *v.check_relation_lifts(), v.compare_hilbert(2)]
+
+
+@pytest.mark.parametrize("cases", ["trees", "mutants"])
+def test_no_check_writes_into_a_context_block(cases):
+    # each instance is accumulated in a new dict: the blocks it reads, held
+    # in the context's memo and shared between checks, come out as they
+    # went in, and every block the checks built equals a fresh context's
+    if cases == "trees":
+        runs = [(tree, None) for tree in all_rooted_trees(5)]
+    else:
+        runs = [(tree, gens) for _, tree, gens in sign_flip_mutants(4)]
+    assert len(runs) == {"trees": 17, "mutants": 49}[cases]
+    for tree, gens in runs:
+        v = Verifier(tree, generators=gens)
+        ctx = v.ctx
+        v.run_basic()
+        held = deepcopy(ctx._memo)
+        generators = deepcopy(v._packed_generators())
+        remaining_checks(v)
+        assert all(ctx._memo[key] == val for key, val in held.items())
+        assert v._packed_generators() == generators
+        fresh = DeformationContext(tree)
+        for (name, *args), val in ctx._memo.items():
+            assert getattr(fresh, name)(*args) == val, (name, args)
+
+
+def test_a_lift_past_the_key_bound_raises_the_key_error():
+    # the override generators enter only the lifts: x2(a) * (g(a,b) +
+    # b2^32767) holds a monomial of weight 32768, past the packed-key bound
+    tree = chain_tree(2)
+    heavy = Polynomial.variable(XVar(2, "b")) ** MAX_KEY_WEIGHT
+    gens = [(pair, g + heavy if pair == ("a", "b") else g) for pair, g in j_ideal_generators(tree)]
+    v = Verifier(tree, generators=gens)
+    message = "monomial weight 32768 exceeds 32767, the packed-key bound"
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+        v.check_relation_lifts()
