@@ -30,7 +30,10 @@ included) on the wide tree.  The cotangent cases enumerate the T^1
 generators of the 20-element chain and of the star with sixteen leaves
 with `t1_generators`, the general poset search that `lp t1` and `lp info`
 run.  The decode case turns every packed key of the star with six leaves'
-generators back into its Monomial with `MonomialOrder.monomial`.
+generators back into its Monomial with `MonomialOrder.monomial`.  The
+poset cases time the order layer: `parse_poset` on the 2,400-element chain,
+whose closure is quadratic, and `count_order_ideals` on the 20-element
+antichain, the largest input it accepts, with 2**20 ideals.
 """
 
 import contextlib
@@ -64,6 +67,8 @@ STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
 STAR16 = "".join(f"r < l{k:02d}\n" for k in range(16))
 CHAIN3 = "a < b\nb < c\n"
 CHAIN20 = "".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(19))
+CHAIN2400 = "".join(f"e{k:04d} < e{k + 1:04d}\n" for k in range(2399))
+ANTICHAIN20 = "".join(f"elem e{k:02d}\n" for k in range(20))
 TREE7 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tree7.poset")
 
 
@@ -324,3 +329,15 @@ def test_t1_star16(benchmark):
 
     gens = benchmark.pedantic(t1_generators, args=(star,), rounds=10, warmup_rounds=1)
     assert len(gens) == 16 * 16 + 1
+
+
+def test_parse_chain2400(benchmark):
+    chain = benchmark.pedantic(parse_poset, args=(CHAIN2400,), rounds=3)
+    assert len(chain) == 2400 and chain.linear_extension()[-1] == "e2399"
+
+
+def test_count_order_ideals_antichain20(benchmark):
+    antichain = parse_poset(ANTICHAIN20)
+
+    count = benchmark.pedantic(antichain.count_order_ideals, rounds=3)
+    assert count == 2**20

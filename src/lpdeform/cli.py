@@ -124,8 +124,9 @@ def _cmd_gens(args):
         passed, missing, extra = compare_fixture(
             [_unpack(g, order) for _, g in gens], args.compare, order.variables
         )
-        diff = [f"  missing: {render_polynomial(f, order)}" for f in missing]
-        diff += [f"  extra:   {render_polynomial(f, order)}" for f in extra]
+        missing = [render_polynomial(f, order) for f in missing]
+        extra = [render_polynomial(f, order) for f in extra]
+    status = EXIT_FAIL if args.compare and not passed else EXIT_OK
     if args.json:
         payload = {
             "ideal": args.ideal,
@@ -135,19 +136,24 @@ def _cmd_gens(args):
                 for (p, q), g in gens
             ],
         }
+        if args.compare:
+            payload["compare"] = {
+                "file": args.compare, "passed": passed, "missing": missing, "extra": extra
+            }
         print(_json(payload))
-    else:
-        for _, g in gens:
-            print(render_packed(g, order))
+        return status
+    for _, g in gens:
+        print(render_packed(g, order))
     if args.compare:
         if passed:
             print(f"PASS fixture {args.compare}: {len(gens)} generators match")
-            return EXIT_OK
-        print(f"FAIL fixture {args.compare}")
-        for line in diff:
-            print(line)
-        return EXIT_FAIL
-    return EXIT_OK
+        else:
+            print(f"FAIL fixture {args.compare}")
+            for f in missing:
+                print(f"  missing: {f}")
+            for f in extra:
+                print(f"  extra:   {f}")
+    return status
 
 
 def _cmd_t1(args):

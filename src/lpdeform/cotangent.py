@@ -78,7 +78,7 @@ def _minimal_bound_sets(poset, targets, within, lower):
     def bounds(s, t):
         return poset.le(s, t) if lower else poset.le(t, s)
 
-    pos = {p: i for i, p in enumerate(poset.linear_extension())}
+    pos = poset.rank
     extremal = sorted(
         (t for t in targets if not any(u != t and bounds(u, t) for u in targets)),
         key=pos.__getitem__,

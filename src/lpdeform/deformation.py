@@ -101,7 +101,6 @@ class DeformationContext:
         self.max_terms = max_terms
         self.terms = 0  # terms held by the memo, charged against max_terms
         self._memo = {}  # (method name, *arguments) -> packed block
-        self._linext_pos = {p: i for i, p in enumerate(tree.linear_extension())}
         # minus keys of the variables, and the exponent digits of the u's
         keys = order._packed
         self._x = {(v.place, v.element): -k for v, k in keys.items() if isinstance(v, XVar)}
@@ -111,10 +110,6 @@ class DeformationContext:
     def clear_memos(self):
         self._memo.clear()
         self.terms = 0
-
-    def above(self, p):
-        """The filter at or above p, in linear-extension order."""
-        return sorted(self.tree.filter_at_or_above(p), key=self._linext_pos.__getitem__)
 
     def _charge(self, work):
         """Count a new block's terms against max_terms; returns the block."""
@@ -152,7 +147,7 @@ class DeformationContext:
         if c == a:
             return self._charge({x[2, a] + u[a, b]: -1})
         if c in tree.siblings(b):
-            return self._charge({x[2, q] + u[q, b]: -1 for q in self.above(c)})
+            return self._charge({x[2, q] + u[q, b]: -1 for q in tree.above(c)})
         raise RelationError(f"{c!r} is neither the parent nor a sibling of {b!r}")
 
     @_memoized
@@ -189,7 +184,7 @@ class DeformationContext:
             return self._charge({self._u[a, b]: -1})
         if x in tree.siblings(b):
             val = {}
-            for q in self.above(x):
+            for q in tree.above(x):
                 _addmul(val, self.s_op_packed(x, q), {self._u[q, b]: -1})
             return self._charge(val)
         raise RelationError(f"{x!r} is not {b!r} or its parent or a sibling")

@@ -16,8 +16,7 @@ from .polynomials import Monomial, Polynomial, UVar, XVar
 
 def comparable_pairs(poset):
     """All (p, q) with p <= q, ordered by linear extension in both slots."""
-    order = poset.linear_extension()
-    return tuple((p, q) for p in order for q in order if poset.le(p, q))
+    return tuple((p, q) for p in poset.linear_extension() for q in poset.above(p))
 
 
 def letterplace_generators(poset):
@@ -42,7 +41,7 @@ def _parameters_of(tree, p):
     a = tree.parent(p)
     if a is None:
         return [None]
-    return [q for q in tree.linear_extension() if tree.le(a, q) and not tree.le(p, q)]
+    return [q for q in tree.above(a) if not tree.le(p, q)]
 
 
 def parameter_pairs(tree):

@@ -1,9 +1,11 @@
 """Finite posets, rooted trees, and the plain-text input format.
 
-A poset is stored as its element list (first-appearance order), the full
-strict order relation, and the Hasse diagram (cover relations).  Rooted
-trees are posets whose Hasse diagram is a tree with the root as the unique
-minimal element; for those we also keep the parent map.
+A poset is stored as its element list (first-appearance order), one
+closure (the strict filter above each element), the Hasse diagram, and its
+linear extension with each element's `rank`, all made at construction;
+`above(p)` is the order every layer reads.  Rooted trees are posets whose
+Hasse diagram is a tree with the root as the unique minimal element; for
+those we also keep the parent map.
 
 The text format, one declaration per line:
 
@@ -34,8 +36,10 @@ class Poset:
     """A finite partially ordered set.
 
     `relations` is any iterable of (p, q) pairs meaning p < q; the
-    constructor takes the transitive closure, rejects cycles, and computes
-    the cover relations (transitive reduction).
+    constructor takes the transitive closure (the filters; ideals are read
+    off it when asked for), rejects cycles, computes the cover relations
+    (transitive reduction), the linear extension and `rank`, each
+    element's index in it.  `above(p)` is p's filter in that order.
     """
 
     def __init__(self, elements, relations):
@@ -63,11 +67,6 @@ class Poset:
                 raise CycleError(f"cycle through element {p!r}")
             above[p] = frozenset(seen)
         self._above = above
-        below = {p: [] for p in self.elements}
-        for q in self.elements:
-            for p in above[q]:
-                below[p].append(q)
-        self._below = {p: frozenset(qs) for p, qs in below.items()}
         # q covers p when q is a direct successor of p and lies above none
         # of the others: anything between p and q lies at or above one
         index = self._index.__getitem__
@@ -82,7 +81,21 @@ class Poset:
         for p, q in self.covers:
             self._upper[p].append(q)
             self._lower[q].append(p)
-        self._linext = None
+        # Kahn's algorithm, the ready elements on a min-heap of names
+        waiting = {q: len(ps) for q, ps in self._lower.items()}
+        ready = [p for p, n in waiting.items() if not n]
+        heapq.heapify(ready)
+        out = []
+        while ready:
+            p = heapq.heappop(ready)
+            out.append(p)
+            for q in self._upper[p]:
+                waiting[q] -= 1
+                if not waiting[q]:
+                    heapq.heappush(ready, q)
+        self._linext = tuple(out)
+        self.rank = {p: i for i, p in enumerate(out)}
+        self._above_in_order = {}
 
     # -- basic relation queries ------------------------------------------
 
@@ -114,20 +127,27 @@ class Poset:
 
     def strict_ideal_below(self, p):
         """J(<p): everything strictly below p."""
-        return self._below[p]
+        return frozenset(q for q in self.elements if p in self._above[q])
 
     def strict_filter_above(self, p):
         """F(>p): everything strictly above p."""
         return self._above[p]
 
     def ideal_at_or_below(self, p):
-        return self._below[p] | {p}
+        return self.strict_ideal_below(p) | {p}
 
     def filter_at_or_above(self, p):
         return self._above[p] | {p}
 
+    def above(self, p):
+        """The filter at or above p as a tuple in linear-extension order,
+        made at the first call and kept."""
+        if p not in self._above_in_order:
+            self._above_in_order[p] = tuple(sorted(self._above[p] | {p}, key=self.rank.get))
+        return self._above_in_order[p]
+
     def minimal_elements(self):
-        return tuple(p for p in self.elements if not self._below[p])
+        return tuple(p for p in self.elements if not self._lower[p])
 
     def maximal_elements(self):
         return tuple(p for p in self.elements if not self._above[p])
@@ -135,28 +155,16 @@ class Poset:
     # -- global structure --------------------------------------------------
 
     def linear_extension(self):
-        """Topological order; ties broken by element name (lexicographic):
-        Kahn's algorithm, the ready elements on a min-heap of names."""
-        if self._linext is not None:
-            return self._linext
-        waiting = {q: len(ps) for q, ps in self._lower.items()}
-        ready = [p for p, n in waiting.items() if not n]
-        heapq.heapify(ready)
-        out = []
-        while ready:
-            p = heapq.heappop(ready)
-            out.append(p)
-            for q in self._upper[p]:
-                waiting[q] -= 1
-                if not waiting[q]:
-                    heapq.heappush(ready, q)
-        self._linext = tuple(out)
+        """Topological order; ties broken by element name (lexicographic).
+        Made once, at construction; `rank` maps each element to its index."""
         return self._linext
 
     def count_order_ideals(self):
         """Number of downward-closed subsets, the multiplicity of L(2,P).
 
-        Enumerates ideals as bitmasks over the linear extension, so it is
+        One walk along the linear extension per ideal, on an explicit
+        stack: an element joins once its lower covers have, and the walk
+        leaving it out is pushed for later.  The time is the count, so it is
         guarded: posets beyond ORDER_IDEAL_LIMIT elements are refused.
         """
         n = len(self.elements)
@@ -165,26 +173,18 @@ class Poset:
                 f"order-ideal count is only supported up to {ORDER_IDEAL_LIMIT} "
                 f"elements (got {n})"
             )
-        order = self.linear_extension()
-        pos = {p: i for i, p in enumerate(order)}
-        below_mask = [0] * n
-        for p in order:
-            below_mask[pos[p]] = sum(1 << pos[q] for q in self._below[p])
-        ideals = {0}
-        frontier = [0]
-        while frontier:
-            mask = frontier.pop()
-            for i in range(n):
-                bit = 1 << i
-                if mask & bit:
-                    continue
-                if below_mask[i] & ~mask:
-                    continue
-                new = mask | bit
-                if new not in ideals:
-                    ideals.add(new)
-                    frontier.append(new)
-        return len(ideals)
+        # the lower covers of the i-th element, as bits of their ranks
+        needs = [sum(1 << self.rank[q] for q in self._lower[p]) for p in self._linext]
+        count = 0
+        stack = [(0, 0)]  # (the next rank to decide, the ranks joined so far)
+        while stack:
+            i, joined = stack.pop()
+            for i in range(i, n):
+                if not needs[i] & ~joined:
+                    stack.append((i + 1, joined))
+                    joined |= 1 << i
+            count += 1
+        return count
 
     def to_json_dict(self):
         roots = self.minimal_elements()
@@ -229,13 +229,11 @@ class RootedTree(Poset):
                     f"element {p!r} has {len(lows)} lower covers; a tree needs exactly 1"
                 )
             self._parent[p] = lows[0]
-        order = self.linear_extension()
-        pos = {p: i for i, p in enumerate(order)}
         self._children = {
-            p: tuple(sorted(self.upper_covers(p), key=pos.__getitem__)) for p in self.elements
+            p: tuple(sorted(self.upper_covers(p), key=self.rank.__getitem__)) for p in self.elements
         }
         self._depth = {}
-        for p in reversed(order):
+        for p in reversed(self._linext):
             kids = self._children[p]
             self._depth[p] = 1 + max(self._depth[b] for b in kids) if kids else 0
 

@@ -415,7 +415,7 @@ class Verifier:
         deg_s = (
             deg(f"deg S_{p}({q}2)", ctx.s_op_packed(p, q), unit(2, q) - hat[p])
             for p in tree
-            for q in sorted(tree.filter_at_or_above(p))  # by name, not ctx.above(p)
+            for q in sorted(tree.filter_at_or_above(p))  # by name, not tree.above(p)
         )
         deg_st = (
             deg(f"deg S_{q}T_{q}({p})", ctx.st_entry_packed(q, p), unit(1, p) + hat[p] - hat[q])
@@ -446,7 +446,7 @@ class Verifier:
         faults = (
             self._member(f"(p,b,c)=({p},{b},{c})", self._flat_basic(p, b, c))
             for p in self.tree
-            for b, c in combinations(self.ctx.above(p), 2)
+            for b, c in combinations(self.tree.above(p), 2)
         )
         return self._run("flat-basic", faults)
 
@@ -463,7 +463,7 @@ class Verifier:
             for p in tree
             if p != tree.root
             for q in (p,) + tree.siblings(p)
-            for b in self.ctx.above(p)
+            for b in tree.above(p)
         )
         # S_pT_p(q) T_p(r) - T_p(q) S_pT_p(r) within each sibling class
         stt = (
@@ -513,7 +513,7 @@ class Verifier:
         faults = (
             self._member(f"(a,b)=({a},{b})", self._flat_p2(a, b))
             for a in self.tree
-            for b in self.ctx.above(a)
+            for b in self.tree.above(a)
         )
         return self._run("flat-p2", faults)
 
@@ -553,14 +553,14 @@ class Verifier:
                 _mul(ctx.t_full_packed(a), self._flat_basic(a, c, b), order),
             )
             for a in tree
-            for b, c in combinations(self.ctx.above(a), 2)
+            for b, c in combinations(tree.above(a), 2)
         )
         x1 = (
             lift((a, b, c), x(1, b), (a, c), x(1, a), (b, c), _mul(s(b, c), p2, order))
             for a in tree
-            for b in self.ctx.above(a)
+            for b in tree.above(a)
             for p2 in (self._flat_p2(a, b),)
-            for c in self.ctx.above(b)
+            for c in tree.above(b)
         )
         return [self._run("relation-lift-x2", x2), self._run("relation-lift-x1", x1)]
 

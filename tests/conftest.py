@@ -280,7 +280,7 @@ def oracle_instances(verifier):
     instances in packed form from its context; these expressions, from the
     Polynomial recursion, are its oracle."""
     tree, ctx = verifier.tree, PolynomialContext(verifier.tree)
-    above, kids = verifier.ctx.above, tree.children
+    above, kids = verifier.tree.above, tree.children
     gens = verifier._override
     g = dict(ctx.j_ideal_generators() if gens is None else gens)
 

@@ -33,6 +33,15 @@ def test_gens_compare_passes_on_good_fixture(capsys):
                 "--compare", fixture_path("chain4_J.gens")])
     assert code == 0
     assert "PASS fixture" in out_lines(capsys)[-1]
+    # with --json the verdict is a key of the payload, and stdout is JSON only
+    code = run(["gens", fixture_path("chain4.poset"), "--ideal", "J", "--json",
+                "--compare", fixture_path("chain4_J.gens")])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["compare"] == {
+        "file": fixture_path("chain4_J.gens"), "passed": True, "missing": [], "extra": []
+    }
+    assert len(payload["generators"]) == 10
 
 
 def test_gens_compare_fails_on_mismatch(tmp_path, capsys):
@@ -49,6 +58,15 @@ def test_gens_compare_fails_on_mismatch(tmp_path, capsys):
     assert "FAIL fixture" in text
     assert "missing: b1*b2 + a2*u[a,b]" in text
     assert "extra:   b1*b2 - a2*u[a,b]" in text
+    code = run(["gens", fixture_path("chain2.poset"), "--ideal", "J", "--json",
+                "--compare", str(bad)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["compare"] == {
+        "file": str(bad),
+        "passed": False,
+        "missing": ["b1*b2 + a2*u[a,b]"],
+        "extra": ["b1*b2 - a2*u[a,b]"],
+    }
 
 
 @pytest.mark.parametrize(

@@ -109,7 +109,8 @@ def test_t1_generators_match_the_exhaustive_search(poset):
 
 def test_t1_on_a_long_chain_and_a_wide_star():
     # one extremal target per bound on a chain, so a 30-chain's search
-    # stays linear; a star's root still searches the sets of its leaves
+    # stays linear; at a star's root each leaf is its own only lower
+    # bounder, so the root's lower-bound search is one branch
     chain = tree_from("".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(29)))
     star = star_tree(10)
     for tree in (chain, star):

@@ -136,6 +136,12 @@ def test_order_ideals_size_guard():
         big.count_order_ideals()
 
 
+def test_order_ideals_at_the_size_limit():
+    names = [f"e{i:02d}" for i in range(20)]
+    assert Poset(names, []).count_order_ideals() == 2**20
+    assert Poset(names, zip(names, names[1:])).count_order_ideals() == 21
+
+
 # -- rooted trees --------------------------------------------------------------
 
 def test_tree_accessors():
@@ -276,3 +282,7 @@ def test_covers_and_extension_match_their_definitions(pairs):
         remaining.discard(ext[-1])
     assert p.linear_extension() == tuple(ext)
     assert all(p.strict_ideal_below(x) == {y for y in elems if p.lt(y, x)} for x in elems)
+    # the ranks index that order, and each filter is read in it
+    assert p.rank == {x: i for i, x in enumerate(ext)}
+    assert all(p.above(x) == tuple(y for y in ext if p.le(x, y)) for x in elems)
+    assert p.count_order_ideals() == brute_force_order_ideals(p)
