@@ -18,7 +18,9 @@ the star's packed generators in a new DeformationContext, and the basic
 suite case runs `Verifier.run_basic` on the star, expansion included, as
 `lp check` does, and the full suite case runs `Verifier.run_full` at degree
 2 on the wide tree, where the flatness checks certify the generators as the
-basis and buchberger does not run; the Hilbert counts are the
+basis and buchberger does not run, and the star case runs it at degree 3
+on the star with seven leaves, in one round, the scale at which the packed
+keys' width shows in time and memory; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
 and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
 `Verifier.check_homogeneity` makes on the wide tree's packed generators.
@@ -64,6 +66,7 @@ from lpdeform.groebner import _reduce
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
+STAR7 = "".join(f"a < {leaf}\n" for leaf in "bcdefgh")
 STAR16 = "".join(f"r < l{k:02d}\n" for k in range(16))
 CHAIN3 = "a < b\nb < c\n"
 CHAIN20 = "".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(19))
@@ -236,6 +239,14 @@ def test_run_full_wide7(benchmark):
         return Verifier(parse_poset(WIDE_TREE)).run_full(max_degree=2)
 
     reports = benchmark.pedantic(full, rounds=10, warmup_rounds=1)
+    assert len(reports) == 16 and all(r.passed for r in reports)
+
+
+def test_run_full_star7(benchmark):
+    def full():
+        return Verifier(parse_poset(STAR7)).run_full(max_degree=3)
+
+    reports = benchmark.pedantic(full, rounds=1)
     assert len(reports) == 16 and all(r.passed for r in reports)
 
 

@@ -11,6 +11,7 @@ truncated Hilbert-function agreement.
 from .errors import (
     CycleError,
     DomainError,
+    KeyBoundError,
     LeafError,
     LpError,
     MinorIndexError,
@@ -88,6 +89,7 @@ __all__ = [
     "DeformationContext",
     "DomainError",
     "GroebnerBasis",
+    "KeyBoundError",
     "LeafError",
     "LpError",
     "MinorIndexError",

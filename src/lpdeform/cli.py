@@ -112,13 +112,14 @@ def _cmd_gens(args):
     """The generators are rendered from their packed form; they are
     unpacked only for --compare, which reads the fixture and renders the
     differences, so a fixture past the key bound raises, before anything is
-    written."""
+    written.  The fixture's polynomials are the user's, so with --compare
+    the context keeps 16-bit digits and the 16-bit key bound."""
     poset = load_poset(args.poset)
     if args.ideal == "L":
         order = _order_for(poset)
         gens = [(pair, {-order.key(m): 1}) for pair, m in letterplace_generators(poset)]
     else:
-        ctx = DeformationContext(as_rooted_tree(poset), args.max_terms)
+        ctx = DeformationContext(as_rooted_tree(poset), args.max_terms, wide=bool(args.compare))
         order, gens = ctx.order, ctx.generators_packed()
     if args.compare:
         passed, missing, extra = compare_fixture(

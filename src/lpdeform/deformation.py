@@ -28,6 +28,27 @@ D(a)^b when b covers a) is the same dict.  The verifier and the basis read
 these dicts and never change them.  Every new block is charged to a term
 budget: past max_terms the context raises ResourceLimitError.
 
+The order's exponent digits are 8 bits wide when the context's
+weight_bound fits an 8-bit key (weight 127), and 16 bits otherwise.  The
+bound is written down up front from the positivity weights (p2 -> 1, p1 ->
+s(p), the number of nodes at or above p): twice the heaviest quadric,
+root1*root2, so 2(n + 1) on n nodes, and 8 bits up to 62 nodes.  Every
+block is homogeneous, and the degree laws give its weight: T_c(b) and T(b)
+weigh 2, S_p(q2) s(p) - 1, the entry S_x T_x(b) 1 at the parent and s(x)
+otherwise (a column's weight, so a minor of M(a) weighs at most s(a)),
+R(a,b) s(a) - s(b) and g(p,q) s(p) + 1.  The verifier's instances are
+signed sums of products of two blocks: flat-basic weighs s(p), the lemma
+identities at most s(p) + 2, flat-p2 s(a) + 2, the lifts s(a) + 2 (x2) and
+s(a) + s(b) + 1 <= 2n + 1 (x1, with b = a allowed), and the lcm of two
+generator leads that share a variable at most 2n.  The sum of the two
+heaviest leads, which the verifier weighs before its first membership
+test, is the bound itself.  Division by homogeneous generators, and
+buchberger on pairs within the bound, never form a heavier monomial.
+Polynomials from outside the recursion are not covered: an override
+generator list (the verifier passes wide=True) and `s_op_linear`'s
+argument work at 16 bits, as `lp gens --compare` does, so the 16-bit key
+bound and its errors stay theirs.
+
 The public methods without the suffix (t_sub, t_full, st_entry, matrix_m,
 minor_d, minor_d_child, generalized_minor, cover_product_r, s_op,
 s_op_linear, deformed_generator, j_ideal_generators) are the boundary to
@@ -49,14 +70,15 @@ from .errors import (
     ResourceLimitError,
     ShapeError,
 )
-from .grading import monomial_order_for
-from .groebner import _addmul, _iadd, _mul, _pack_terms, _unpack
+from .grading import positivity_witness
+from .groebner import _addmul, _iadd, _mul, _pack_terms, _unpack, _widened
 from .letterplace import comparable_pairs
-from .polynomials import DIGIT_BITS, DIGIT_MASK, PolyMatrix, UVar, XVar
+from .polynomials import DIGIT_BITS, MonomialOrder, PolyMatrix, UVar, XVar
 from .posets import as_rooted_tree
 
 # star-8 holds 1,147,989 terms in its memo, 362,961 of them in its generators
 DEFAULT_MAX_TERMS = 5_000_000
+NARROW_BITS = 8  # the digit width of a context whose weight bound fits it
 _ONE = {0: 1}  # the packed unit, compared with and never handed out
 
 
@@ -95,9 +117,15 @@ def _unpacked(packed):
 class DeformationContext:
     """All recursion state for one rooted tree."""
 
-    def __init__(self, tree, max_terms=DEFAULT_MAX_TERMS):
+    def __init__(self, tree, max_terms=DEFAULT_MAX_TERMS, wide=False):
+        """`wide` keeps 16-bit digits whatever the weight bound, for
+        polynomials from outside the recursion, which it does not cover."""
         self.tree = tree = as_rooted_tree(tree)
-        self.order = order = monomial_order_for(tree)
+        weights = positivity_witness(tree)
+        # the heaviest quadric is root1*root2; see the module docstring
+        self.weight_bound = 2 * (weights[XVar(1, tree.root)] + weights[XVar(2, tree.root)])
+        narrow = not wide and self.weight_bound < 1 << (NARROW_BITS - 1)
+        self.order = order = MonomialOrder(weights, weights, NARROW_BITS if narrow else DIGIT_BITS)
         self.max_terms = max_terms
         self.terms = 0  # terms held by the memo, charged against max_terms
         self._memo = {}  # (method name, *arguments) -> packed block
@@ -105,7 +133,8 @@ class DeformationContext:
         keys = order._packed
         self._x = {(v.place, v.element): -k for v, k in keys.items() if isinstance(v, XVar)}
         self._u = {(v.upper, v.lower): -k for v, k in keys.items() if isinstance(v, UVar)}
-        self.umask = sum(DIGIT_MASK << DIGIT_BITS * order.index[v] for v in keys if isinstance(v, UVar))
+        bits = order.digit_bits
+        self.umask = sum(((1 << bits) - 1) << bits * order.index[v] for v in keys if isinstance(v, UVar))
 
     def clear_memos(self):
         self._memo.clear()
@@ -320,10 +349,12 @@ class DeformationContext:
 
     def s_op_linear(self, a, f):
         """Extend S_a over a polynomial whose every monomial is (one q2 with
-        q >= a) times a product of u-parameters."""
+        q >= a) times a product of u-parameters.  The weight bound does not
+        cover f, so the product is formed in the order's 16-bit form."""
+        order, wide = self.order, self.order.wide
         out = {}
-        for n, c in _pack_terms(f, self.order).items():
-            mono = self.order.monomial(-n)
+        for n, c in _pack_terms(f, wide).items():
+            mono = wide.monomial(-n)
             xs = [(v, e) for v, e in mono.pairs if isinstance(v, XVar)]
             if len(xs) != 1 or xs[0] != (XVar(2, xs[0][0].element), 1):
                 what = "is not q2 times a u-monomial" if xs else "has no place-2 variable"
@@ -332,8 +363,9 @@ class DeformationContext:
             if not self.tree.le(a, target):
                 raise DomainError(f"S_{a!r} hit {target!r}2 but {a!r} <= {target!r} fails")
             # the u-part's minus key is the term's less target2's
-            _addmul(out, self.s_op_packed(a, target), {n - self._x[2, target]: c})
-        return _unpack(out, self.order)
+            u_part = {n + wide._packed[xs[0][0]]: c}
+            _addmul(out, _widened(self.s_op_packed(a, target), order), u_part)
+        return _unpack(out, wide)
 
     def j_ideal_generators(self):
         """All ((p,q), g(p,q)) in linear-extension order of the pairs."""

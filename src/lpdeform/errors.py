@@ -31,8 +31,13 @@ class NonSquareError(LpError):
 
 class ResourceLimitError(LpError):
     """A budget was exceeded: a Groebner basis's pair count or lcm weight,
-    the weight 2**15 - 1 a packed order key holds (and a Hilbert max_degree
-    too), or the total degree 2**31 - 1 a packed multidegree holds."""
+    the weight a packed order key holds (2**15 - 1 with 16-bit digits, and
+    a Hilbert max_degree too), or the total degree 2**31 - 1 a packed
+    multidegree holds."""
+
+
+class KeyBoundError(ResourceLimitError):
+    """A monomial weighs more than its order's packed key holds."""
 
 
 class RelationError(LpError):

@@ -34,7 +34,8 @@ back to MultiDegree.
 A packed monomial of the tree's MonomialOrder (see groebner.py) gets its
 degree straight from its exponent digits, sum e * D_v over the nonzero
 ones, without a Monomial: its total degree is at most its weight, which
-the order keeps below 2**15, so no bound is checked.
+the order keeps within its key bound (127 or 32,767, by its digit width),
+so no bound is checked.
 
 Decoding reads balanced digits, -B/2 <= c_k < B/2.  Every coefficient of
 a variable's degree is -1, 0 or 1, so |c_k| is at most the monomial's

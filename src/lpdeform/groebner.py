@@ -45,15 +45,17 @@ division using a heap", J. Symb. Comp. 2011):
   * a monomial is one int, minus its order key N = -MonomialOrder.key(m),
     which is linear: a product is N(g) + N(q), a quotient N(m) - N(lead);
     N is at once the working dict's key and the heap key (the smallest N
-    is the largest monomial);
+    is the largest monomial).  Its exponent digits are the order's width,
+    8 or 16 bits, and every reader below takes the width from the order;
   * "lead divides m" is one guarded subtraction on the exponent digits
     P = N & order.mask: ((P_m | G) - P_lead) & G == G, G = order.guard;
     the support of P, the guard bits of its nonzero digits, is
     ((P | G) - L) & G, with L the low bit of every digit;
   * a packed polynomial is a dict minus key -> coefficient.
     `polynomials._pack_terms` packs a Polynomial through MonomialOrder.key,
-    which raises ResourceLimitError past the encoding's bound (weight
-    2**15 - 1), and `_unpack` is its inverse, with canonical coefficients;
+    which raises KeyBoundError past the encoding's bound (the order's
+    max_weight, 2**15 - 1 with 16-bit digits), and `_unpack` is its
+    inverse, with canonical coefficients;
     `_divide` is pack -> `_reduce` -> unpack.  A division step never raises
     weight, so checking the input is enough;
   * `_mul` is the product of packed polynomials, and `_addmul` and `_iadd`
@@ -62,7 +64,8 @@ division using a heap", J. Symb. Comp. 2011):
     dict, unpacking only a nonzero remainder.  `_check_product`, which
     `_mul` calls first, checks a product against the key bound from the
     factors' leads, with MonomialOrder.key's error: two operands within the
-    bound have exponent digits below 2**15, so their sum cannot carry;
+    bound have exponent digits below the guard bit, so their sum cannot
+    carry;
   * each polynomial of a basis is packed once, a Polynomial by
     `_pack_terms` with one MonomialOrder.key call per term, and made monic
     by `_entry`.
@@ -73,8 +76,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
-from .polynomials import DIGIT_BITS, MAX_KEY_WEIGHT, Polynomial, _as_coeff, _pack_terms, key_bound_error
+from .errors import DomainError, KeyBoundError, ResourceLimitError
+from .polynomials import Polynomial, _as_coeff, _pack_terms, key_bound_error
 
 DEFAULT_MAX_PAIRS = 1_000_000
 DEFAULT_MAX_WEIGHT = 10_000
@@ -108,12 +111,12 @@ def _check_product(f, g, order):
     """Raise MonomialOrder.key's ResourceLimitError when a term of the
     packed product f * g passes the key bound.  The heaviest term, lead(f) *
     lead(g), never cancels; its minus key N = min(f) + min(g) is the
-    smallest, and -(N >> 16n) its weight, the exponent digits being below
-    B**n."""
+    smallest, and -(N >> bn) its weight, b the order's digit width, the
+    exponent digits being below B**n."""
     if f and g:
         w = -((min(f) + min(g)) >> order.mask.bit_length())
-        if w > MAX_KEY_WEIGHT:
-            raise key_bound_error(w)
+        if w > order.max_weight:
+            raise key_bound_error(w, order.max_weight)
 
 
 def _mul(f, g, order):
@@ -286,7 +289,7 @@ def _spairs(leads, seen, order):
     guard bits of the lead's nonzero digits, and grows to len(leads).
     A coprime pair is never an entry, and its lcm is never formed."""
     guard = order.guard
-    low = guard >> (DIGIT_BITS - 1)  # the low bit of every exponent digit
+    low = guard >> (order.digit_bits - 1)  # the low bit of every exponent digit
     pairs = []
     for k in range(len(seen), len(leads)):
         pk, nk, _ = leads[k]
@@ -316,6 +319,21 @@ def _entries(gens, order):
     ]
 
 
+def _widened(f, order):
+    """A generator as `_entries` takes it, for order.wide: a Polynomial, or
+    anything of an order that is its own wide form, as it is, and a packed
+    polynomial or entry of `order` repacked."""
+    if order.wide is order:
+        return f
+    if type(f) is tuple:
+        _, n, tail = f
+        f = {n: 1, **dict(tail)}
+    if not isinstance(f, dict):
+        return f
+    key, monomial = order.wide.key, order.monomial
+    return {-key(monomial(-n)): c for n, c in f.items()}
+
+
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_WEIGHT):
     """Reduced Groebner basis of the ideal generated by `gens`, as
     `_entries` takes them (the caller's entries are not modified).
@@ -324,7 +342,24 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     processed or a processed S-pair's lcm has weighted degree above
     max_weight (which bounds every monomial its reduction creates).
     Deterministic: the unique reduced basis, sorted by leading monomial.
+
+    An order with 8-bit digits holds no monomial above weight 127.  When
+    a generator or an S-pair's lcm passes that, the loop starts again in
+    order.wide, with 16-bit digits, and the basis is that order's.  Both
+    orders sort alike, so the second run processes the same pairs in the
+    same sequence: the basis and every budget trip are the 16-bit
+    order's, as if it had been given.
     """
+    gens = list(gens)
+    if order.wide is not order:
+        try:
+            return _buchberger(gens, order, max_pairs, max_weight)
+        except KeyBoundError:
+            gens, order = [_widened(f, order) for f in gens], order.wide
+    return _buchberger(gens, order, max_pairs, max_weight)
+
+
+def _buchberger(gens, order, max_pairs, max_weight):
     leads = _entries(gens, order)
     if not leads:
         raise DomainError("no nonzero generators")

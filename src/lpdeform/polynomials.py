@@ -31,10 +31,10 @@ from operator import itemgetter
 
 from .errors import (
     DomainError,
+    KeyBoundError,
     MinorIndexError,
     NonSquareError,
     ParseError,
-    ResourceLimitError,
     ShapeError,
     UnknownVariableError,
 )
@@ -379,15 +379,14 @@ _ZERO = Polynomial({})
 _ONE = Polynomial({MONOMIAL_ONE: 1})
 
 
-DIGIT_BITS = 16
-DIGIT_MASK = (1 << DIGIT_BITS) - 1
-MAX_KEY_WEIGHT = (1 << (DIGIT_BITS - 1)) - 1  # largest weight a packed key holds
+DIGIT_BITS = 16  # the exponent digit width of an order that names none
+MAX_KEY_WEIGHT = (1 << (DIGIT_BITS - 1)) - 1  # largest weight a 16-bit key holds
 
 
-def key_bound_error(weight):
-    """The error for a monomial of `weight` above MAX_KEY_WEIGHT."""
-    return ResourceLimitError(
-        f"monomial weight {weight} exceeds {MAX_KEY_WEIGHT}, the packed-key bound"
+def key_bound_error(weight, bound=MAX_KEY_WEIGHT):
+    """The error for a monomial of `weight` above an order's key bound."""
+    return KeyBoundError(
+        f"monomial weight {weight} exceeds {bound}, the packed-key bound"
     )
 
 
@@ -395,7 +394,7 @@ class MonomialOrder:
     """Weighted degree, ties broken reverse-lexicographically against the
     fixed variable sequence (exponents on later variables lose)."""
 
-    def __init__(self, variables, weights):
+    def __init__(self, variables, weights, digit_bits=DIGIT_BITS):
         self.variables = tuple(variables)
         self.index = {v: i for i, v in enumerate(self.variables)}
         if len(self.index) != len(self.variables):
@@ -406,21 +405,35 @@ class MonomialOrder:
             if not isinstance(w, int) or w <= 0:
                 raise DomainError(f"weight of {v!r} must be a positive integer")
             self.weights[v] = w
-        # the packed encoding of `key`: the weight above one 16-bit exponent
-        # digit per variable; `mask` selects the digits of -key and `guard`
-        # their bit 15, which the division test uses
-        shift = DIGIT_BITS * len(self.variables)
+        if digit_bits not in (8, 16):
+            raise DomainError(f"exponent digits are 8 or 16 bits wide, got {digit_bits!r}")
+        # the packed encoding of `key`: the weight above one exponent digit
+        # of `digit_bits` bits per variable; `mask` selects the digits of
+        # -key and `guard` their top bits, which the division test uses
+        self.digit_bits = bits = digit_bits
+        self.max_weight = (1 << (bits - 1)) - 1  # the key bound
+        shift = bits * len(self.variables)
         self._packed = {
-            v: (self.weights[v] << shift) - (1 << DIGIT_BITS * i)
+            v: (self.weights[v] << shift) - (1 << bits * i)
             for v, i in self.index.items()
         }
-        self._max_key = MAX_KEY_WEIGHT << shift
+        self._max_key = self.max_weight << shift
         self.mask = (1 << shift) - 1
-        self.guard = sum(1 << (DIGIT_BITS * i + DIGIT_BITS - 1) for i in self.index.values())
+        self.guard = sum(1 << (bits * i + bits - 1) for i in self.index.values())
         self._slots = sorted(self.index.items())  # (variable, digit index), in Monomial order
-        self._bytes = 2 * len(self.variables)
+        self._bytes = bits // 8 * len(self.variables)
+        self._format = "B" if bits == 8 else "H"
+        self._wide = self if bits == DIGIT_BITS else None  # made at the first read of `wide`
         self._names = None  # the variables' rendered names, made at the first render
         self._json_keys = None  # their JSON object keys, '"name": ', made at the first JSON render
+
+    @property
+    def wide(self):
+        """This order with 16-bit digits: the same ring, weights and
+        comparisons, and the key bound 32,767."""
+        if self._wide is None:
+            self._wide = MonomialOrder(self.variables, self.weights)
+        return self._wide
 
     def weight(self, mono):
         try:
@@ -431,22 +444,25 @@ class MonomialOrder:
     def key(self, mono):
         """Sort key: bigger key = bigger monomial.
 
-        With n variables, v_i the i-th, and B = 2**16, the key of a monomial
-        of weight w with exponents e_i is the int
+        With n variables, v_i the i-th, b the digit width and B = 2**b, the
+        key of a monomial of weight w with exponents e_i is the int
 
             K = w * B**n - sum_i e_i * B**i
 
         It sorts by weight first, then by the exponents from the last
         variable back, negated.  K is linear, K(m * m') = K(m) + K(m'), so
-        each variable contributes the int (w_v << 16n) - (1 << 16i) and a
-        key is a sum.  P = (-K) mod B**n holds the exponents, one 16-bit
-        digit each, and with G the guard bits (bit 15 of every digit),
-        a divides b exactly when ((P_b | G) - P_a) & G == G.
+        each variable contributes the int (w_v << bn) - (1 << bi) and a
+        key is a sum.  P = (-K) mod B**n holds the exponents, one b-bit
+        digit each, and with G the guard bits (bit b - 1 of every digit),
+        m divides m' exactly when ((P_m' | G) - P_m) & G == G.
 
-        Every exponent is at most the weight, so all digits stay below 2**15
-        while the weight does.  A weight of 2**15 or more is exactly
-        K > (2**15 - 1) << 16n: such a monomial raises ResourceLimitError
-        here, the one check of the encoding's bound.
+        Every exponent is at most the weight, so all digits stay below
+        2**(b-1) while the weight does.  A weight above max_weight =
+        2**(b-1) - 1 is exactly K > max_weight << bn: such a monomial raises
+        KeyBoundError, a ResourceLimitError, here: the one check of the
+        encoding's bound.
+        The width changes no comparison: two orders on one ring that differ
+        only in it sort every monomial both hold alike.
         """
         packed = self._packed
         k = 0
@@ -456,13 +472,13 @@ class MonomialOrder:
                 raise UnknownVariableError(f"{v!r} is not in this ring")
             k += p * e
         if k > self._max_key:
-            raise key_bound_error(self.weight(mono))
+            raise key_bound_error(self.weight(mono), self.max_weight)
         return k
 
     def exponents(self, n):
-        """The exponents of the monomial whose minus key is n, one 16-bit
-        digit per variable in sequence order, read in one pass."""
-        return memoryview((n & self.mask).to_bytes(self._bytes, sys.byteorder)).cast("H")
+        """The exponents of the monomial whose minus key is n, one digit per
+        variable in sequence order, read in one pass."""
+        return memoryview((n & self.mask).to_bytes(self._bytes, sys.byteorder)).cast(self._format)
 
     def monomial(self, key):
         """The monomial whose key is `key` (the inverse of `key`)."""

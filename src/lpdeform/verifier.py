@@ -203,7 +203,7 @@ class Verifier:
         max_terms=DEFAULT_MAX_TERMS,
     ):
         self.tree = as_rooted_tree(tree)
-        self.ctx = DeformationContext(self.tree, max_terms)
+        self.ctx = DeformationContext(self.tree, max_terms, wide=generators is not None)
         self.order = self.ctx.order
         self.max_pairs = max_pairs
         self.max_weight = max_weight
@@ -242,6 +242,9 @@ class Verifier:
             entries = self._certified()
             gens = self._entries or [g for _, g in self._packed_generators() if g]
             if entries is None and gens:
+                # in the context's order: with 8-bit digits the generators
+                # are the context's, a Groebner basis whose leads' lcms lie
+                # within its weight bound, so buchberger does not widen
                 self._basis = buchberger(
                     gens, self.order, max_pairs=self.max_pairs, max_weight=self.max_weight
                 )
@@ -262,7 +265,7 @@ class Verifier:
             shift, n = order.mask.bit_length(), len(entries)
             heaviest = sorted(-(e[1] >> shift) for e in entries)[-2:]
             if n * (n - 1) // 2 > self.max_pairs or sum(heaviest) > min(
-                self.max_weight, MAX_KEY_WEIGHT
+                self.max_weight, order.max_weight
             ):
                 return self.basis._leads
             self._entries = entries

@@ -88,6 +88,27 @@ def test_gens_compare_reads_the_fixture_before_any_output(fixture, code, message
     assert captured.err.startswith(message)
 
 
+def test_gens_compare_takes_a_fixture_past_the_narrow_key_bound(tmp_path, capsys):
+    # a1^200*b2 weighs 401, past an 8-bit key (127): the fixture is the
+    # user's, so --compare renders it at 16 bits and reports the difference
+    bad = tmp_path / "chain2_heavy.gens"
+    bad.write_text("a1*b2 - a1^200*b2\n")
+    args = ["gens", fixture_path("chain2.poset"), "--ideal", "J", "--compare", str(bad)]
+    extra = ["b1*b2 - a2*u[a,b]", "a1*a2 - b1*u[0,a]", "a1*b2 - u[0,a]*u[a,b]"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[3:] == [
+        f"FAIL fixture {bad}",
+        "  missing: -a1^200*b2 + a1*b2",
+        *(f"  extra:   {f}" for f in extra),
+    ]
+    assert run(args + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["compare"] == {
+        "file": str(bad), "passed": False, "missing": ["-a1^200*b2 + a1*b2"], "extra": extra
+    }
+
+
 def test_gens_json_shape(capsys):
     code = run(["gens", fixture_path("star2.poset"), "--ideal", "J", "--json"])
     assert code == 0

@@ -26,7 +26,7 @@ from lpdeform.deformation import DEFAULT_MAX_TERMS
 from lpdeform.errors import LpError, ResourceLimitError
 from lpdeform.groebner import _pack_terms
 
-from conftest import FIXTURES, PolynomialContext, chain_tree, fixture_path, load_tree, star_tree
+from conftest import FIXTURES, PolynomialContext, chain_tree, fixture_path, load_tree, star_tree, tree_from
 
 
 def x(place, p):
@@ -233,6 +233,17 @@ def test_s_op_and_composition():
         ctx.s_op_linear("c", x(2, "c") * x(2, "d"))  # not linear in x2
     with pytest.raises(DomainError):
         ctx.s_op_linear("c", x(2, "a"))  # target not at or above c
+
+
+def test_s_op_linear_takes_a_polynomial_past_the_narrow_key_bound():
+    # u[c,b]^200 weighs 200, past an 8-bit key: S_a is extended at 16 bits
+    tree = tree_from("a < b\na < c")
+    ctx = DeformationContext(tree)
+    assert ctx.order.digit_bits == 8
+    f = x(2, "c") * u("c", "b") ** 200
+    image = ctx.s_op_linear("a", f)
+    assert len(image) == 2
+    assert image == PolynomialContext(tree).s_op_linear("a", f) == ctx.s_op("a", "c") * u("c", "b") ** 200
 
 
 def test_deformed_generator_requires_comparable_pair():

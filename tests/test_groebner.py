@@ -465,6 +465,46 @@ def test_a_non_coprime_lcm_past_the_key_bound_raises():
         gb("x1^20000*y1", "x1*y1^20000")
 
 
+NARROW = MonomialOrder(VARS, {X: 1, Y: 1}, digit_bits=8)
+
+
+def basis_or_error(gens, order, **budgets):
+    try:
+        return buchberger(gens, order, **budgets).polys
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "texts, widens",
+    [
+        (("x1^70*y1 - 1", "x1*y1^70 - x1"), True),  # the first lcm weighs 140
+        (("x1^17*y1^8 - y1^28", "x1^32*y1^49 - x1^30"), True),  # 81, then a grown pair's
+        (("x1^130 - y1", "x1*y1 - 1"), True),  # a generator weighs 130
+        (("x1*y1 - 1", "y1^2 - 1"), False),
+    ],
+    ids=["lcm", "grown-lcm", "generator", "within"],
+)
+def test_buchberger_past_the_narrow_key_bound_is_the_16_bit_one(texts, widens):
+    # an 8-bit order holds weight 127; past it buchberger runs in the
+    # order's 16-bit form, with the 16-bit order's basis and budget trips
+    polys = [poly(t) for t in texts]
+    assert NARROW.max_weight == 127 and NARROW.wide.max_weight == MAX_KEY_WEIGHT
+    basis = buchberger(polys, NARROW)
+    assert basis.polys == buchberger(polys, ORDER).polys
+    assert basis.order is (NARROW.wide if widens else NARROW)
+    if max(NARROW.weight(m) for f in polys for m in f.terms) <= NARROW.max_weight:
+        # the narrow order's packed polynomials and entries are repacked
+        packed = [groebner._pack_terms(f, NARROW) for f in polys]
+        entries = [groebner._entry(f, NARROW) for f in packed]
+        assert buchberger(packed, NARROW).polys == buchberger(entries, NARROW).polys == basis.polys
+    for budget in range(4):
+        for name in ("max_pairs", "max_weight"):
+            assert basis_or_error(polys, NARROW, **{name: budget}) == \
+                basis_or_error(polys, ORDER, **{name: budget})
+    assert basis_or_error(polys, NARROW, max_weight=139) == basis_or_error(polys, ORDER, max_weight=139)
+
+
 # -- the deformed generators are already a reduced basis ----------------------------
 
 @pytest.mark.parametrize("tree", [chain_tree(3), star_tree(2), star_tree(3)],

@@ -1,0 +1,120 @@
+"""The width of the packed exponent digits.
+
+A DeformationContext keys its monomials with 8-bit digits when its stated
+weight bound fits an 8-bit key, and with 16-bit digits otherwise.  These
+tests hold the bound to every key the suite forms, and the narrow context
+to the 16-bit one, output for output.
+"""
+
+import contextlib
+import io
+import re
+from itertools import combinations
+
+from lpdeform import DeformationContext, Verifier, all_rooted_trees, buchberger, monomial_order_for
+from lpdeform import cli, deformation
+
+from conftest import poset_text, sign_flip_mutants, star_tree, tree_from
+
+
+def heaviest(f, order):
+    """The weight of the packed polynomial's lead, its heaviest term (0 if
+    it has none): the smallest minus key, shifted past the digits."""
+    return -(min(f) >> order.mask.bit_length()) if f else 0
+
+
+def test_the_context_states_its_bound_from_the_positivity_weights():
+    # twice the heaviest quadric root1*root2, 2(n + 1) on n nodes; 8-bit
+    # digits hold weight 127, so up to 62 nodes
+    for m, bits in [(0, 8), (61, 8), (62, 16)]:
+        ctx = DeformationContext(tree_from("".join(f"r < l{k}\n" for k in range(m)) or "elem r"))
+        assert ctx.weight_bound == 2 * (m + 2)
+        assert ctx.order.digit_bits == bits
+    assert DeformationContext(star_tree(3), wide=True).order.digit_bits == 16
+
+
+def test_the_weight_bound_holds_every_key_the_suite_forms():
+    # the blocks of the memo, the products each instance sums (whose leads
+    # multiply to its heaviest key), the instances, the lifts and their
+    # factorizations, and the lcms of the generators' leads.  The instances
+    # are recorded, not reduced: a division by the homogeneous generators
+    # forms no key heavier than its instance
+    trees = 0
+    for tree in all_rooted_trees(8):
+        trees += 1
+        v = Verifier(tree)
+        ctx, order = v.ctx, v.order
+        assert order.digit_bits == 8
+        weights = []
+        combination, lift_fault = v._combination, v._lift_fault
+
+        def recording_combination(*terms):
+            weights.extend(heaviest(f, order) + heaviest(g, order) for _, f, g in terms if f and g)
+            return combination(*terms)
+
+        def recording_lift_fault(label, lhs, factored):
+            weights.extend((heaviest(lhs, order), heaviest(factored, order)))
+            return lift_fault(label, lhs, factored)
+
+        v._combination, v._lift_fault = recording_combination, recording_lift_fault
+        v._member = lambda label, f: weights.append(heaviest(f, order))
+        # the generators hold every block the basic suite reads
+        ctx.generators_packed()
+        v.check_flat_basic(), v.check_lemma_identities(), v.check_flat_p2(), v.check_relation_lifts()
+        weights += [heaviest(val, order) for key, val in ctx._memo.items() if key[0] != "_matrix_rows"]
+        leads = [order.monomial(-min(g)) for _, g in ctx.generators_packed()]
+        weights += [order.weight(a.lcm(b)) for a, b in combinations(leads, 2)]
+        # the verifier's cheap bound: the two heaviest leads together
+        weights.append(sum(sorted(order.weight(m) for m in leads)[-2:]))
+        assert max(weights) <= ctx.weight_bound, tree
+    assert trees == 200
+
+
+def run_lp(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', out.getvalue()), err.getvalue()
+
+
+def outputs(trees, tmp_path):
+    """Per tree: the digit width, the run_full(max_degree=3) reports without
+    their times, and the `lp gens`, `lp check` and `lp info` --json runs."""
+    out = []
+    for k, tree in enumerate(trees):
+        path = tmp_path / f"t{k}.poset"
+        path.write_text(poset_text(tree))
+        v = Verifier(tree)
+        reports = [(r.name, r.passed, r.params, r.witness) for r in v.run_full(max_degree=3)]
+        runs = [
+            run_lp([*command, str(path), *flags, "--json"])
+            for command, flags in [
+                (["gens"], ["--ideal", "J"]),
+                (["check"], []),
+                (["check"], ["--suite", "full", "--max-degree", "3"]),
+                (["info"], []),
+            ]
+        ]
+        out.append((v.order.digit_bits, reports, runs))
+    return out
+
+
+def test_the_narrow_context_gives_the_16_bit_outputs(monkeypatch, tmp_path):
+    trees = list(all_rooted_trees(5))
+    narrow = outputs(trees, tmp_path)
+    monkeypatch.setattr(deformation, "NARROW_BITS", 16)
+    wide = outputs(trees, tmp_path)
+    assert [bits for bits, _, _ in narrow] == [8] * 17
+    assert [bits for bits, _, _ in wide] == [16] * 17
+    assert [rest for _, *rest in narrow] == [rest for _, *rest in wide]
+
+
+def test_buchberger_on_a_narrow_context_order_is_the_16_bit_one():
+    # the sign-flip mutants grow their bases, within the narrow bound
+    for _, tree, gens in sign_flip_mutants(4):
+        order = DeformationContext(tree).order
+        polys = [g for _, g in gens]
+        basis = buchberger(polys, order)
+        assert order.digit_bits == 8 and basis.order is order
+        assert basis.polys == buchberger(polys, monomial_order_for(tree)).polys
+

@@ -506,7 +506,8 @@ def test_no_check_writes_into_a_context_block(cases):
         remaining_checks(v)
         assert all(ctx._memo[key] == val for key, val in held.items())
         assert v._packed_generators() == generators
-        fresh = DeformationContext(tree)
+        # a fresh context of the same digit width: an override list keeps 16 bits
+        fresh = DeformationContext(tree, wide=gens is not None)
         for (name, *args), val in ctx._memo.items():
             assert getattr(fresh, name)(*args) == val, (name, args)
 
@@ -521,3 +522,31 @@ def test_a_lift_past_the_key_bound_raises_the_key_error():
     message = "monomial weight 32768 exceeds 32767, the packed-key bound"
     with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
         v.check_relation_lifts()
+
+
+def test_an_override_past_the_narrow_key_bound_keeps_16_bit_keys():
+    # a1^130 weighs 260, past what an 8-bit key holds (127): an override
+    # list is packed at 16 bits, so the checks report as they do there
+    tree = chain_tree(2)
+    heavy = Polynomial.variable(XVar(1, "a")) ** 130
+    gens = [(pair, g + heavy if pair == ("a", "b") else g) for pair, g in j_ideal_generators(tree)]
+    v = Verifier(tree, generators=gens)
+    assert v.order.digit_bits == 16 and Verifier(tree).order.digit_bits == 8
+    reports = [
+        (r.name, r.passed, r.params, r.witness)
+        for r in v.run_basic() + v.check_relation_lifts() + [v.check_flat_basic(), v.check_flat_p2()]
+    ]
+    assert reports == [
+        ("specialization", False, {"generators": 3},
+         "g('a', 'b'): u->0 gave a1^130 + a1*b2; difference a1^130"),
+        ("homogeneity", False, {"generators": 2},
+         "g(a,b): monomial a1*b2 has degree a1+b2 but a1^130 has 130*a1"),
+        ("deg-T", True, {"instances": 2}, None),
+        ("deg-S", True, {"instances": 3}, None),
+        ("deg-ST", True, {"instances": 0}, None),
+        ("deg-D", True, {"instances": 3}, None),
+        ("relation-lift-x2", False, {"instances": 1}, "(a,b,c)=(a,a,b): factorization mismatch"),
+        ("relation-lift-x1", False, {"instances": 3}, "(a,b,c)=(a,b,b): factorization mismatch"),
+        ("flat-basic", True, {"instances": 1}, None),
+        ("flat-p2", True, {"instances": 3}, None),
+    ]
