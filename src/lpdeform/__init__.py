@@ -11,7 +11,6 @@ truncated Hilbert-function agreement.
 from .errors import (
     CycleError,
     DomainError,
-    KeyBoundError,
     LeafError,
     LpError,
     MinorIndexError,
@@ -89,7 +88,6 @@ __all__ = [
     "DeformationContext",
     "DomainError",
     "GroebnerBasis",
-    "KeyBoundError",
     "LeafError",
     "LpError",
     "MinorIndexError",

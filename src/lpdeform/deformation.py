@@ -45,9 +45,10 @@ heaviest leads, which the verifier weighs before its first membership
 test, is the bound itself.  Division by homogeneous generators, and
 buchberger on pairs within the bound, never form a heavier monomial.
 Polynomials from outside the recursion are not covered: an override
-generator list (the verifier passes wide=True) and `s_op_linear`'s
-argument work at 16 bits, as `lp gens --compare` does, so the 16-bit key
-bound and its errors stay theirs.
+generator list (the verifier passes wide=True) works at 16 bits, as
+`lp gens --compare` does, so the 16-bit key bound and its errors stay
+theirs, and `s_op_linear` forms its image on Polynomials.  The order
+keeps its width: a monomial past its key bound raises ResourceLimitError.
 
 The public methods without the suffix (t_sub, t_full, st_entry, matrix_m,
 minor_d, minor_d_child, generalized_minor, cover_product_r, s_op,
@@ -71,9 +72,9 @@ from .errors import (
     ShapeError,
 )
 from .grading import positivity_witness
-from .groebner import _addmul, _iadd, _mul, _pack_terms, _unpack, _widened
+from .groebner import _addmul, _iadd, _mul, _unpack
 from .letterplace import comparable_pairs
-from .polynomials import DIGIT_BITS, MonomialOrder, PolyMatrix, UVar, XVar
+from .polynomials import DIGIT_BITS, Monomial, MonomialOrder, Polynomial, PolyMatrix, UVar, XVar
 from .posets import as_rooted_tree
 
 # star-8 holds 1,147,989 terms in its memo, 362,961 of them in its generators
@@ -119,7 +120,8 @@ class DeformationContext:
 
     def __init__(self, tree, max_terms=DEFAULT_MAX_TERMS, wide=False):
         """`wide` keeps 16-bit digits whatever the weight bound, for
-        polynomials from outside the recursion, which it does not cover."""
+        polynomials from outside the recursion, which it does not cover:
+        an 8-bit order raises ResourceLimitError past weight 127."""
         self.tree = tree = as_rooted_tree(tree)
         weights = positivity_witness(tree)
         # the heaviest quadric is root1*root2; see the module docstring
@@ -349,12 +351,12 @@ class DeformationContext:
 
     def s_op_linear(self, a, f):
         """Extend S_a over a polynomial whose every monomial is (one q2 with
-        q >= a) times a product of u-parameters.  The weight bound does not
-        cover f, so the product is formed in the order's 16-bit form."""
-        order, wide = self.order, self.order.wide
-        out = {}
-        for n, c in _pack_terms(f, wide).items():
-            mono = wide.monomial(-n)
+        q >= a) times a product of u-parameters: the sum of S_a(q2) times
+        the u-part over f's terms, formed on Polynomials, so the weight
+        bound need not cover f."""
+        out = Polynomial.zero()
+        for mono, c in f.items():
+            self.order.weight(mono)  # raises for a variable outside the ring
             xs = [(v, e) for v, e in mono.pairs if isinstance(v, XVar)]
             if len(xs) != 1 or xs[0] != (XVar(2, xs[0][0].element), 1):
                 what = "is not q2 times a u-monomial" if xs else "has no place-2 variable"
@@ -362,10 +364,9 @@ class DeformationContext:
             target = xs[0][0].element
             if not self.tree.le(a, target):
                 raise DomainError(f"S_{a!r} hit {target!r}2 but {a!r} <= {target!r} fails")
-            # the u-part's minus key is the term's less target2's
-            u_part = {n + wide._packed[xs[0][0]]: c}
-            _addmul(out, _widened(self.s_op_packed(a, target), order), u_part)
-        return _unpack(out, wide)
+            u_part = mono.div(Monomial.var(xs[0][0]))
+            out = out + self.s_op(a, target) * Polynomial.term(u_part, c)
+        return out
 
     def j_ideal_generators(self):
         """All ((p,q), g(p,q)) in linear-extension order of the pairs."""

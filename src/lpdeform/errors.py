@@ -31,13 +31,9 @@ class NonSquareError(LpError):
 
 class ResourceLimitError(LpError):
     """A budget was exceeded: a Groebner basis's pair count or lcm weight,
-    the weight a packed order key holds (2**15 - 1 with 16-bit digits, and
-    a Hilbert max_degree too), or the total degree 2**31 - 1 a packed
-    multidegree holds."""
-
-
-class KeyBoundError(ResourceLimitError):
-    """A monomial weighs more than its order's packed key holds."""
+    the weight a packed order key holds (2**7 - 1 with 8-bit digits,
+    2**15 - 1 with 16-bit digits, and a Hilbert max_degree too), or the
+    total degree 2**31 - 1 a packed multidegree holds."""
 
 
 class RelationError(LpError):

@@ -35,6 +35,10 @@ hangs, both checked once per processed S-pair:
     step never raises weight, so no monomial created while reducing the
     pair outweighs its lcm.
 
+The order's key bound (127 with 8-bit digits, 32,767 with 16-bit ones) is
+a third limit, and the order keeps its width: a generator or an S-pair
+lcm past the bound raises MonomialOrder.key's ResourceLimitError.
+
 The verifier reduces many structured polynomials modulo one fixed basis, so
 the division kernel `_reduce` is where the time goes.  It reduces exactly
 like the textbook division (largest term first, first dividing lead in
@@ -53,9 +57,9 @@ division using a heap", J. Symb. Comp. 2011):
     ((P | G) - L) & G, with L the low bit of every digit;
   * a packed polynomial is a dict minus key -> coefficient.
     `polynomials._pack_terms` packs a Polynomial through MonomialOrder.key,
-    which raises KeyBoundError past the encoding's bound (the order's
-    max_weight, 2**15 - 1 with 16-bit digits), and `_unpack` is its
-    inverse, with canonical coefficients;
+    which raises ResourceLimitError past the encoding's bound (the order's
+    max_weight, 2**7 - 1 with 8-bit digits and 2**15 - 1 with 16-bit
+    ones), and `_unpack` is its inverse, with canonical coefficients;
     `_divide` is pack -> `_reduce` -> unpack.  A division step never raises
     weight, so checking the input is enough;
   * `_mul` is the product of packed polynomials, and `_addmul` and `_iadd`
@@ -76,7 +80,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .errors import DomainError, KeyBoundError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .polynomials import Polynomial, _as_coeff, _pack_terms, key_bound_error
 
 DEFAULT_MAX_PAIRS = 1_000_000
@@ -319,21 +323,6 @@ def _entries(gens, order):
     ]
 
 
-def _widened(f, order):
-    """A generator as `_entries` takes it, for order.wide: a Polynomial, or
-    anything of an order that is its own wide form, as it is, and a packed
-    polynomial or entry of `order` repacked."""
-    if order.wide is order:
-        return f
-    if type(f) is tuple:
-        _, n, tail = f
-        f = {n: 1, **dict(tail)}
-    if not isinstance(f, dict):
-        return f
-    key, monomial = order.wide.key, order.monomial
-    return {-key(monomial(-n)): c for n, c in f.items()}
-
-
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_WEIGHT):
     """Reduced Groebner basis of the ideal generated by `gens`, as
     `_entries` takes them (the caller's entries are not modified).
@@ -343,23 +332,10 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     max_weight (which bounds every monomial its reduction creates).
     Deterministic: the unique reduced basis, sorted by leading monomial.
 
-    An order with 8-bit digits holds no monomial above weight 127.  When
-    a generator or an S-pair's lcm passes that, the loop starts again in
-    order.wide, with 16-bit digits, and the basis is that order's.  Both
-    orders sort alike, so the second run processes the same pairs in the
-    same sequence: the basis and every budget trip are the 16-bit
-    order's, as if it had been given.
+    The order keeps its digit width: a generator or an S-pair lcm that
+    passes its key bound (127 with 8-bit digits) raises
+    MonomialOrder.key's ResourceLimitError.
     """
-    gens = list(gens)
-    if order.wide is not order:
-        try:
-            return _buchberger(gens, order, max_pairs, max_weight)
-        except KeyBoundError:
-            gens, order = [_widened(f, order) for f in gens], order.wide
-    return _buchberger(gens, order, max_pairs, max_weight)
-
-
-def _buchberger(gens, order, max_pairs, max_weight):
     leads = _entries(gens, order)
     if not leads:
         raise DomainError("no nonzero generators")

@@ -31,10 +31,10 @@ from operator import itemgetter
 
 from .errors import (
     DomainError,
-    KeyBoundError,
     MinorIndexError,
     NonSquareError,
     ParseError,
+    ResourceLimitError,
     ShapeError,
     UnknownVariableError,
 )
@@ -385,7 +385,7 @@ MAX_KEY_WEIGHT = (1 << (DIGIT_BITS - 1)) - 1  # largest weight a 16-bit key hold
 
 def key_bound_error(weight, bound=MAX_KEY_WEIGHT):
     """The error for a monomial of `weight` above an order's key bound."""
-    return KeyBoundError(
+    return ResourceLimitError(
         f"monomial weight {weight} exceeds {bound}, the packed-key bound"
     )
 
@@ -423,17 +423,8 @@ class MonomialOrder:
         self._slots = sorted(self.index.items())  # (variable, digit index), in Monomial order
         self._bytes = bits // 8 * len(self.variables)
         self._format = "B" if bits == 8 else "H"
-        self._wide = self if bits == DIGIT_BITS else None  # made at the first read of `wide`
         self._names = None  # the variables' rendered names, made at the first render
         self._json_keys = None  # their JSON object keys, '"name": ', made at the first JSON render
-
-    @property
-    def wide(self):
-        """This order with 16-bit digits: the same ring, weights and
-        comparisons, and the key bound 32,767."""
-        if self._wide is None:
-            self._wide = MonomialOrder(self.variables, self.weights)
-        return self._wide
 
     def weight(self, mono):
         try:
@@ -459,8 +450,9 @@ class MonomialOrder:
         Every exponent is at most the weight, so all digits stay below
         2**(b-1) while the weight does.  A weight above max_weight =
         2**(b-1) - 1 is exactly K > max_weight << bn: such a monomial raises
-        KeyBoundError, a ResourceLimitError, here: the one check of the
-        encoding's bound.
+        ResourceLimitError here, the one check of the encoding's bound.  An
+        order keeps its width: past 127 an 8-bit order raises as a 16-bit
+        one does past 32,767.
         The width changes no comparison: two orders on one ring that differ
         only in it sort every monomial both hold alike.
         """

@@ -242,9 +242,9 @@ class Verifier:
             entries = self._certified()
             gens = self._entries or [g for _, g in self._packed_generators() if g]
             if entries is None and gens:
-                # in the context's order: with 8-bit digits the generators
-                # are the context's, a Groebner basis whose leads' lcms lie
-                # within its weight bound, so buchberger does not widen
+                # in the context's order, whose width the basis keeps: with
+                # 8-bit digits the generators are the context's, a Groebner
+                # basis whose leads' lcms lie within its weight bound
                 self._basis = buchberger(
                     gens, self.order, max_pairs=self.max_pairs, max_weight=self.max_weight
                 )

@@ -12,6 +12,7 @@ from lpdeform import (
     Polynomial,
     RelationError,
     ShapeError,
+    UnknownVariableError,
     UVar,
     XVar,
     all_rooted_trees,
@@ -236,7 +237,8 @@ def test_s_op_and_composition():
 
 
 def test_s_op_linear_takes_a_polynomial_past_the_narrow_key_bound():
-    # u[c,b]^200 weighs 200, past an 8-bit key: S_a is extended at 16 bits
+    # u[c,b]^200 weighs 200, past an 8-bit key, and u[c,b]^40000 past a
+    # 16-bit one: S_a is extended on Polynomials
     tree = tree_from("a < b\na < c")
     ctx = DeformationContext(tree)
     assert ctx.order.digit_bits == 8
@@ -244,6 +246,10 @@ def test_s_op_linear_takes_a_polynomial_past_the_narrow_key_bound():
     image = ctx.s_op_linear("a", f)
     assert len(image) == 2
     assert image == PolynomialContext(tree).s_op_linear("a", f) == ctx.s_op("a", "c") * u("c", "b") ** 200
+    heavy = u("c", "b") ** 40000
+    assert ctx.s_op_linear("a", x(2, "c") * heavy) == ctx.s_op("a", "c") * heavy
+    with pytest.raises(UnknownVariableError, match=r"^u\[zz,c\] is not in this ring$"):
+        ctx.s_op_linear("a", x(2, "c") * u("zz", "c"))
 
 
 def test_deformed_generator_requires_comparable_pair():

@@ -476,28 +476,32 @@ def basis_or_error(gens, order, **budgets):
 
 
 @pytest.mark.parametrize(
-    "texts, widens",
+    "texts, weight",
     [
-        (("x1^70*y1 - 1", "x1*y1^70 - x1"), True),  # the first lcm weighs 140
-        (("x1^17*y1^8 - y1^28", "x1^32*y1^49 - x1^30"), True),  # 81, then a grown pair's
-        (("x1^130 - y1", "x1*y1 - 1"), True),  # a generator weighs 130
-        (("x1*y1 - 1", "y1^2 - 1"), False),
+        (("x1^70*y1 - 1", "x1*y1^70 - x1"), 140),  # the first lcm
+        (("x1^17*y1^8 - y1^28", "x1^32*y1^49 - x1^30"), 132),  # 81, then a grown pair's
+        (("x1^130 - y1", "x1*y1 - 1"), 130),  # a generator
+        (("x1*y1 - 1", "y1^2 - 1"), None),
     ],
     ids=["lcm", "grown-lcm", "generator", "within"],
 )
-def test_buchberger_past_the_narrow_key_bound_is_the_16_bit_one(texts, widens):
-    # an 8-bit order holds weight 127; past it buchberger runs in the
-    # order's 16-bit form, with the 16-bit order's basis and budget trips
+def test_buchberger_past_the_narrow_key_bound_raises(texts, weight):
+    # an 8-bit order holds weight 127 and keeps its width: past that
+    # buchberger raises the key bound's error, and within it the basis and
+    # budget trips are the 16-bit order's
     polys = [poly(t) for t in texts]
-    assert NARROW.max_weight == 127 and NARROW.wide.max_weight == MAX_KEY_WEIGHT
+    assert NARROW.max_weight == 127
+    if weight is not None:
+        message = f"^monomial weight {weight} exceeds 127, the packed-key bound$"
+        with pytest.raises(ResourceLimitError, match=message):
+            buchberger(polys, NARROW)
+        return
     basis = buchberger(polys, NARROW)
     assert basis.polys == buchberger(polys, ORDER).polys
-    assert basis.order is (NARROW.wide if widens else NARROW)
-    if max(NARROW.weight(m) for f in polys for m in f.terms) <= NARROW.max_weight:
-        # the narrow order's packed polynomials and entries are repacked
-        packed = [groebner._pack_terms(f, NARROW) for f in polys]
-        entries = [groebner._entry(f, NARROW) for f in packed]
-        assert buchberger(packed, NARROW).polys == buchberger(entries, NARROW).polys == basis.polys
+    assert basis.order is NARROW
+    packed = [groebner._pack_terms(f, NARROW) for f in polys]
+    entries = [groebner._entry(f, NARROW) for f in packed]
+    assert buchberger(packed, NARROW).polys == buchberger(entries, NARROW).polys == basis.polys
     for budget in range(4):
         for name in ("max_pairs", "max_weight"):
             assert basis_or_error(polys, NARROW, **{name: budget}) == \

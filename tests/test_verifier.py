@@ -15,6 +15,7 @@ from lpdeform import (
     XVar,
     all_rooted_trees,
     j_ideal_generators,
+    parse_polynomial,
     rooted_tree_shapes,
     shape_to_tree,
 )
@@ -522,6 +523,23 @@ def test_a_lift_past_the_key_bound_raises_the_key_error():
     message = "monomial weight 32768 exceeds 32767, the packed-key bound"
     with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
         v.check_relation_lifts()
+
+
+def test_a_narrow_basis_past_the_key_bound_raises():
+    # on chain-2 a1 weighs 2 and b1 1: the leads a1^63*b1 (127) and a1*b1^2
+    # fit an 8-bit key, but their lcm weighs 128.  The basis keeps the
+    # verifier's width and raises, so no membership test reads a basis
+    # packed at another width with the 8-bit mask
+    v = Verifier(chain_tree(2))
+    order = v.order
+    assert order.digit_bits == 8
+    gens = [parse_polynomial(t, order.variables) for t in ("a1^63*b1 - b1", "a1*b1^2 - 1")]
+    v._generators = [(("a", "b"), _pack_terms(g, order)) for g in gens]
+    message = "^monomial weight 128 exceeds 127, the packed-key bound$"
+    with pytest.raises(ResourceLimitError, match=message):
+        v.basis
+    with pytest.raises(ResourceLimitError, match=message):
+        v._member("g", _pack_terms(gens[1], order))
 
 
 def test_an_override_past_the_narrow_key_bound_keeps_16_bit_keys():
