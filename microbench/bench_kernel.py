@@ -29,10 +29,13 @@ The three `lp` cases time the process layer in one process, as the
 `lp gens --ideal J --json` on the star, `lp info --json` on the wide tree
 and `lp check --json` (the basic suite, expansion and degree table
 included) on the wide tree.  The cotangent cases enumerate the T^1
-generators of the 20-element chain and of the star with sixteen leaves
-with `t1_generators`, the general poset search that `lp t1` and `lp info`
-run.  The decode case turns every packed key of the star with six leaves'
-generators back into its Monomial with `MonomialOrder.monomial`.  The
+generators of the 20-element chain, of the star with sixteen leaves and of
+the complete bipartite poset K_{10,10} with `t1_generators`, the general
+poset search that `lp t1` and `lp info` run, and time the root's
+lower-bound search on the star with a thousand leaves, whose one minimal
+set is every leaf.  The decode case turns every packed key of the star
+with six leaves' generators back into its Monomial with
+`MonomialOrder.monomial`.  The
 poset cases time the order layer: `parse_poset` on the 2,400-element chain,
 whose closure is quadratic, and `count_order_ideals` on the 20-element
 antichain, the largest input it accepts, with 2**20 ideals.
@@ -56,6 +59,7 @@ from lpdeform import (
     j_ideal_generators,
     letterplace_generators,
     load_poset,
+    minimal_lower_bound_sets,
     monomial_order_for,
     parse_poset,
     t1_generators,
@@ -68,6 +72,9 @@ WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
 STAR7 = "".join(f"a < {leaf}\n" for leaf in "bcdefgh")
 STAR16 = "".join(f"r < l{k:02d}\n" for k in range(16))
+LEAVES1000 = [f"l{k:04d}" for k in range(1000)]
+STAR1000 = "".join(f"r < {leaf}\n" for leaf in LEAVES1000)
+BIPARTITE10 = "".join(f"a{i} < b{j}\n" for i in range(10) for j in range(10))
 CHAIN3 = "a < b\nb < c\n"
 CHAIN20 = "".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(19))
 CHAIN2400 = "".join(f"e{k:04d} < e{k + 1:04d}\n" for k in range(2399))
@@ -340,6 +347,22 @@ def test_t1_star16(benchmark):
 
     gens = benchmark.pedantic(t1_generators, args=(star,), rounds=10, warmup_rounds=1)
     assert len(gens) == 16 * 16 + 1
+
+
+def test_t1_bipartite10(benchmark):
+    poset = parse_poset(BIPARTITE10)
+
+    gens = benchmark.pedantic(t1_generators, args=(poset,), rounds=10, warmup_rounds=1)
+    assert len(gens) == 200
+
+
+def test_lower_bound_sets_star1000_root(benchmark):
+    star = parse_poset(STAR1000)
+
+    sets = benchmark.pedantic(
+        minimal_lower_bound_sets, args=(star, LEAVES1000, LEAVES1000), rounds=3
+    )
+    assert sets == [tuple(LEAVES1000)]
 
 
 def test_parse_chain2400(benchmark):

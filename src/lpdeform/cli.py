@@ -112,21 +112,23 @@ def _cmd_gens(args):
     """The generators are rendered from their packed form; they are
     unpacked only for --compare, which reads the fixture and renders the
     differences, so a fixture past the key bound raises, before anything is
-    written.  The fixture's polynomials are the user's, so with --compare
-    the context keeps 16-bit digits and the 16-bit key bound."""
+    written.  The fixture's polynomials are the user's, so --compare parses
+    and renders them in `_order_for(poset)`, the 16-bit order with the same
+    term order, whatever the width of the context's."""
     poset = load_poset(args.poset)
     if args.ideal == "L":
         order = _order_for(poset)
         gens = [(pair, {-order.key(m): 1}) for pair, m in letterplace_generators(poset)]
     else:
-        ctx = DeformationContext(as_rooted_tree(poset), args.max_terms, wide=bool(args.compare))
+        ctx = DeformationContext(as_rooted_tree(poset), args.max_terms)
         order, gens = ctx.order, ctx.generators_packed()
     if args.compare:
+        full = _order_for(poset)
         passed, missing, extra = compare_fixture(
-            [_unpack(g, order) for _, g in gens], args.compare, order.variables
+            [_unpack(g, order) for _, g in gens], args.compare, full.variables
         )
-        missing = [render_polynomial(f, order) for f in missing]
-        extra = [render_polynomial(f, order) for f in extra]
+        missing = [render_polynomial(f, full) for f in missing]
+        extra = [render_polynomial(f, full) for f in extra]
     status = EXIT_FAIL if args.compare and not passed else EXIT_OK
     if args.json:
         payload = {

@@ -15,8 +15,6 @@ in bijection with the deformation parameters u_{q,p}."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .letterplace import parameter_pairs
 from .posets import as_rooted_tree
 from .polynomials import Monomial, XVar
@@ -57,16 +55,21 @@ def _minimal_bound_sets(poset, targets, within, lower):
     s in S with t <= s (upper) or s <= t (lower=True).
 
     A set bounds every target exactly when it bounds the extremal ones (the
-    maximal targets for upper bounds, the minimal for lower), and it is
-    inclusion-minimal exactly when each member bounds an extremal target
-    that no other member bounds.  Every minimal S holds a bounder of the
-    first extremal target that a part of S leaves unbounded, so the search
-    grows S from the empty set by one such bounder at a time, on an explicit
-    stack.  A branch that takes the r-th bounder of a target leaves the r
-    before it out for good, so no set is reached twice; a finished set is
-    kept when it is minimal.  On a rooted tree each target of the lower
-    search has one bounder, itself, and the upper search has one extremal
-    target, so the search is linear in the pool.
+    maximal targets for upper bounds, the minimal for lower), so the answer
+    is the family of minimal transversals of the bounder sets B(t) of the
+    extremal t, built by Berge's recurrence over them in rank order: from
+    the family holding only the empty set, keep each set that meets B(t),
+    grow each set f that misses it into f + {s} for every s in B(t), and
+    drop a grown set that holds a kept one.  No grown set holds another:
+    f + {s} within f' + {s'} forces s = s' (f' misses B(t)), then f within
+    f', so f = f' in a family of minimal sets.  Nor does a kept set hold a
+    grown f + {s}, since it would then hold f properly.  So the one
+    containment test keeps the family minimal.  When the pool holds the
+    extremal targets, as in t1_generators, each bounds itself and no other
+    one, so no family is larger than the answer; a pool that misses them
+    can make a family exponentially larger.  On a rooted tree each target
+    of the lower search has one bounder, itself, and the upper search has
+    one extremal target, so the family stays small.
 
     Deterministic: results sorted by size, then by linear-extension index
     tuple.  The trivial answer for no targets is the empty set.
@@ -83,32 +86,14 @@ def _minimal_bound_sets(poset, targets, within, lower):
         (t for t in targets if not any(u != t and bounds(u, t) for u in targets)),
         key=pos.__getitem__,
     )
-    pool = sorted(within, key=pos.__getitem__)
-    bounders = [[s for s in pool if bounds(s, t)] for t in extremal]
-    covers = {}  # bounder -> the indices of the extremal targets it bounds
-    for k, b in enumerate(bounders):
-        for s in b:
-            covers[s] = covers.get(s, frozenset()) | {k}
-    found = []
-    # (the set so far, the indices of the extremal targets it bounds, the
-    # first index not yet looked at, and (k, r) for each member taken as the
-    # r-th bounder of target k, r > 0: the r bounders before it stay out)
-    stack = [((), frozenset(), 0, ())]
-    while stack:
-        chosen, covered, k, skips = stack.pop()
-        while k < len(extremal) and k in covered:
-            k += 1
-        if k < len(extremal):
-            for r, s in enumerate(bounders[k]):
-                if not any(s in bounders[j][:rj] for j, rj in skips):
-                    more = skips + ((k, r),) if r else skips
-                    stack.append((chosen + (s,), covered | covers[s], k + 1, more))
-            continue
-        if len(chosen) > 1:
-            count = Counter(t for s in chosen for t in covers[s])
-            if not all(any(count[t] == 1 for t in covers[s]) for s in chosen):
-                continue
-        found.append(tuple(sorted(chosen, key=pos.__getitem__)))
+    pool = set(within)
+    family = [frozenset()]
+    for t in extremal:
+        hit = {s for s in pool if bounds(s, t)}
+        kept = [f for f in family if f & hit]
+        grown = [f | {s} for f in family if not f & hit for s in hit]
+        family = kept + [g for g in grown if not any(k <= g for k in kept)]
+    found = [tuple(sorted(f, key=pos.__getitem__)) for f in family]
     found.sort(key=lambda c: (len(c), tuple(pos[s] for s in c)))
     return found
 

@@ -45,10 +45,11 @@ heaviest leads, which the verifier weighs before its first membership
 test, is the bound itself.  Division by homogeneous generators, and
 buchberger on pairs within the bound, never form a heavier monomial.
 Polynomials from outside the recursion are not covered: an override
-generator list (the verifier passes wide=True) works at 16 bits, as
-`lp gens --compare` does, so the 16-bit key bound and its errors stay
-theirs, and `s_op_linear` forms its image on Polynomials.  The order
-keeps its width: a monomial past its key bound raises ResourceLimitError.
+generator list (the verifier passes wide=True) works at 16 bits, so the
+16-bit key bound and its errors stay its own; `lp gens --compare` keeps a
+narrow context and reads the fixture in a separate 16-bit order; and
+`s_op_linear` forms its image on Polynomials.  The order keeps its width:
+a monomial past its key bound raises ResourceLimitError.
 
 The public methods without the suffix (t_sub, t_full, st_entry, matrix_m,
 minor_d, minor_d_child, generalized_minor, cover_product_r, s_op,

@@ -44,6 +44,12 @@ def test_minimal_bound_sets_on_a_chain():
     assert minimal_lower_bound_sets(tree, [], []) == [()]
 
 
+def test_a_repeated_pool_element_gives_one_bound_set():
+    diamond = Poset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    assert minimal_upper_bound_sets(diamond, ["a"], ["b", "b", "c"]) == [("b",), ("c",)]
+    assert minimal_lower_bound_sets(diamond, ["d"], ["c", "b", "c"]) == [("b",), ("c",)]
+
+
 def test_minimal_bound_sets_prune_supersets():
     tree = star_tree(2)  # a < b, a < c
     # both leaves must be covered and neither bounds the other
@@ -77,11 +83,11 @@ def exhaustive_bound_sets(poset, targets, within, lower):
 
 
 @st.composite
-def posets(draw, max_size=7):
+def posets(draw, max_size=9):
     """A poset on up to max_size elements: any set of relations i < j
     between positions, under shuffled names."""
     n = draw(st.integers(1, max_size))
-    names = draw(st.permutations("abcdefg"[:n]))
+    names = draw(st.permutations("abcdefghi"[:n]))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     relations = draw(st.lists(st.sampled_from(pairs), max_size=2 * n) if pairs else st.just([]))
     return Poset(names, [(names[i], names[j]) for i, j in relations])
@@ -110,7 +116,7 @@ def test_t1_generators_match_the_exhaustive_search(poset):
 def test_t1_on_a_long_chain_and_a_wide_star():
     # one extremal target per bound on a chain, so a 30-chain's search
     # stays linear; at a star's root each leaf is its own only lower
-    # bounder, so the root's lower-bound search is one branch
+    # bounder, so the root's lower-bound family holds one set at each step
     chain = tree_from("".join(f"e{k:02d} < e{k + 1:02d}\n" for k in range(29)))
     star = star_tree(10)
     for tree in (chain, star):
@@ -119,7 +125,8 @@ def test_t1_on_a_long_chain_and_a_wide_star():
 
 def test_a_star_with_a_thousand_leaves_searches_on_a_stack():
     # outside the root, the one minimal lower bound set for the leaves is
-    # all of them, found down a single branch a thousand members deep
+    # all of them, grown by one leaf per target a thousand times, beside
+    # the set (r,) that every target after the first keeps
     leaves = [f"l{k:04d}" for k in range(1000)]
     star = tree_from("".join(f"r < {x}\n" for x in leaves))
     assert minimal_lower_bound_sets(star, leaves, ["r", *leaves]) == [("r",), tuple(leaves)]
