@@ -15,10 +15,11 @@ and for each single sign flip of a generator's u-part on the trees of up to
 4 nodes, where the loop grows the basis.  The minors are the packed
 minors of M(a) at that root, the widest node; the expansion case builds
 the star's packed generators in a new DeformationContext, and the basic
-suite case runs `Verifier.run_basic` on the star, expansion included, as
-`lp check` does, and the full suite case runs `Verifier.run_full` at degree
-2 on the wide tree, where the flatness checks certify the generators as the
-basis and buchberger does not run, and the star case runs it at degree 3
+suite cases run `Verifier.run_basic` on the star and on the star with
+seven leaves, expansion included, as `lp check` does, and the full suite
+case runs `Verifier.run_full` at degree 2 on the wide tree, where the
+flatness checks certify the generators as the basis and buchberger does
+not run, and the star case runs it at degree 3
 on the star with seven leaves, in one round, the scale at which the packed
 keys' width shows in time and memory; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
@@ -238,6 +239,14 @@ def test_basic_suite_star6(benchmark):
 
     reports = benchmark.pedantic(basic, rounds=10, warmup_rounds=1)
     assert [r.name for r in reports][:2] == ["specialization", "homogeneity"]
+    assert all(r.passed for r in reports)
+
+
+def test_basic_suite_star7(benchmark):
+    def basic():
+        return Verifier(parse_poset(STAR7)).run_basic()
+
+    reports = benchmark.pedantic(basic, rounds=3, warmup_rounds=1)
     assert all(r.passed for r in reports)
 
 

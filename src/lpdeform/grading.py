@@ -17,37 +17,45 @@ u-parameter comes out at weight 1 (the root's at 2), so weighted degree is
 a genuine grading with finite-dimensional pieces — that's what the
 truncated Hilbert function counts.
 
-The grading is linear, so each tree gets one table of packed degrees,
-kept while the tree lives.  Number the symbols k = 0, 1, ... in the order
-of x_variables(tree) and let B = 2**32; a multidegree sum_k c_k * (symbol
-k) is then the int
+The grading is linear, so a multidegree packs into one int.  Give each
+symbol k a digit place(k) and let B = 2**b be the digit base; a
+multidegree sum_k c_k * (symbol k) is then the int
 
-    D = sum_k c_k * B**k
+    D = sum_k c_k * B**place(k)
 
-with signed digits c_k.  The table holds D_v for every variable v of the
-ring, all entered when it is built: the u-parameters by the rule above,
-with p1 + hat(p) packed once per element.  A monomial's degree is
-sum e * D_v, and homogeneity compares one int per term.  Only the common
-degree and the two degrees of a NotHomogeneousError witness are decoded
-back to MultiDegree.
+with signed digits c_k, which decode as balanced digits, -B/2 <= c_k <
+B/2.  Every coefficient of a variable's degree is -1, 0 or 1, so |c_k| is
+at most the monomial's total degree, and D decodes exactly while that
+stays below B/2.  A tree keeps a table of packed degrees per layout while
+it lives.  The table holds D_v for every variable v of the ring, all
+entered when it is built by one rule from the symbols' units B**place(k):
+the u-parameters as above, with p1 + hat(p) packed once per element.  A
+monomial's degree is sum e * D_v, and homogeneity compares one int per
+term.  Only a degree that a report or a witness shows is decoded back to
+MultiDegree.
 
-A packed monomial of the tree's MonomialOrder (see groebner.py) gets its
-degree straight from its exponent digits, sum e * D_v over the nonzero
-ones, without a Monomial: its total degree is at most its weight, which
-the order keeps within its key bound (127 or 32,767, by its digit width),
-so no bound is checked.
-
-Decoding reads balanced digits, -B/2 <= c_k < B/2.  Every coefficient of
-a variable's degree is -1, 0 or 1, so |c_k| is at most the monomial's
-total degree: a monomial of total degree 2**31 or more raises
+A Polynomial's monomials use 32-bit digits, symbol k at place k along
+x_variables(tree): a monomial of total degree 2**31 or more raises
 ResourceLimitError instead of a degree whose digits could have carried.
+
+A packed monomial of a MonomialOrder on the tree's variables (see
+groebner.py) uses the order's own b-bit digits, symbol p_i at the place of
+its x-variable x_{i,p} (a symbol the order lacks goes past the order's
+last digit).  Its minus key holds its exponents in the same places, so its
+x-part's degree is its x-digits as they are, one AND, and only its
+nonzero u-digits are summed against their u-parameters' codes.  Its total
+degree is at most its weight, which the order keeps within max_weight =
+2**(b-1) - 1, its key bound (127 or 32,767), so every digit decodes
+exactly and no bound is checked.
 """
 
 from __future__ import annotations
 
+import sys
 import weakref
 from collections import Counter
-from itertools import compress
+from functools import partial
+from itertools import compress, count
 from operator import mul
 
 from .errors import NotATreeError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
@@ -57,7 +65,6 @@ from .posets import as_rooted_tree
 
 DEGREE_DIGIT_BITS = 32
 MAX_PACKED_DEGREE = (1 << (DEGREE_DIGIT_BITS - 1)) - 1  # largest total degree packed
-_DIGIT_MASK = (1 << DEGREE_DIGIT_BITS) - 1
 
 
 class MultiDegree:
@@ -160,61 +167,101 @@ def variable_degree(tree, v):
     raise UnknownVariableError(f"unsupported variable {v!r}")
 
 
+def _degree_codes(poset, units):
+    """The packed degrees of the poset's variables, and hat(p) for each
+    element of a rooted tree (None otherwise), given `units`, the symbols'
+    codes keyed in x_variables(poset) order: the x-variables are their
+    units and, on a rooted tree, u_{q,p} -> p1 + hat(p) - q2 and u_{0,r} ->
+    r1 + hat(r), with hat(p) packed once per element."""
+    codes = dict(units)
+    try:
+        tree = as_rooted_tree(poset)
+    except NotATreeError:
+        return codes, None  # no parameters
+    ext, unit = tree.linear_extension(), list(units.values())
+    x1, x2 = dict(zip(ext, unit[::2])), dict(zip(ext, unit[1::2]))
+    hat = {p: x2[p] - sum(map(x1.get, tree.children(p))) for p in ext}
+    for q, p in parameter_pairs(tree):
+        codes[UVar(q, p)] = x1[p] + hat[p] - (0 if q is None else x2[q])
+    return codes, hat
+
+
 class _DegreeTable:
     """The packed degrees of one poset's variables (see the module docstring
-    for the encoding), all entered up front: the symbols, which are the
-    x-variables, and on a rooted tree the u-parameters.  A variable missing
+    for the two layouts), all entered up front: the symbols, which are the
+    x-variables, and on a rooted tree the u-parameters.  With no order the
+    digits are 32 bits wide, symbol k at digit k along x_variables(poset);
+    with a MonomialOrder they are the order's own, each symbol at the digit
+    of its x-variable (a symbol the order lacks goes past its last digit),
+    and `degree` maps a term's minus key to its code.  A variable missing
     from the table is foreign, and raises variable_degree's error."""
 
-    __slots__ = ("symbols", "codes", "_order", "_packed")
+    __slots__ = ("codes", "hat", "order", "degree", "_bits", "_slots")
 
-    def __init__(self, poset):
-        self.symbols = tuple(x_variables(poset))
-        codes = self.codes = {s: 1 << DEGREE_DIGIT_BITS * k for k, s in enumerate(self.symbols)}
-        self._order = self._packed = None
+    def __init__(self, poset, order=None):
+        symbols = x_variables(poset)
+        if order is None:
+            bits, places = DEGREE_DIGIT_BITS, range(len(symbols))
+        else:
+            bits, index = order.digit_bits, order.index
+            places = [index.get(s) for s in symbols]
+            if None in places:
+                past = count(len(index))
+                places = [next(past) if i is None else i for i in places]
+        units = {s: 1 << bits * i for s, i in zip(symbols, places)}
+        self.codes, self.hat = _degree_codes(poset, units)
+        self.order, self._bits, self._slots = order, bits, (places, symbols)
+        self.degree = None if order is None else self._packed(poset, order, places, units)
+
+    def _packed(self, poset, order, places, units):
+        """The degree code of a term of `order` from its minus key n: the
+        x-digits of n as they are, plus e * code(u) for each nonzero
+        u-digit e, read from the span of digits that holds the u's."""
+        bits, variables, codes = order.digit_bits, order.variables, self.codes
+        xs = set(places)
+        us = [i for i in range(len(variables)) if i not in xs]
+        lo, hi = (us[0], us[-1] + 1) if us else (0, 0)
         try:
-            tree = as_rooted_tree(poset)
-        except NotATreeError:
-            return  # no parameters
-        x1 = {p: codes[XVar(1, p)] for p in tree}
-        hat = {p: codes[XVar(2, p)] - sum(map(x1.get, tree.children(p))) for p in tree}
-        for q, p in parameter_pairs(tree):
-            codes[UVar(q, p)] = x1[p] + hat[p] - (0 if q is None else codes[XVar(2, q)])
+            ucodes = [0 if i in xs else codes[variables[i]] for i in range(lo, hi)]
+        except KeyError as exc:
+            variable_degree(poset, exc.args[0])  # raises for a foreign variable
+            raise
+        xmask = ((1 << bits) - 1) * sum(units.values()) & order.mask
+        shift, umask, size = bits * lo, (1 << bits * (hi - lo)) - 1, bits // 8 * (hi - lo)
+        byteorder, wide = sys.byteorder, bits == 16
 
-    def packed(self, tree, order):
-        """The packed degree of a packed monomial of `order`, a MonomialOrder
-        on the tree's variables, from its minus key; kept for the last order
-        asked for."""
-        if self._order is not order:
-            try:
-                codes = [self.codes[v] for v in order.variables]
-            except KeyError as exc:
-                variable_degree(tree, exc.args[0])  # raises for a foreign variable
-                raise
-            exponents = order.exponents
+        def degree(n):
+            u = n >> shift & umask
+            if not u:
+                return n & xmask
+            e = u.to_bytes(size, byteorder)  # 8-bit digits as they are
+            if wide:
+                e = memoryview(e).cast("H")
+            return (n & xmask) + sum(map(mul, compress(e, e), compress(ucodes, e)))
 
-            def degree(n):
-                e = exponents(n)
-                return sum(map(mul, compress(e, e), compress(codes, e)))
-
-            self._order, self._packed = order, degree
-        return self._packed
+        return degree
 
     def decode(self, code):
-        coords = {}
-        for sym in self.symbols:
+        """The MultiDegree of a code: balanced digits, -B/2 <= c < B/2, at
+        the symbols' places."""
+        bits, coords, at = self._bits, {}, 0
+        mask, top = (1 << bits) - 1, (1 << (bits - 1)) - 1
+        for place, sym in sorted(zip(*self._slots)):
             if not code:
                 break
-            c = code & _DIGIT_MASK
-            if c > MAX_PACKED_DEGREE:
-                c -= 1 << DEGREE_DIGIT_BITS
+            code >>= bits * (place - at)
+            at = place
+            c = code & mask
+            if c > top:
+                c -= 1 << bits
             if c:
                 coords[sym] = c
-            code = (code - c) >> DEGREE_DIGIT_BITS
+            code -= c
         return MultiDegree(coords)
 
     def code(self, tree, mono):
-        """The packed degree of a monomial of B(2,P), P = tree."""
+        """The packed degree of a monomial of B(2,P), P = tree, in the
+        32-bit layout."""
         codes = self.codes
         try:
             code = sum(codes[v] * e for v, e in mono.pairs)
@@ -229,16 +276,50 @@ class _DegreeTable:
             )
         return code
 
+    def common(self, tree, f):
+        """The code of the common degree of f's terms: f a Polynomial in the
+        32-bit table, a packed polynomial of the order in an order's.  Raises
+        NotHomogeneousError with a two-monomial witness otherwise."""
+        order = self.order
+        if order is None:
+            terms, code = f.terms, partial(self.code, tree)
+        else:
+            terms, code = f, self.degree
+        it = iter(terms)
+        m0 = next(it)
+        d0 = code(m0)
+        for m in it:
+            d = code(m)
+            if d != d0:
+                if order is not None:
+                    m0, m = order.monomial(-m0), order.monomial(-m)
+                deg0, deg = self.decode(d0), self.decode(d)
+                raise NotHomogeneousError(
+                    f"monomial {m0!r} has degree {deg0.render()} but {m!r} has {deg.render()}",
+                    m0,
+                    deg0,
+                    m,
+                    deg,
+                )
+        return d0
 
-# tree -> _DegreeTable; a table holds no reference to its tree, so it goes
-# when the tree does
+
+# tree -> its 32-bit _DegreeTable, and tree -> the _DegreeTable of the last
+# order asked for; a table holds no reference to its tree, so it goes when
+# the tree does
 _tables = weakref.WeakKeyDictionary()
+_order_tables = weakref.WeakKeyDictionary()
 
 
-def _degree_table(tree):
-    table = _tables.get(tree)
-    if table is None:
-        table = _tables[tree] = _DegreeTable(tree)
+def _degree_table(tree, order=None):
+    if order is None:
+        table = _tables.get(tree)
+        if table is None:
+            table = _tables[tree] = _DegreeTable(tree)
+    else:
+        table = _order_tables.get(tree)
+        if table is None or table.order is not order:
+            table = _order_tables[tree] = _DegreeTable(tree, order)
     return table
 
 
@@ -257,28 +338,8 @@ def homogeneous_degree(tree, f, order=None):
     """
     if not f:
         return MultiDegree.zero()
-    table = _degree_table(tree)
-    if order is None:
-        terms, code = f.terms, lambda m: table.code(tree, m)
-    else:
-        terms, code = f, table.packed(tree, order)
-    it = iter(terms)
-    m0 = next(it)
-    d0 = code(m0)
-    for m in it:
-        d = code(m)
-        if d != d0:
-            if order is not None:
-                m0, m = order.monomial(-m0), order.monomial(-m)
-            deg0, deg = table.decode(d0), table.decode(d)
-            raise NotHomogeneousError(
-                f"monomial {m0!r} has degree {deg0.render()} but {m!r} has {deg.render()}",
-                m0,
-                deg0,
-                m,
-                deg,
-            )
-    return table.decode(d0)
+    table = _degree_table(tree, order)
+    return table.decode(table.common(tree, f))
 
 
 def positivity_witness(tree):

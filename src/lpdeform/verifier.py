@@ -11,9 +11,9 @@ stream, counts the instances it draws, stops at the first witness (so a
 FAIL does no further polynomial work) and builds the CheckReport carrying
 the verdict, the count, the witness and the wall time.  Instances are
 tested through three helpers: _member (membership in J), _degree (a
-generator's homogeneity or a degree law, its hat(p) read from one table
-per check) and _lift_fault (a relation lift's factorization and
-u-positivity).
+generator's homogeneity or a degree law, its p1, p2 and hat(p) read from
+the tree's degree table) and _lift_fault (a relation lift's factorization
+and u-positivity).
 
 Every check reads its blocks (S_p, T, T_c, the sibling entries, the
 minors, R, the generators and the x-variables) in the division kernel's
@@ -25,8 +25,9 @@ monomials is one int addition, and an instance, a signed sum of products
 of blocks, is accumulated in one new dict (_combination, which checks each
 product against the key bound first), so no block is copied or written;
 _member reduces it with groebner._reduce.  The degree checks read packed
-terms too: u-freeness is an AND with the u-digits, a multidegree comes
-from the exponent digits (grading.homogeneous_degree), and a monomial is
+terms too: u-freeness is an AND with the u-digits, and a multidegree is
+an int in the order's own digits, read off the exponent digits and
+compared with the law's int (see grading.py); a degree and a monomial are
 decoded only to render a witness.  _lift_fault compares a lift with its
 factorization as packed dicts and reads u-positivity off the u-digits.
 
@@ -118,7 +119,7 @@ import time
 from itertools import combinations, permutations, product
 
 from .deformation import DEFAULT_MAX_TERMS, DeformationContext
-from .grading import MultiDegree, hat_degree, homogeneous_degree, truncated_hilbert
+from .grading import _degree_table, truncated_hilbert
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_WEIGHT,
@@ -135,7 +136,7 @@ from .groebner import (
 )
 from .errors import DomainError, NotHomogeneousError, ResourceLimitError
 from .letterplace import comparable_pairs, letterplace_generators
-from .polynomials import MAX_KEY_WEIGHT, render_packed
+from .polynomials import MAX_KEY_WEIGHT, XVar, render_packed
 from .posets import as_rooted_tree
 
 
@@ -337,16 +338,18 @@ class Verifier:
         return f"{label}: remainder {_clip(render_packed(rem, order))}"
 
     def _degree(self, label, f, want, of=" = "):
-        """None when the packed polynomial f is homogeneous of multidegree
-        `want`, else a witness: `label` and either the NotHomogeneousError
-        or f's degree after `of`."""
+        """None when the packed polynomial f is homogeneous of the degree
+        whose code (in the order's layout, see grading.py) is `want`, else
+        a witness: `label` and either the NotHomogeneousError or f's degree
+        after `of`.  A degree is decoded only for the witness."""
+        table = _degree_table(self.tree, self.order)
         try:
-            got = homogeneous_degree(self.tree, f, self.order)
+            got = table.common(self.tree, f) if f else 0
         except NotHomogeneousError as exc:
             return f"{label}: {exc}"
         if got == want:
             return None
-        return f"{label}{of}{got.render()}, wanted {want.render()}"
+        return f"{label}{of}{table.decode(got).render()}, wanted {table.decode(want).render()}"
 
     def _lift_fault(self, label, lhs, factored):
         """A relation lift, packed, must equal its packed closed-form
@@ -403,9 +406,9 @@ class Verifier:
 
     def check_homogeneity(self):
         """Every g(p,q) must be homogeneous of multidegree p1 + q2."""
-        unit = MultiDegree.unit
+        x = _degree_table(self.tree, self.order).codes
         faults = (
-            self._degree(f"g({p},{q})", g, unit(1, p) + unit(2, q), of=" is homogeneous of ")
+            self._degree(f"g({p},{q})", g, x[XVar(1, p)] + x[XVar(2, q)], of=" is homogeneous of ")
             for (p, q), g in self._packed_generators()
         )
         return self._run("homogeneity", faults, count="generators")
@@ -413,15 +416,16 @@ class Verifier:
     def check_degree_formulas(self):
         """The four degree laws for T, S, sibling ST, and the minors D."""
         tree, ctx, deg = self.tree, self.ctx, self._degree
-        unit, hat = MultiDegree.unit, {p: hat_degree(tree, p) for p in tree}
-        deg_t = (deg(f"deg T({p})", ctx.t_full_packed(p), unit(1, p) + hat[p]) for p in tree)
+        table = _degree_table(tree, self.order)
+        x, hat = table.codes, table.hat
+        deg_t = (deg(f"deg T({p})", ctx.t_full_packed(p), x[XVar(1, p)] + hat[p]) for p in tree)
         deg_s = (
-            deg(f"deg S_{p}({q}2)", ctx.s_op_packed(p, q), unit(2, q) - hat[p])
+            deg(f"deg S_{p}({q}2)", ctx.s_op_packed(p, q), x[XVar(2, q)] - hat[p])
             for p in tree
             for q in sorted(tree.filter_at_or_above(p))  # by name, not tree.above(p)
         )
         deg_st = (
-            deg(f"deg S_{q}T_{q}({p})", ctx.st_entry_packed(q, p), unit(1, p) + hat[p] - hat[q])
+            deg(f"deg S_{q}T_{q}({p})", ctx.st_entry_packed(q, p), x[XVar(1, p)] + hat[p] - hat[q])
             for a in tree
             for q, p in permutations(tree.children(a), 2)
         )
@@ -430,7 +434,7 @@ class Verifier:
         deg_d = (
             deg(f"deg D({a})^{i}", ctx.minor_d_packed(a, i), top - hat[a])
             for a in tree
-            for i, top in enumerate([unit(2, a)] + [hat[b] for b in tree.children(a)])
+            for i, top in enumerate([x[XVar(2, a)]] + [hat[b] for b in tree.children(a)])
         )
         return [
             self._run("deg-T", deg_t),

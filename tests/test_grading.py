@@ -36,7 +36,7 @@ from lpdeform import (
     variable_degree,
     x_variables,
 )
-from lpdeform import grading, verifier
+from lpdeform import grading
 from lpdeform.grading import MAX_PACKED_DEGREE, _degree_table
 from lpdeform.polynomials import MAX_KEY_WEIGHT, _pack_terms
 
@@ -182,17 +182,32 @@ def test_non_homogeneous_sums_raise_the_oracle_witness(case, coeffs):
     assert str(exc.value) == message
 
 
+@st.composite
+def order_for(draw, tree):
+    """A MonomialOrder on the tree's ring: the package's 16-bit order, the
+    deformation context's 8-bit one, or the ring variables permuted, at
+    either width."""
+    kind = draw(st.sampled_from(["16-bit", "context", "permuted"]))
+    if kind == "16-bit":
+        return monomial_order_for(tree)
+    if kind == "context":
+        return DeformationContext(tree).order
+    weights = positivity_witness(tree)
+    return MonomialOrder(draw(st.permutations(list(weights))), weights, draw(st.sampled_from([8, 16])))
+
+
 @given(tree_and_monomials(4, st.integers(1, 3)),
-       st.lists(st.integers(-3, 3).filter(bool), min_size=4, max_size=4))
-def test_packed_polynomials_give_the_oracle_degree_and_witness(case, coeffs):
-    # the degree of a packed term comes from its exponent digits; the
+       st.lists(st.integers(-3, 3).filter(bool), min_size=4, max_size=4), st.data())
+def test_packed_polynomials_give_the_oracle_degree_and_witness(case, coeffs, data):
+    # the degree of a packed term comes from its exponent digits, in the
+    # order's own layout wherever the order puts each variable; the
     # witness monomials are decoded from the first term and the first term
     # of another degree, as for the Polynomial
     tree, monos = case
     f = Polynomial.from_terms(zip(monos, coeffs))
     if f.is_zero:
         return
-    order = monomial_order_for(tree)
+    order = data.draw(order_for(tree))
     packed = _pack_terms(f, order)
     expected = dict_homogeneity_witness(tree, f)
     if expected is None:
@@ -203,6 +218,21 @@ def test_packed_polynomials_give_the_oracle_degree_and_witness(case, coeffs):
     witness, message = expected
     assert exc.value.witness == witness
     assert str(exc.value) == message
+
+
+def test_packed_degrees_of_an_order_without_some_x_variables():
+    # a symbol the order lacks gets a digit past the order's last one, so
+    # the u-parameters whose degrees hold it still decode exactly
+    tree = load_tree("vc2")  # a < b, a < c < d
+    weights = positivity_witness(tree)
+    missing = {XVar(1, "d"), XVar(2, "a")}
+    order = MonomialOrder([v for v in weights if v not in missing], weights, 8)
+    table = _degree_table(tree, order)
+    for v in order.variables:
+        m = Monomial.var(v, 3)
+        assert homogeneous_degree(tree, {-order.key(m): 1}, order) == 3 * variable_degree(tree, v), v
+    for v in ring_variables(tree):
+        assert table.decode(table.codes[v]) == variable_degree(tree, v), v
 
 
 def test_homogeneity_witness_of_a_generator_plus_a_stray_term():
@@ -225,6 +255,12 @@ def test_packed_degree_rejects_foreign_variables(foreign):
         monomial_degree(tree, stray)
     with pytest.raises(UnknownVariableError):
         homogeneous_degree(tree, Polynomial({a1b2: 1, stray.mul(Monomial.var(XVar(1, "b"))): 1}))
+    # packed: an order on the ring and the foreign variable
+    weights = {**positivity_witness(tree), foreign: 1}
+    order = MonomialOrder(weights, weights)
+    packed = {-order.key(a1b2): 1, -order.key(stray.mul(Monomial.var(XVar(1, "b")))): 1}
+    with pytest.raises(UnknownVariableError):
+        homogeneous_degree(tree, packed, order)
 
 
 def test_packed_degree_bound():
@@ -346,8 +382,8 @@ def test_the_witness_coarsens_variable_by_variable():
 def test_the_parameters_are_read_not_rederived(monkeypatch):
     # the order and the expansion take the parameters from their one rule:
     # no meet, no parameter degree and no decoded monomial; the degree
-    # table writes every degree down from the tree, and the degree laws
-    # compute hat(p) once per element
+    # table writes every degree down from the tree, computing hat(p) once
+    # per element, and the degree laws read it from there
     calls = {"variable_degree": 0, "meet": 0, "monomial": 0}
     hats = []
 
@@ -360,12 +396,14 @@ def test_the_parameters_are_read_not_rederived(monkeypatch):
     monkeypatch.setattr(grading, "variable_degree", spy("variable_degree", grading.variable_degree))
     monkeypatch.setattr(RootedTree, "meet", spy("meet", RootedTree.meet))
     monkeypatch.setattr(MonomialOrder, "monomial", spy("monomial", MonomialOrder.monomial))
-    def hat_spy(tree, p):
-        hats.append(p)
-        return hat_degree(tree, p)
+    degree_codes = grading._degree_codes
 
-    for module in (grading, verifier):
-        monkeypatch.setattr(module, "hat_degree", hat_spy)
+    def codes_spy(poset, units):
+        codes, hat = degree_codes(poset, units)
+        hats.extend(hat)
+        return codes, hat
+
+    monkeypatch.setattr(grading, "_degree_codes", codes_spy)
     for tree in (load_tree("tree7"), star_tree(3)):
         monomial_order_for(tree)
         assert calls == {"variable_degree": 0, "meet": 0, "monomial": 0}

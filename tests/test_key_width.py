@@ -3,7 +3,9 @@
 A DeformationContext keys its monomials with 8-bit digits when its stated
 weight bound fits an 8-bit key, and with 16-bit digits otherwise.  These
 tests hold the bound to every key the suite forms, and the narrow context
-to the 16-bit one, output for output.
+to the 16-bit one, output for output.  The packed degree checks write a
+term's multidegree in the order's own digits, so they are held to the
+Monomial path at both widths, digit extremes included.
 """
 
 import contextlib
@@ -11,10 +13,27 @@ import io
 import re
 from itertools import combinations
 
-from lpdeform import DeformationContext, Verifier, all_rooted_trees, buchberger, monomial_order_for
-from lpdeform import cli, deformation
+import pytest
 
-from conftest import poset_text, sign_flip_mutants, star_tree, tree_from
+from lpdeform import (
+    DeformationContext,
+    Monomial,
+    MultiDegree,
+    NotHomogeneousError,
+    Polynomial,
+    UVar,
+    Verifier,
+    XVar,
+    all_rooted_trees,
+    buchberger,
+    homogeneous_degree,
+    monomial_degree,
+    monomial_order_for,
+)
+from lpdeform import cli, deformation
+from lpdeform.grading import _degree_table
+
+from conftest import chain_tree, poset_text, sign_flip_mutants, star_tree, tree_from
 
 
 def heaviest(f, order):
@@ -118,3 +137,64 @@ def test_buchberger_on_a_narrow_context_order_is_the_16_bit_one():
         assert order.digit_bits == 8 and basis.order is order
         assert basis.polys == buchberger(polys, monomial_order_for(tree)).polys
 
+
+
+def degree_checked_blocks(verifier):
+    """The packed polynomials the basic suite's degree checks read: the
+    generators (homogeneity) and the T, S, ST and D blocks (the laws)."""
+    blocks = []
+    degree = verifier._degree
+
+    def recording_degree(label, f, want, of=" = "):
+        blocks.append(f)
+        return degree(label, f, want, of)
+
+    verifier._degree = recording_degree
+    verifier.check_homogeneity()
+    verifier.check_degree_formulas()
+    return blocks
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_packed_degrees_decode_to_the_monomial_path(wide):
+    # every term of every degree-checked block, on every rooted tree of up
+    # to 7 nodes, in the 8-bit context's order and in the 16-bit one
+    trees = terms = 0
+    for tree in all_rooted_trees(7):
+        trees += 1
+        v = Verifier(tree)
+        v.ctx = DeformationContext(tree, wide=wide)
+        order = v.order = v.ctx.order
+        assert order.digit_bits == (16 if wide else 8)
+        table = _degree_table(tree, order)
+        seen = {n for f in degree_checked_blocks(v) for n in f}
+        for n in seen:
+            assert table.decode(table.degree(n)) == monomial_degree(tree, order.monomial(-n)), tree
+        terms += len(seen)
+    assert trees == 85 and terms > 10_000
+
+
+@pytest.mark.parametrize("wide, top", [(False, 127), (True, 32_767)])
+def test_packed_degree_digits_reach_the_key_bound(wide, top):
+    # chain a < b < c: deg b2 = b2, deg u[a,b] = b1 + b2 - c1 - a2, both of
+    # weight 1, so their top powers fill a degree digit either way
+    tree = chain_tree(3)
+    order = DeformationContext(tree, wide=wide).order
+    assert order.max_weight == top
+    b2 = Monomial.var(XVar(2, "b"), top)
+    uab = Monomial.var(UVar("a", "b"), top)
+    unit = MultiDegree.unit
+    want = {
+        b2: top * unit(2, "b"),
+        uab: top * (unit(1, "b") + unit(2, "b") - unit(1, "c") - unit(2, "a")),
+    }
+    for m, deg in want.items():
+        assert monomial_degree(tree, m) == deg
+        assert homogeneous_degree(tree, {-order.key(m): 1}, order) == deg
+    pair = Polynomial({b2: 1, uab: -1})
+    with pytest.raises(NotHomogeneousError) as unpacked:
+        homogeneous_degree(tree, pair)
+    with pytest.raises(NotHomogeneousError) as packed:
+        homogeneous_degree(tree, {-order.key(b2): 1, -order.key(uab): -1}, order)
+    assert str(packed.value) == str(unpacked.value)
+    assert packed.value.witness == unpacked.value.witness
