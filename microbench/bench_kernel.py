@@ -7,12 +7,14 @@ collect it; it runs only when named on the command line.
 
 The kernel inputs are the packed flat-basic instances of one wide 7-node
 tree (a root with five children, one of which has a child), reduced modulo
-the tree's basis of J, as `Verifier.check_flat_basic` does; a second case
-builds the packed lemma and relation-lift instances of the star with six
-leaves, as the verifier's checks do, without reducing them.  The Buchberger
-cases build the basis of J for that star, which its generators already are,
-and for each single sign flip of a generator's u-part on the trees of up to
-4 nodes, where the loop grows the basis.  The minors are the packed
+the tree's basis of J with one divisor memo per round, as
+`Verifier.check_flat_basic` does; a second case builds the packed lemma
+and relation-lift instances of the star with six leaves, as the verifier's
+checks do, without reducing them.  The Buchberger cases build the basis of
+J for that star, which its generators already are, for the wide tree in
+the verifier's 8-bit order, whose generators the flatness checks certify,
+and for each single sign flip of a generator's u-part on the trees of up
+to 4 nodes, where the loop grows the basis.  The minors are the packed
 minors of M(a) at that root, the widest node; the expansion case builds
 the star's packed generators in a new DeformationContext, and the basic
 suite cases run `Verifier.run_basic` on the star and on the star with
@@ -67,7 +69,7 @@ from lpdeform import (
     truncated_hilbert,
 )
 from lpdeform import cli
-from lpdeform.groebner import _reduce
+from lpdeform.groebner import _divisor_memo, _reduce
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
@@ -121,11 +123,14 @@ def wide():
 def test_divide_flat_basic(benchmark, wide):
     basis, instances, _ = wide
     # the packed (P, N, tail) entries GroebnerBasis prepared with _entry;
-    # _reduce consumes its input, so each round reduces copies
+    # _reduce consumes its input, so each round reduces copies, and each
+    # round starts one divisor memo for all its instances, as
+    # Verifier._member keeps one for the whole suite
     leads, order = basis._leads, basis.order
 
     def reduce_all():
-        return [_reduce(dict(f), leads, order.mask, order.guard) for f in instances]
+        memo = _divisor_memo(leads, order)
+        return [_reduce(dict(f), leads, order.mask, order.guard, memo) for f in instances]
 
     remainders = benchmark(reduce_all)
     assert len(remainders) == len(instances) and not any(remainders)
@@ -153,6 +158,19 @@ def test_buchberger_star6(benchmark):
 
     basis = benchmark.pedantic(buchberger, args=(gens, order), rounds=5)
     assert set(basis) == set(gens)
+
+
+def test_buchberger_wide7(benchmark):
+    # the wide tree's generators, packed in the verifier's 8-bit order, are
+    # the basis its flatness checks certify: every S-pair reduces to zero
+    # modulo the generators' list, so the loop keeps one divisor memo
+    verifier = Verifier(parse_poset(WIDE_TREE))
+    assert all(r.passed for r in verifier.run_full(max_degree=2))
+    ctx = verifier.ctx
+    gens = [g for _, g in ctx.generators_packed()]
+
+    basis = benchmark.pedantic(buchberger, args=(gens, ctx.order), rounds=10, warmup_rounds=1)
+    assert basis._leads == verifier.basis._leads
 
 
 def test_buchberger_sign_flip_mutants(benchmark):

@@ -5,7 +5,8 @@ polynomial, below, is taken as it is, and the packed entries the verifier
 already holds pass unchanged) and runs one loop over their S-pairs:
 normal selection strategy (smallest S-pair lcm first), the
 coprime-leading-term criterion (a pair with coprime leads costs one AND of
-the leads' supports and is never queued), full tail reduction at the end.
+the leads' supports and is never queued; the others' lcm keys are formed
+on the packed digits, see `_spairs`), full tail reduction at the end.
 Each S-pair is built from the packed entries, as the two tails shifted by
 their quotient keys, and reduced once by the division kernel, with no
 Polynomial built and no Fraction made for a monic basis.  A zero remainder
@@ -73,6 +74,36 @@ division using a heap", J. Symb. Comp. 2011):
   * each polynomial of a basis is packed once, a Polynomial by
     `_pack_terms` with one MonomialOrder.key call per term, and made monic
     by `_entry`.
+
+The divisor memo.  Which lead, if any, is the first in basis order to
+divide a monomial depends only on the monomial's digits at the variables
+the leads use: a lead divides m when each of its nonzero digits is at most
+m's, and its zero digits test nothing.  So with D the mask of the digits
+where some lead is nonzero (`_divisor_memo`), every monomial with the same
+digits N & D has the same divisor, and `_reduce` keeps it in a dict
+keyed by N & D, with None for "no lead divides".  A term whose digits are
+new is scanned as before, and the scan's answer is stored; so the memo
+finds the very entry the scan would, and every remainder, coefficient,
+witness and budget trip is the scan's.  For the leads of J, the quadrics
+p1*q2, D covers only x-digits, and the terms of a check's instances have
+few distinct x-parts (151 and 93 on the two `wide` benchmark trees), so
+nearly every step is one dict lookup instead of a test per lead.
+
+A memo is valid only while its lead list does not change, so it is kept
+with a list that never does:
+
+  * the verifier's generator entries, made once (verifier.py);
+  * a GroebnerBasis's `_leads`, whose `normal_form` uses it too;
+  * buchberger's list of generators, up to the first appended element.
+    From there on the loop goes back to the scan: a new lead can divide a
+    monomial the old ones could not, and where the basis grows (the sign
+    flips of the `mutants` benchmark) a memo started again at each append
+    hit on only about a quarter of the terms and cost more than it saved.
+    A loop that appends nothing, as on generators that are the basis,
+    keeps the memo throughout.
+
+buchberger's textbook step (`_divide` on the pair's S-polynomial) and its
+final tail reduction, whose lists serve one reduction each, scan.
 """
 
 from __future__ import annotations
@@ -85,6 +116,7 @@ from .polynomials import Polynomial, _as_coeff, _pack_terms, key_bound_error
 
 DEFAULT_MAX_PAIRS = 1_000_000
 DEFAULT_MAX_WEIGHT = 10_000
+_UNSEEN = object()  # _reduce's memo has no entry for these digits yet
 
 
 def _unpack(work, order):
@@ -171,10 +203,30 @@ def _entry_polynomial(entry, order):
     return _unpack(work, order)
 
 
-def _reduce(work, leads, mask, guard):
+def _divisor_memo(leads, order):
+    """An empty divisor memo for the fixed entry list `leads`, for _reduce:
+    (D, {}), D the digit mask of the leads' nonzero digits (the guard bits
+    of their supports, widened to whole digits).  The dict maps a term's
+    digits at D to the first entry of `leads`, in basis order, whose lead
+    divides the term, or to None when none does."""
+    guard, bits = order.guard, order.digit_bits
+    low = guard >> (bits - 1)  # the low bit of every exponent digit
+    support = 0
+    for pl, _, _ in leads:
+        support |= ((pl | guard) - low) & guard
+    return (support << 1) - (support >> (bits - 1)), {}
+
+
+def _reduce(work, leads, mask, guard, memo=None):
     """Complete division remainder, {minus key: coefficient}, of the packed
     polynomial `work` (minus key -> coefficient; consumed) by the entries
-    `leads` (see the module docstring)."""
+    `leads` (see the module docstring).  With `memo`, the
+    `_divisor_memo(leads, order)` of this very list, each term's divisor is
+    looked up by the term's digits at the leads' variables, and scanned for
+    only the first time those digits are met."""
+    found = None
+    if memo is not None:
+        mask, found = memo
     # minus keys: the smallest is the largest monomial, and a product's is
     # the sum of its factors'
     heap = list(work)
@@ -186,16 +238,22 @@ def _reduce(work, leads, mask, guard):
         c = work.pop(n, None)
         if c is None:
             continue  # cancelled after it was pushed
-        p = (n & mask) | guard
-        for pl, nl, tail in leads:
-            if (p - pl) & guard == guard:
-                break
-        else:
+        p = n & mask
+        if found is None or (lead := found.get(p, _UNSEEN)) is _UNSEEN:
+            pg = p | guard
+            for lead in leads:
+                if (pg - lead[0]) & guard == guard:
+                    break
+            else:
+                lead = None
+            if found is not None:
+                found[p] = lead
+        if lead is None:
             remainder[n] = c
             continue
         # the lead is monic, so the head term cancels exactly
-        q = n - nl
-        for gn, gc in tail:
+        q = n - lead[1]
+        for gn, gc in lead[2]:
             t = gn + q
             s = work.get(t)
             if s is None:
@@ -210,9 +268,9 @@ def _reduce(work, leads, mask, guard):
     return remainder
 
 
-def _divide(f, leads, order):
+def _divide(f, leads, order, memo=None):
     """Complete division remainder of f by the packed entries `leads`."""
-    return _unpack(_reduce(_pack_terms(f, order), leads, order.mask, order.guard), order)
+    return _unpack(_reduce(_pack_terms(f, order), leads, order.mask, order.guard, memo), order)
 
 
 def s_polynomial(f, g, order):
@@ -239,6 +297,7 @@ class GroebnerBasis:
     def __init__(self, polys, order):
         self.order = order
         self._leads = [_entry(_pack_terms(g, order), order) for g in polys]
+        self._memo = _divisor_memo(self._leads, order)  # the leads never change
         self._polys = None
 
     @classmethod
@@ -246,6 +305,7 @@ class GroebnerBasis:
         """The basis of the packed entries from _entry, taken as they are."""
         basis = cls((), order)
         basis._leads = entries
+        basis._memo = _divisor_memo(entries, order)
         return basis
 
     @property
@@ -273,7 +333,7 @@ class GroebnerBasis:
     def normal_form(self, f):
         """The unique remainder of f modulo this basis (zero iff f lies in
         the ideal)."""
-        return _divide(f, self._leads, self.order)
+        return _divide(f, self._leads, self.order, self._memo)
 
     def contains(self, f):
         return self.normal_form(f).is_zero
@@ -289,19 +349,41 @@ def normal_form(f, basis):
 def _spairs(leads, seen, order):
     """Heap entries (lcm key, t, k) of the non-coprime pairs t < k of the
     packed entries `leads`, for every k from len(seen) on; `seen` holds
-    (Monomial, support) per lead already paired, the support being the
-    guard bits of the lead's nonzero digits, and grows to len(leads).
-    A coprime pair is never an entry, and its lcm is never formed."""
-    guard = order.guard
-    low = guard >> (order.digit_bits - 1)  # the low bit of every exponent digit
+    (P, weight, support) per lead already paired, P its exponent digits and
+    the support the guard bits of its nonzero digits, and grows to
+    len(leads).  A coprime pair is never an entry, and its lcm is never
+    formed.
+
+    The lcm's key is formed on the digits, as MonomialOrder.key would give
+    it: its digits are the digit-wise maximum of the two leads' (one
+    guarded subtraction marks the digits where P_k >= P_t), and its weight
+    is w(k) + w(t) - w(gcd), the gcd's digits being P_k + P_t minus the
+    lcm's, nonzero only on the shared support.  An lcm past the key bound
+    raises MonomialOrder.key's error."""
+    guard, bits = order.guard, order.digit_bits
+    low = guard >> (bits - 1)  # the low bit of every exponent digit
+    shift, digit = order.mask.bit_length(), (1 << bits) - 1
+    weights = [order.weights[v] for v in order.variables]
     pairs = []
     for k in range(len(seen), len(leads)):
         pk, nk, _ = leads[k]
-        mk, sk = order.monomial(-nk), ((pk | guard) - low) & guard
-        for t, (mt, st) in enumerate(seen):
-            if st & sk:
-                pairs.append((order.key(mk.lcm(mt)), t, k))
-        seen.append((mk, sk))
+        wk, sk = -(nk >> shift), ((pk | guard) - low) & guard
+        for t, (pt, wt, st) in enumerate(seen):
+            common = st & sk
+            if not common:
+                continue
+            ge = ((pk | guard) - pt) & guard  # the digits where P_k >= P_t
+            lcm = pt ^ ((pk ^ pt) & (ge - (ge >> (bits - 1))))
+            gcd, w = pk + pt - lcm, wk + wt
+            while common:
+                g = common & -common
+                common ^= g
+                i = g.bit_length() // bits - 1  # the shared digit's variable
+                w -= weights[i] * ((gcd >> bits * i) & digit)
+            if w > order.max_weight:
+                raise key_bound_error(w, order.max_weight)
+            pairs.append(((w << shift) - lcm, t, k))
+        seen.append((pk, wk, sk))
     return pairs
 
 
@@ -343,6 +425,8 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     shift = mask.bit_length()
     seen = []
     heap = _spairs(leads, seen, order)
+    # the divisor memo of the generators' list, until the first append
+    memo = _divisor_memo(leads, order)
     heapq.heapify(heap)
     processed = 0
     while heap:
@@ -356,7 +440,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         # the S-polynomial of monic f_i, f_j is (l/lead_i) tail_i - (l/lead_j) tail_j
         (_, ni, ti), (_, nj, tj) = leads[i], leads[j]
         work = _iadd({n - k - ni: c for n, c in ti}, {n - k - nj: c for n, c in tj}, -1)
-        rem = _reduce(work, leads, mask, guard)
+        rem = _reduce(work, leads, mask, guard, memo)
         if not rem:
             continue
         # the textbook step, the perfbench tracer's counting point, on the
@@ -364,6 +448,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         fi, fj = _entry_polynomial(leads[i], order), _entry_polynomial(leads[j], order)
         _divide(s_polynomial(fi, fj, order), leads, order)
         leads.append(_entry({nm: _as_coeff(c) for nm, c in rem.items()}, order))
+        memo = None  # the list changed: the scan finds each divisor from here on
         for pair in _spairs(leads, seen, order):
             heapq.heappush(heap, pair)
 

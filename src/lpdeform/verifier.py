@@ -19,12 +19,12 @@ Every check reads its blocks (S_p, T, T_c, the sibling entries, the
 minors, R, the generators and the x-variables) in the division kernel's
 packed form, a dict minus order key -> coefficient (see groebner.py),
 straight from the context's memo, so each block is built once for the
-whole suite; the verifier keeps no memo.  The generators, the context's or
-an override list packed once, are also the basis input.  A product of
-monomials is one int addition, and an instance, a signed sum of products
-of blocks, is accumulated in one new dict (_combination, which checks each
-product against the key bound first), so no block is copied or written;
-_member reduces it with groebner._reduce.  The degree checks read packed
+whole suite; the verifier keeps no block memo.  The generators, the
+context's or an override list packed once, are also the basis input.  A
+product of monomials is one int addition, and an instance, a signed sum of
+products of blocks, is accumulated in one new dict (_combination, which
+checks each product against the key bound first), so no block is copied
+or written; _member reduces it with groebner._reduce.  The degree checks read packed
 terms too: u-freeness is an AND with the u-digits, and a multidegree is
 an int in the order's own digits, read off the exponent digits and
 compared with the law's int (see grading.py); a degree and a monomial are
@@ -64,9 +64,15 @@ Membership and the certificate
 ------------------------------
 
 _member reduces a packed instance modulo the generators' packed entries
-while no basis exists.  Division by any generating set that leaves a zero
-remainder writes the instance as a combination of the generators, so the
-instance PASSes with no basis.  A nonzero remainder proves nothing by
+while no basis exists.  The entries are made at the first membership test
+and never change, so their divisor memo (see groebner.py), made with them,
+serves the whole suite: each term's divisor is one dict lookup on its
+digits at the leads' variables, and the scan runs only for digits not met
+before.  A basis keeps its own memo with its `_leads`, which are sorted by
+lead, so its first divisor of a term can differ from the generators'; no
+memo is shared between the two lists.  Division by any generating set
+that leaves a zero remainder writes the instance as a combination of the
+generators, so the instance PASSes with no basis.  A nonzero remainder proves nothing by
 itself: it makes the verifier build the reduced basis and reduce that
 remainder again.  The remainder differs from the instance by an element of
 J, and the normal form modulo a reduced basis is unique, so the witness is
@@ -111,11 +117,15 @@ the zero ideal, whose basis is empty.
 Verifiers accept an override generator list so mutated ideals can be
 exercised: checks that quote g(p,q) pull from the override while the
 recursion side comes from the context, so a corrupted generator is caught.
+`Verifier.generators` reads either list as a read-only sequence: nothing
+done to it reaches the checks, and the context's generators are unpacked
+one by one as they are read, so its len unpacks none.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from itertools import combinations, permutations, product
 
 from .deformation import DEFAULT_MAX_TERMS, DeformationContext
@@ -127,11 +137,13 @@ from .groebner import (
     _addmul,
     _check_product,
     _divisible,
+    _divisor_memo,
     _entry,
     _iadd,
     _mul,
     _pack_terms,
     _reduce,
+    _unpack,
     buchberger,
 )
 from .errors import DomainError, NotHomogeneousError, ResourceLimitError
@@ -194,6 +206,37 @@ def _require_degree(max_degree):
         raise ResourceLimitError(f"max_degree {max_degree} exceeds {MAX_KEY_WEIGHT}, the key bound")
 
 
+class _Generators(Sequence):
+    """A read-only sequence of ((p,q), g(p,q)) pairs over a list of them:
+    with an order, the list's g(p,q) are packed and each is unpacked when
+    its item is read; without one they are taken as they are.  It equals
+    any sequence of the same pairs, a list included."""
+
+    __slots__ = ("_items", "_order")
+
+    def __init__(self, items, order=None):
+        self._items, self._order = items, order
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        pair, g = self._items[i]
+        return (pair, g) if self._order is None else (pair, _unpack(g, self._order))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"[{', '.join(map(repr, self))}]"
+
+
 class Verifier:
     def __init__(
         self,
@@ -208,19 +251,21 @@ class Verifier:
         self.order = self.ctx.order
         self.max_pairs = max_pairs
         self.max_weight = max_weight
-        self._override = list(generators) if generators is not None else None
+        self._override = tuple(generators) if generators is not None else None
         self._generators = None  # ((p,q), packed g), built at first use
         self._entries = None  # their packed entries, made at the first membership test
+        self._divisors = None  # the entries' divisor memo, made with them
         self._passed = set()  # the checks that ran to the end and passed
         self._basis = None
 
     @property
     def generators(self):
-        """((p,q), g(p,q)) pairs: the override list if one was given, else
-        the context's generators, unpacked at each read."""
+        """((p,q), g(p,q)) pairs, a read-only sequence: the override list if
+        one was given, else the context's generators, each unpacked when it
+        is read (len unpacks nothing)."""
         if self._override is not None:
-            return self._override
-        return self.ctx.j_ideal_generators()
+            return _Generators(self._override)
+        return _Generators(self._packed_generators(), self.order)
 
     def _packed_generators(self):
         """((p,q), packed g(p,q)) pairs: the context's memoized generators,
@@ -254,10 +299,11 @@ class Verifier:
         return self._basis
 
     def _generator_entries(self):
-        """The nonzero generators' packed entries, for _reduce, or the
-        basis's when the budgets might not hold buchberger's first pairs:
-        then buchberger builds the basis at the first call, charging the
-        pairs and raising its own error if a budget trips."""
+        """The nonzero generators' packed entries and their divisor memo,
+        for _reduce, or the basis's when the budgets might not hold
+        buchberger's first pairs: then buchberger builds the basis at the
+        first call, charging the pairs and raising its own error if a
+        budget trips."""
         if self._entries is None:
             order = self.order
             entries = [_entry(g, order) for _, g in self._packed_generators() if g]
@@ -268,9 +314,9 @@ class Verifier:
             if n * (n - 1) // 2 > self.max_pairs or sum(heaviest) > min(
                 self.max_weight, order.max_weight
             ):
-                return self.basis._leads
-            self._entries = entries
-        return self._entries
+                return self.basis._leads, self.basis._memo
+            self._entries, self._divisors = entries, _divisor_memo(entries, order)
+        return self._entries, self._divisors
 
     def _certified(self):
         """The generators' packed entries, sorted by lead, when they are J's
@@ -331,8 +377,12 @@ class Verifier:
         mask, guard = order.mask, order.guard
         if self._basis is None:
             # a zero remainder modulo any generating set proves membership
-            f = _reduce(f, self._generator_entries(), mask, guard)
-        rem = f and _reduce(f, self.basis._leads, mask, guard)
+            entries, memo = self._generator_entries()
+            f = _reduce(f, entries, mask, guard, memo)
+        if not f:
+            return None
+        basis = self.basis
+        rem = _reduce(f, basis._leads, mask, guard, basis._memo)
         if not rem:
             return None
         return f"{label}: remainder {_clip(render_packed(rem, order))}"

@@ -446,6 +446,37 @@ def test_relation_lifts_reduce_nothing(monkeypatch, tree, gens):
     assert calls
 
 
+@pytest.mark.parametrize("override", [False, True], ids=["context", "override"])
+def test_generators_are_a_read_only_sequence_read_item_by_item(monkeypatch, override):
+    tree = star_tree(3)
+    want = j_ideal_generators(tree)
+    v = Verifier(tree, generators=list(want) if override else None)
+    unpacked = []
+    unpack = verifier_module._unpack
+    monkeypatch.setattr(verifier_module, "_unpack", lambda g, order: unpacked.append(g) or unpack(g, order))
+    gens = v.generators
+    assert len(gens) == len(want) == 7 and unpacked == []
+    assert gens[0] == want[0] and gens[-1] == want[-1] and gens[2:5] == want[2:5]
+    # the context's items are unpacked as they are read; the override's are the caller's
+    assert len(unpacked) == (0 if override else 5)
+    assert gens == want == v.ctx.j_ideal_generators() and list(gens) == want
+    assert dict(gens) == dict(want) and dict(gens)[("a", "b")] == dict(want)[("a", "b")]
+    extra = (("b", "c"), Polynomial.variable(XVar(1, "b")))
+    assert [*gens, extra] == [*want, extra] and gens != [*want, extra]
+    if override:
+        assert all(a[1] is b[1] for a, b in zip(gens, want))
+    # nothing reaches the verifier's list
+    with pytest.raises(AttributeError):
+        gens.pop()
+    with pytest.raises(AttributeError):
+        gens.append(extra)
+    with pytest.raises(TypeError):
+        gens[0] = extra
+    with pytest.raises(TypeError):
+        del gens[0]
+    assert v.generators == want and v.check_specialization().passed and len(v.generators) == 7
+
+
 def test_lift_with_a_u_free_monomial_fails():
     v = Verifier(chain_tree(2))
     g = dict(v.generators)[("a", "b")]
