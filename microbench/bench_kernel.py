@@ -25,7 +25,10 @@ not run, and the star case runs it at degree 3
 on the star with seven leaves, in one round, the scale at which the packed
 keys' width shows in time and memory; the Hilbert counts are the
 ones `Verifier.compare_hilbert` makes for J on the 3-chain at degree 10
-and on fixtures/tree7.poset at degree 8; the homogeneity test is the one
+and on fixtures/tree7.poset at degree 8, and the compare case runs
+`compare_hilbert(4)` on a new verifier for that tree, buchberger
+included, as the `hilbert` benchmark does; the certificate case runs
+`Verifier._certified` on the wide tree once its flatness checks passed; the homogeneity test is the one
 `Verifier.check_homogeneity` makes on the wide tree's packed generators.
 The three `lp` cases time the process layer in one process, as the
 `cli-sweep` benchmark calls it: `cli.run` with stdout captured, for
@@ -282,6 +285,28 @@ def test_run_full_star7(benchmark):
 
     reports = benchmark.pedantic(full, rounds=1)
     assert len(reports) == 16 and all(r.passed for r in reports)
+
+
+def test_compare_hilbert_tree7(benchmark):
+    # the hilbert workload's path: buchberger on the generators, then
+    # _numerator on J's leads and on L's quadrics
+    text = open(TREE7).read()
+
+    def compare():
+        return Verifier(parse_poset(text)).compare_hilbert(4)
+
+    report = benchmark.pedantic(compare, rounds=10, warmup_rounds=1)
+    assert report.passed
+
+
+def test_certified_wide7(benchmark):
+    # the certificate's lead and tail tests on the generators' entries and
+    # their divisor memo, after the flatness checks passed
+    verifier = Verifier(parse_poset(WIDE_TREE))
+    assert all(r.passed for r in verifier.run_full(max_degree=2))
+
+    entries = benchmark.pedantic(verifier._certified, rounds=50, warmup_rounds=1)
+    assert entries == verifier.basis._leads
 
 
 def test_truncated_hilbert_chain3(benchmark):

@@ -196,7 +196,7 @@ class _DegreeTable:
     and `degree` maps a term's minus key to its code.  A variable missing
     from the table is foreign, and raises variable_degree's error."""
 
-    __slots__ = ("codes", "hat", "order", "degree", "_bits", "_slots")
+    __slots__ = ("codes", "hat", "order", "degree", "_bits", "_slots", "_ucodes", "_split")
 
     def __init__(self, poset, order=None):
         symbols = x_variables(poset)
@@ -211,12 +211,15 @@ class _DegreeTable:
         units = {s: 1 << bits * i for s, i in zip(symbols, places)}
         self.codes, self.hat = _degree_codes(poset, units)
         self.order, self._bits, self._slots = order, bits, (places, symbols)
+        self._ucodes = self._split = None
         self.degree = None if order is None else self._packed(poset, order, places, units)
 
     def _packed(self, poset, order, places, units):
         """The degree code of a term of `order` from its minus key n: the
         x-digits of n as they are, plus e * code(u) for each nonzero
-        u-digit e, read from the span of digits that holds the u's."""
+        u-digit e, read from the span of digits that holds the u's.  The
+        code of each u-part met is kept in `_ucodes`, keyed by the u-span
+        n >> shift & umask, with (shift, umask, xmask) in `_split`."""
         bits, variables, codes = order.digit_bits, order.variables, self.codes
         xs = set(places)
         us = [i for i in range(len(variables)) if i not in xs]
@@ -229,15 +232,18 @@ class _DegreeTable:
         xmask = ((1 << bits) - 1) * sum(units.values()) & order.mask
         shift, umask, size = bits * lo, (1 << bits * (hi - lo)) - 1, bits // 8 * (hi - lo)
         byteorder, wide = sys.byteorder, bits == 16
+        cache = self._ucodes = {0: 0}
+        self._split = shift, umask, xmask
 
         def degree(n):
             u = n >> shift & umask
-            if not u:
-                return n & xmask
-            e = u.to_bytes(size, byteorder)  # 8-bit digits as they are
-            if wide:
-                e = memoryview(e).cast("H")
-            return (n & xmask) + sum(map(mul, compress(e, e), compress(ucodes, e)))
+            c = cache.get(u)
+            if c is None:
+                e = u.to_bytes(size, byteorder)  # 8-bit digits as they are
+                if wide:
+                    e = memoryview(e).cast("H")
+                c = cache[u] = sum(map(mul, compress(e, e), compress(ucodes, e)))
+            return (n & xmask) + c
 
         return degree
 
@@ -288,8 +294,14 @@ class _DegreeTable:
         it = iter(terms)
         m0 = next(it)
         d0 = code(m0)
+        if order is not None:
+            # the u-parts' codes `degree` keeps, read here without a call
+            get, (shift, umask, xmask) = self._ucodes.get, self._split
         for m in it:
-            d = code(m)
+            if order is None or (c := get(m >> shift & umask)) is None:
+                d = code(m)
+            else:
+                d = (m & xmask) + c
             if d != d0:
                 if order is not None:
                     m0, m = order.monomial(-m0), order.monomial(-m)
@@ -369,7 +381,11 @@ def monomial_order_for(tree):
 
 
 def _divides(a, b):
-    return all(b.get(i, 0) >= e for i, e in a.items())
+    """Whether the lead a divides the lead b, each a dict variable index ->
+    exponent.  Every lead holds positive exponents only (Monomial.pairs
+    does, and _split drops a zero one), so a divisor's variables are among
+    b's: that set test runs first, and the exponents are compared after."""
+    return a.keys() <= b.keys() and all(b[i] >= e for i, e in a.items())
 
 
 def _numerator(leads, weights, bound):

@@ -217,16 +217,25 @@ def _divisor_memo(leads, order):
     return (support << 1) - (support >> (bits - 1)), {}
 
 
+def _scan(p, leads, guard):
+    """The first entry of `leads`, in basis order, whose lead divides the
+    exponent digits p, or None."""
+    pg = p | guard
+    for lead in leads:
+        if (pg - lead[0]) & guard == guard:
+            return lead
+    return None
+
+
 def _reduce(work, leads, mask, guard, memo=None):
     """Complete division remainder, {minus key: coefficient}, of the packed
     polynomial `work` (minus key -> coefficient; consumed) by the entries
-    `leads` (see the module docstring).  With `memo`, the
-    `_divisor_memo(leads, order)` of this very list, each term's divisor is
-    looked up by the term's digits at the leads' variables, and scanned for
-    only the first time those digits are met."""
-    found = None
+    `leads` (see the module docstring), in ascending minus key.  With
+    `memo`, the `_divisor_memo(leads, order)` of this very list, each
+    term's divisor is looked up as the term enters `work`, and only a term
+    some lead divides enters the heap."""
     if memo is not None:
-        mask, found = memo
+        return _reduce_memo(work, leads, guard, memo)
     # minus keys: the smallest is the largest monomial, and a product's is
     # the sum of its factors'
     heap = list(work)
@@ -238,17 +247,11 @@ def _reduce(work, leads, mask, guard, memo=None):
         c = work.pop(n, None)
         if c is None:
             continue  # cancelled after it was pushed
-        p = n & mask
-        if found is None or (lead := found.get(p, _UNSEEN)) is _UNSEEN:
-            pg = p | guard
-            for lead in leads:
-                if (pg - lead[0]) & guard == guard:
-                    break
-            else:
-                lead = None
-            if found is not None:
-                found[p] = lead
-        if lead is None:
+        pg = n & mask | guard
+        for lead in leads:
+            if (pg - lead[0]) & guard == guard:
+                break
+        else:
             remainder[n] = c
             continue
         # the lead is monic, so the head term cancels exactly
@@ -266,6 +269,51 @@ def _reduce(work, leads, mask, guard, memo=None):
                 else:
                     del work[t]
     return remainder
+
+
+def _reduce_memo(work, leads, guard, memo):
+    """_reduce with the divisor memo of `leads`: the heap holds the terms
+    of `work` some lead divides, and what is left in `work` when it runs
+    out is the remainder."""
+    digits, found = memo
+    get = found.get
+    heap = []
+    for n in work:
+        p = n & digits
+        lead = get(p, _UNSEEN)
+        if lead is _UNSEEN:
+            lead = found[p] = _scan(p, leads, guard)
+        if lead is not None:
+            heap.append(n)
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        n = pop(heap)
+        c = work.pop(n, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        # the lead is monic, so the head term cancels exactly
+        lead = found[n & digits]
+        q = n - lead[1]
+        for gn, gc in lead[2]:
+            t = gn + q
+            s = work.get(t)
+            if s is None:
+                work[t] = -c * gc
+                p = t & digits
+                div = get(p, _UNSEEN)
+                if div is _UNSEEN:
+                    div = found[p] = _scan(p, leads, guard)
+                if div is not None:
+                    push(heap, t)
+            else:
+                s -= c * gc
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
+    # the scan pops the remainder's terms in ascending minus key
+    return dict(sorted(work.items())) if work else work
 
 
 def _divide(f, leads, order, memo=None):
@@ -394,6 +442,23 @@ def _divisible(exponents, leads, guard):
     return any((q - pl) & guard == guard for q in (p | guard for p in exponents) for pl in pls)
 
 
+def _tail_reducible(tail, leads, guard, memo):
+    """Whether a lead of the packed entries `leads` divides a term of
+    `tail`, looked up in `memo`, the `_divisor_memo` of `leads`, which
+    keeps the scan's answer for digits met the first time.  For the tail of
+    an entry of `leads` that is whether another entry's lead divides one of
+    its terms: a lead divides no monomial below it."""
+    digits, found = memo
+    for n, _ in tail:
+        p = n & digits
+        lead = found.get(p, _UNSEEN)
+        if lead is _UNSEEN:
+            lead = found[p] = _scan(p, leads, guard)
+        if lead is not None:
+            return True
+    return False
+
+
 def _entries(gens, order):
     """The packed entries of the nonzero elements of `gens`: Polynomials,
     packed polynomials (minus key -> coefficient, left unchanged) or the
@@ -458,15 +523,19 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
         if not _divisible((entry[0],), kept, guard):
             kept.append(entry)
     # a survivor no kept lead divides a tail term of is reduced already;
-    # tail-reduce the others.  The leads stay, so the result is sorted by lead
+    # tail-reduce the others.  A dropped lead is a multiple of a kept one,
+    # so some lead of `leads` divides a term exactly when a kept lead does,
+    # and the generators' memo answers while nothing was appended.  The
+    # leads stay, so the result is sorted by lead
+    if memo is None:
+        memo = _divisor_memo(leads, order)
     entries = []
     for entry in kept:
         _, n, tail = entry
-        others = [e for e in kept if e is not entry]
-        if _divisible((nm & mask for nm, _ in tail), others, guard):
+        if _tail_reducible(tail, leads, guard, memo):
             work = dict(tail)
             work[n] = 1
-            rem = _reduce(work, others, mask, guard)
+            rem = _reduce(work, [e for e in kept if e is not entry], mask, guard)
             entries.append(_entry({nm: _as_coeff(c) for nm, c in rem.items()}, order))
         else:
             entries.append(entry)

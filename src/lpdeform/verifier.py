@@ -136,13 +136,13 @@ from .groebner import (
     GroebnerBasis,
     _addmul,
     _check_product,
-    _divisible,
     _divisor_memo,
     _entry,
     _iadd,
     _mul,
     _pack_terms,
     _reduce,
+    _tail_reducible,
     _unpack,
     buchberger,
 )
@@ -327,15 +327,15 @@ class Verifier:
         gens, entries = self._packed_generators(), self._entries
         if len(entries) != len(gens):
             return None  # a zero generator
-        tree, mask, guard = self.tree, self.order.mask, self.order.guard
+        tree, guard = self.tree, self.order.guard
         for ((p, q), g), (_, n, _) in zip(gens, entries):
             if not (p in tree and tree.le(p, q)) or {n: g[n]} != self._quadric(p, q):
                 return None
-        for entry in entries:
-            _, n, tail = entry
-            others = [e for e in entries if e is not entry]
-            if _divisible((n & mask, *(nm & mask for nm, _ in tail)), others, guard):
-                return None
+        # a quadric divides another only when they are equal
+        if len({n for _, n, _ in entries}) != len(entries):
+            return None
+        if any(_tail_reducible(tail, entries, guard, self._divisors) for _, _, tail in entries):
+            return None
         return sorted(entries, key=lambda e: -e[1])
 
     def _quadric(self, p, q):
