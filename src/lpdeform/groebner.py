@@ -247,11 +247,8 @@ def _reduce(work, leads, mask, guard, memo=None):
         c = work.pop(n, None)
         if c is None:
             continue  # cancelled after it was pushed
-        pg = n & mask | guard
-        for lead in leads:
-            if (pg - lead[0]) & guard == guard:
-                break
-        else:
+        lead = _scan(n & mask, leads, guard)
+        if lead is None:
             remainder[n] = c
             continue
         # the lead is monic, so the head term cancels exactly
