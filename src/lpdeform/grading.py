@@ -43,7 +43,8 @@ groebner.py) uses the order's own b-bit digits, symbol p_i at the place of
 its x-variable x_{i,p} (a symbol the order lacks goes past the order's
 last digit).  Its minus key holds its exponents in the same places, so its
 x-part's degree is its x-digits as they are, one AND, and only its
-nonzero u-digits are summed against their u-parameters' codes.  Its total
+nonzero u-digits are summed against their u-parameters' codes, a sum the
+table keeps per u-part it meets (up to MAX_KEPT_UCODES of them).  Its total
 degree is at most its weight, which the order keeps within max_weight =
 2**(b-1) - 1, its key bound (127 or 32,767), so every digit decodes
 exactly and no bound is checked.
@@ -65,6 +66,10 @@ from .posets import as_rooted_tree
 
 DEGREE_DIGIT_BITS = 32
 MAX_PACKED_DEGREE = (1 << (DEGREE_DIGIT_BITS - 1)) - 1  # largest total degree packed
+# u-part codes a table keeps: every tree of up to 7 nodes has fewer u-parts
+# (at most 10,110), while star-8 has 725,816, a third of them met twice,
+# and keeping them all raised its run_basic peak from 175 to 331 MB
+MAX_KEPT_UCODES = 1 << 14
 
 
 class MultiDegree:
@@ -218,8 +223,9 @@ class _DegreeTable:
         """The degree code of a term of `order` from its minus key n: the
         x-digits of n as they are, plus e * code(u) for each nonzero
         u-digit e, read from the span of digits that holds the u's.  The
-        code of each u-part met is kept in `_ucodes`, keyed by the u-span
-        n >> shift & umask, with (shift, umask, xmask) in `_split`."""
+        code of each u-part met, up to MAX_KEPT_UCODES of them, is kept in
+        `_ucodes`, keyed by the u-span n >> shift & umask, with (shift,
+        umask, xmask) in `_split`."""
         bits, variables, codes = order.digit_bits, order.variables, self.codes
         xs = set(places)
         us = [i for i in range(len(variables)) if i not in xs]
@@ -242,7 +248,9 @@ class _DegreeTable:
                 e = u.to_bytes(size, byteorder)  # 8-bit digits as they are
                 if wide:
                     e = memoryview(e).cast("H")
-                c = cache[u] = sum(map(mul, compress(e, e), compress(ucodes, e)))
+                c = sum(map(mul, compress(e, e), compress(ucodes, e)))
+                if len(cache) < MAX_KEPT_UCODES:
+                    cache[u] = c
             return (n & xmask) + c
 
         return degree

@@ -21,8 +21,8 @@ every S-pair reduced to zero and no lead dividing another lead or a tail
 term (Buchberger's criterion), so they are returned as they were packed.
 On a passing suite the verifier does not run the loop for them: its
 flatness checks reduce a factor of each S-pair instead, and it certifies
-the generators with the loop's lead and tail divisibility test
-(`_divisible`); see verifier.py.  The loop
+the generators with the loop's tail divisibility test (`_tail_reducible`);
+see verifier.py.  The loop
 still runs for compare_hilbert on its own (`lp hilbert`), for a partial
 suite and for generators that fail a check.  A GroebnerBasis holds packed
 entries and unpacks its Polynomials only when `polys` is first read.
@@ -89,6 +89,21 @@ p1*q2, D covers only x-digits, and the terms of a check's instances have
 few distinct x-parts (151 and 93 on the two `wide` benchmark trees), so
 nearly every step is one dict lookup instead of a test per lead.
 
+Heap admission.  With a memo, `_reduce` looks a term's divisor up when the
+term enters `work`: each input term, and each tail product that makes a new
+key.  Only a term some lead divides is pushed.  A term no lead divides
+stays in `work`, where a later product may still change or cancel it, and
+what is left in `work` once the heap runs out is the remainder, returned in
+ascending minus key, the order the scan pops it.  The result is the
+scan's: the reducible terms are popped in the same order, each with its
+final coefficient (every product lands below the term that made it), and
+divided by the same entry, so every quotient and intermediate coefficient
+is the same; an irreducible term makes no product, so only its final
+coefficient counts.  On one `wide` pass (seed 1) the 524 reductions popped
+62,022 heap entries, 46,939 of them for terms no lead divides; with
+admission they pop 15,083, and the memos hold 648 digit classes instead of
+244, one scan each.
+
 A memo is valid only while its lead list does not change, so it is kept
 with a list that never does:
 
@@ -103,7 +118,12 @@ with a list that never does:
     keeps the memo throughout.
 
 buchberger's textbook step (`_divide` on the pair's S-polynomial) and its
-final tail reduction, whose lists serve one reduction each, scan.
+final tail reduction, whose lists serve one reduction each, scan.  Which
+entries that reduction needs is asked of a memo (`_tail_reducible`): the
+generators' while nothing was appended, else one made for the grown list.
+A lead divides no monomial below it, and every lead minimalization drops
+is a multiple of a kept one, so "some lead of the list divides a tail
+term" is "another kept lead does".
 """
 
 from __future__ import annotations

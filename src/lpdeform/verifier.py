@@ -67,10 +67,11 @@ _member reduces a packed instance modulo the generators' packed entries
 while no basis exists.  The entries are made at the first membership test
 and never change, so their divisor memo (see groebner.py), made with them,
 serves the whole suite: each term's divisor is one dict lookup on its
-digits at the leads' variables, and the scan runs only for digits not met
-before.  A basis keeps its own memo with its `_leads`, which are sorted by
-lead, so its first divisor of a term can differ from the generators'; no
-memo is shared between the two lists.  Division by any generating set
+digits at the leads' variables, the scan runs only for digits not met
+before, and a term no lead divides never enters the division heap.  A
+basis keeps its own memo with its `_leads`, which are sorted by lead, so
+its first divisor of a term can differ from the generators'; no memo is
+shared between the two lists.  Division by any generating set
 that leaves a zero remainder writes the instance as a combination of the
 generators, so the instance PASSes with no basis.  A nonzero remainder proves nothing by
 itself: it makes the verifier build the reduced basis and reduce that
@@ -88,6 +89,13 @@ lead, when three conditions hold; otherwise buchberger builds it:
   3. flat-basic, flat-p2 and both relation lifts ran to the end and
      passed, every membership remainder being zero modulo the generators
      (no basis was built on the way).
+
+Condition 2 costs no scan of the other leads per entry.  By 1 the leads
+are quadrics, and a quadric divides another only when they are equal, so
+the leads pass when they are distinct.  A lead divides no monomial below
+it, so a tail term is divisible by another entry's lead exactly when some
+lead divides it, which the generators' divisor memo answers from the
+digits the membership tests already met (groebner._tail_reducible).
 
 Two leads that share a variable share a1, as a1b2 and a1c2 (x2), or c2,
 as a1c2 and b1c2 (x1), where a < b say, since the down-set of c is a

@@ -294,6 +294,21 @@ def test_degree_table_goes_with_its_tree():
     assert alive() is None
 
 
+def test_the_kept_u_part_codes_stop_at_the_limit(monkeypatch):
+    # past the limit a u-part's code is computed and not kept; every code
+    # read, kept or not, is the term's degree
+    monkeypatch.setattr(grading, "MAX_KEPT_UCODES", 6)
+    ctx = DeformationContext(parse_poset("a < b\na < c\na < d\n"))
+    tree, order = ctx.tree, ctx.order
+    table = grading._DegreeTable(tree, order)
+    for (p, q), g in ctx.generators_packed():
+        for n in g:
+            assert table.decode(table.degree(n)) == monomial_degree(tree, order.monomial(-n))
+        want = monomial_degree(tree, Monomial.from_pairs([(XVar(1, p), 1), (XVar(2, q), 1)]))
+        assert table.decode(table.common(tree, g)) == want
+    assert len(table._ucodes) == 6
+
+
 def test_the_degree_table_holds_every_variable_at_its_degree():
     # written down from the tree when it is built, each code decodes to
     # variable_degree, the independent statement of the rule

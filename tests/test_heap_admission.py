@@ -147,6 +147,19 @@ def test_the_certificate_tail_test_finds_a_reducible_tail_term():
     assert v._certified() is None
 
 
+def test_a_repeated_generator_is_not_certified():
+    # both copies pass condition 1; the certificate's lead test sees that
+    # one quadric divides the other, and buchberger drops the copy
+    tree = parse_poset("a < b\na < c\n")
+    gens = [*Verifier(tree).generators]
+    v = Verifier(tree, generators=[*gens, gens[1]])
+    reports = [v.check_flat_basic(), v.check_flat_p2(), *v.check_relation_lifts()]
+    assert all(r.passed for r in reports)
+    assert v._certified() is None
+    assert v.basis._leads == buchberger([g for _, g in gens], v.order)._leads
+    assert len(v.basis) == len(gens)
+
+
 def random_entries(rng, order, count):
     variables = order.variables
     entries = []
