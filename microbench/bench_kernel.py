@@ -30,9 +30,10 @@ and on fixtures/tree7.poset at degree 8, and the compare case runs
 included, as the `hilbert` benchmark does; the certificate case runs
 `Verifier._certified` on the wide tree once its flatness checks passed; the homogeneity test is the one
 `Verifier.check_homogeneity` makes on the wide tree's packed generators.
-The three `lp` cases time the process layer in one process, as the
+The four `lp` cases time the process layer in one process, as the
 `cli-sweep` benchmark calls it: `cli.run` with stdout captured, for
-`lp gens --ideal J --json` on the star, `lp info --json` on the wide tree
+`lp gens --ideal J --json` on the star and on the star with seven leaves
+(40,384 terms), `lp info --json` on the wide tree
 and `lp check --json` (the basic suite, expansion and degree table
 included) on the wide tree.  The cotangent cases enumerate the T^1
 generators of the 20-element chain, of the star with sixteen leaves and of
@@ -361,6 +362,17 @@ def test_cli_gens_json_star6(benchmark, tmp_path):
     )
     assert code == 0
     assert sum(len(g["terms"]) for g in json.loads(text)["generators"]) == 5089
+
+
+def test_cli_gens_json_star7(benchmark, tmp_path):
+    path = tmp_path / "star7.poset"
+    path.write_text(STAR7)
+
+    code, text = benchmark.pedantic(
+        run_lp, args=(["gens", str(path), "--ideal", "J", "--json"],), rounds=5, warmup_rounds=1
+    )
+    assert code == 0
+    assert sum(len(g["terms"]) for g in json.loads(text)["generators"]) == 40384
 
 
 def test_cli_info_wide7(benchmark, tmp_path):

@@ -14,8 +14,9 @@ failed, 2 usage or input problems, 3 a resource budget tripped.
 `run` is reentrant: it builds its argument parser once per process, at the
 first call (`build_parser` is cached; importing this module builds none),
 and every call parses into a fresh namespace, so one process can run many
-commands.  `gens --json` writes each generator's terms straight from the
-packed form (`render_packed_json`); `_json` writes the rest of the payload.
+commands.  `gens --json` writes each generator as soon as it is rendered
+(`_print_streamed`), its terms straight from the packed form
+(`render_packed_json`); `_json` writes the rest of the payload.
 """
 
 from __future__ import annotations
@@ -78,6 +79,29 @@ def _json(x, pad="\n"):
     return json.dumps(x)  # floats, bools, None
 
 
+def _print_streamed(payload, key, items):
+    """print(_json(payload)) with payload[key] the list of `items`, each
+    item rendered and written in turn, so that the whole text is never
+    held at once."""
+    pads = []
+
+    def mark(pad):
+        pads.append(pad)
+        return "\0"  # _json escapes a NUL in every string it writes
+
+    head, tail = _json({**payload, key: mark}).split("\0")
+    inner = pads[0] + "  "
+    write = sys.stdout.write
+    write(head)
+    sep = "[" + inner
+    for item in items:
+        write(sep)
+        write(_json(item, inner))
+        sep = "," + inner
+    write("[]" if sep[0] == "[" else pads[0] + "]")
+    write(tail + "\n")
+
+
 def _order_for(poset):
     """The canonical rendering/working order: the full weighted tree order
     when possible, otherwise plain weight-1 on the x-variables."""
@@ -131,19 +155,16 @@ def _cmd_gens(args):
         extra = [render_polynomial(f, full) for f in extra]
     status = EXIT_FAIL if args.compare and not passed else EXIT_OK
     if args.json:
-        payload = {
-            "ideal": args.ideal,
-            "poset": poset.to_json_dict(),
-            "generators": [
-                {"pair": [p, q], "terms": functools.partial(render_packed_json, g, order)}
-                for (p, q), g in gens
-            ],
-        }
+        payload = {"ideal": args.ideal, "poset": poset.to_json_dict(), "generators": None}
         if args.compare:
             payload["compare"] = {
                 "file": args.compare, "passed": passed, "missing": missing, "extra": extra
             }
-        print(_json(payload))
+        items = (
+            {"pair": [p, q], "terms": functools.partial(render_packed_json, g, order)}
+            for (p, q), g in gens
+        )
+        _print_streamed(payload, "generators", items)
         return status
     for _, g in gens:
         print(render_packed(g, order))

@@ -42,34 +42,31 @@ A packed monomial of a MonomialOrder on the tree's variables (see
 groebner.py) uses the order's own b-bit digits, symbol p_i at the place of
 its x-variable x_{i,p} (a symbol the order lacks goes past the order's
 last digit).  Its minus key holds its exponents in the same places, so its
-x-part's degree is its x-digits as they are, one AND, and only its
-nonzero u-digits are summed against their u-parameters' codes, a sum the
-table keeps per u-part it meets (up to MAX_KEPT_UCODES of them).  Its total
-degree is at most its weight, which the order keeps within max_weight =
-2**(b-1) - 1, its key bound (127 or 32,767), so every digit decodes
-exactly and no bound is checked.
+x-part's degree is its x-digits as they are, one AND, and its u-digits are
+summed against their u-parameters' codes chunk by chunk: the span of
+u-digits is cut into the order's chunks of CHUNK_BITS bits, and one table
+per chunk keeps the code of each chunk value it meets (see ChunkTable in
+polynomials.py).  A sum of digits times codes is linear, and no digit
+carries into the next, so the chunks' codes add up to the digit-by-digit
+sum.  Its total degree is at most its weight, which the order keeps within
+max_weight = 2**(b-1) - 1, its key bound (127 or 32,767), so every digit
+decodes exactly and no bound is checked.
 """
 
 from __future__ import annotations
 
-import sys
 import weakref
 from collections import Counter
 from functools import partial
-from itertools import compress, count
-from operator import mul
+from itertools import count
 
 from .errors import NotATreeError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
 from .letterplace import _parameters_of, parameter_pairs, ring_variables, x_variables
-from .polynomials import MAX_KEY_WEIGHT, MonomialOrder, UVar, XVar
+from .polynomials import CHUNK_BITS, CHUNK_MASK, MAX_KEY_WEIGHT, ChunkTable, MonomialOrder, UVar, XVar
 from .posets import as_rooted_tree
 
 DEGREE_DIGIT_BITS = 32
 MAX_PACKED_DEGREE = (1 << (DEGREE_DIGIT_BITS - 1)) - 1  # largest total degree packed
-# u-part codes a table keeps: every tree of up to 7 nodes has fewer u-parts
-# (at most 10,110), while star-8 has 725,816, a third of them met twice,
-# and keeping them all raised its run_basic peak from 175 to 331 MB
-MAX_KEPT_UCODES = 1 << 14
 
 
 class MultiDegree:
@@ -191,6 +188,11 @@ def _degree_codes(poset, units):
     return codes, hat
 
 
+def _chunk_code(ucodes, digits):
+    """The sum of e * code(u) over one chunk's u-digits e."""
+    return sum(c * e for c, e in zip(ucodes, digits) if e)
+
+
 class _DegreeTable:
     """The packed degrees of one poset's variables (see the module docstring
     for the two layouts), all entered up front: the symbols, which are the
@@ -201,7 +203,7 @@ class _DegreeTable:
     and `degree` maps a term's minus key to its code.  A variable missing
     from the table is foreign, and raises variable_degree's error."""
 
-    __slots__ = ("codes", "hat", "order", "degree", "_bits", "_slots", "_ucodes", "_split")
+    __slots__ = ("codes", "hat", "order", "degree", "_bits", "_slots", "_chunks")
 
     def __init__(self, poset, order=None):
         symbols = x_variables(poset)
@@ -216,16 +218,16 @@ class _DegreeTable:
         units = {s: 1 << bits * i for s, i in zip(symbols, places)}
         self.codes, self.hat = _degree_codes(poset, units)
         self.order, self._bits, self._slots = order, bits, (places, symbols)
-        self._ucodes = self._split = None
+        self._chunks = None
         self.degree = None if order is None else self._packed(poset, order, places, units)
 
     def _packed(self, poset, order, places, units):
         """The degree code of a term of `order` from its minus key n: the
         x-digits of n as they are, plus e * code(u) for each nonzero
-        u-digit e, read from the span of digits that holds the u's.  The
-        code of each u-part met, up to MAX_KEPT_UCODES of them, is kept in
-        `_ucodes`, keyed by the u-span n >> shift & umask, with (shift,
-        umask, xmask) in `_split`."""
+        u-digit e, read chunk by chunk from the span of digits that holds
+        the u's, u = n >> shift & umask.  `_chunks` holds one ChunkTable
+        per chunk of that span, the lowest first, mapping a chunk value to
+        its digits' sum of e * code(u)."""
         bits, variables, codes = order.digit_bits, order.variables, self.codes
         xs = set(places)
         us = [i for i in range(len(variables)) if i not in xs]
@@ -236,22 +238,23 @@ class _DegreeTable:
             variable_degree(poset, exc.args[0])  # raises for a foreign variable
             raise
         xmask = ((1 << bits) - 1) * sum(units.values()) & order.mask
-        shift, umask, size = bits * lo, (1 << bits * (hi - lo)) - 1, bits // 8 * (hi - lo)
-        byteorder, wide = sys.byteorder, bits == 16
-        cache = self._ucodes = {0: 0}
-        self._split = shift, umask, xmask
+        shift, umask, k = bits * lo, (1 << bits * (hi - lo)) - 1, order.chunk_digits
+        chunks = self._chunks = [
+            ChunkTable(order.chunk_exponents, partial(_chunk_code, ucodes[i : i + k]))
+            for i in range(0, hi - lo, k)
+        ]
 
         def degree(n):
+            c = n & xmask
             u = n >> shift & umask
-            c = cache.get(u)
-            if c is None:
-                e = u.to_bytes(size, byteorder)  # 8-bit digits as they are
-                if wide:
-                    e = memoryview(e).cast("H")
-                c = sum(map(mul, compress(e, e), compress(ucodes, e)))
-                if len(cache) < MAX_KEPT_UCODES:
-                    cache[u] = c
-            return (n & xmask) + c
+            for chunk in chunks:
+                if not u:
+                    break
+                v = u & CHUNK_MASK
+                if v:
+                    c += chunk[v]
+                u >>= CHUNK_BITS
+            return c
 
         return degree
 
@@ -302,14 +305,8 @@ class _DegreeTable:
         it = iter(terms)
         m0 = next(it)
         d0 = code(m0)
-        if order is not None:
-            # the u-parts' codes `degree` keeps, read here without a call
-            get, (shift, umask, xmask) = self._ucodes.get, self._split
         for m in it:
-            if order is None or (c := get(m >> shift & umask)) is None:
-                d = code(m)
-            else:
-                d = (m & xmask) + c
+            d = code(m)
             if d != d0:
                 if order is not None:
                     m0, m = order.monomial(-m0), order.monomial(-m)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -381,6 +382,8 @@ _ONE = Polynomial({MONOMIAL_ONE: 1})
 
 DIGIT_BITS = 16  # the exponent digit width of an order that names none
 MAX_KEY_WEIGHT = (1 << (DIGIT_BITS - 1)) - 1  # largest weight a 16-bit key holds
+CHUNK_BITS = 48  # a packed term is read in chunks of whole digits this wide
+CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
 
 def key_bound_error(weight, bound=MAX_KEY_WEIGHT):
@@ -388,6 +391,26 @@ def key_bound_error(weight, bound=MAX_KEY_WEIGHT):
     return ResourceLimitError(
         f"monomial weight {weight} exceeds {bound}, the packed-key bound"
     )
+
+
+class ChunkTable(dict):
+    """One chunk's values of a function of a packed term's exponent digits
+    that is a sum over digit chunks (a degree code) or a concatenation
+    (factor text).  A chunk is a run of `chunk_digits` digits, CHUNK_BITS
+    bits, read with one shift and one mask; the table maps a chunk value to
+    `of(digits)`, each made the first time it is read.  Every digit stays
+    below its guard bit, so no digit carries into the next and a chunk's
+    value is exactly its digits: reading a term chunk by chunk gives what
+    reading it digit by digit gives."""
+
+    __slots__ = ("_digits", "_of")
+
+    def __init__(self, digits, of):
+        self._digits, self._of = digits, of
+
+    def __missing__(self, v):
+        value = self[v] = self._of(self._digits(v))
+        return value
 
 
 class MonomialOrder:
@@ -423,8 +446,9 @@ class MonomialOrder:
         self._slots = sorted(self.index.items())  # (variable, digit index), in Monomial order
         self._bytes = bits // 8 * len(self.variables)
         self._format = "B" if bits == 8 else "H"
+        self.chunk_digits = CHUNK_BITS // bits  # digits per chunk (see ChunkTable)
         self._names = None  # the variables' rendered names, made at the first render
-        self._json_keys = None  # their JSON object keys, '"name": ', made at the first JSON render
+        self._chunk_texts = {}  # (piece, joint) -> per-chunk factor texts, made at the first render
 
     def weight(self, mono):
         try:
@@ -472,6 +496,11 @@ class MonomialOrder:
         variable in sequence order, read in one pass."""
         return memoryview((n & self.mask).to_bytes(self._bytes, sys.byteorder)).cast(self._format)
 
+    def chunk_exponents(self, v):
+        """The `chunk_digits` exponent digits of the chunk value v, the
+        lowest first."""
+        return memoryview(v.to_bytes(CHUNK_BITS // 8, sys.byteorder)).cast(self._format)
+
     def monomial(self, key):
         """The monomial whose key is `key` (the inverse of `key`)."""
         digits = self.exponents(-key)
@@ -498,7 +527,8 @@ class MonomialOrder:
 
 
 def render_monomial(mono, order):
-    return _render_factors(-order.key(mono), order) or "1"
+    tables = _factor_texts(order, _text_piece, "*")
+    return _chunk_text(-order.key(mono) & order.mask, tables, "*") or "1"
 
 
 def _pack_terms(f, order):
@@ -521,22 +551,62 @@ def _factors(n, order):
     return zip(compress(_names(order), e), compress(e, e))
 
 
-def _render_factors(n, order):
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in _factors(n, order))
+def _text_piece(name, e):
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _json_piece(name, e):
+    return f"{encode_basestring_ascii(name)}: {e}"
+
+
+def _join_pieces(names, piece, joint, digits):
+    return joint.join([piece(v, e) for v, e in zip(names, digits) if e])
+
+
+def _factor_texts(order, piece, joint):
+    """One ChunkTable per chunk of the order's digits, the lowest first,
+    mapping a chunk value to piece(name, e) for each nonzero digit e of its
+    variables, joined by `joint`; kept on the order per (piece, joint)."""
+    key = piece, joint
+    tables = order._chunk_texts.get(key)
+    if tables is None:
+        names, k = _names(order), order.chunk_digits
+        tables = order._chunk_texts[key] = [
+            ChunkTable(order.chunk_exponents, partial(_join_pieces, names[i : i + k], piece, joint))
+            for i in range(0, len(names), k)
+        ]
+    return tables
+
+
+def _chunk_text(m, tables, joint):
+    """The factor text of the monomial whose exponent digits are m (a minus
+    key masked to the order's digits): its nonzero chunks' texts, joined by
+    `joint`."""
+    parts = []
+    for table in tables:
+        if not m:
+            break
+        v = m & CHUNK_MASK
+        if v:
+            parts.append(table[v])
+        m >>= CHUNK_BITS
+    return joint.join(parts)
 
 
 def render_packed(work, order):
     """render_polynomial of a packed polynomial (minus key -> coefficient;
-    see groebner.py): the sorted minus keys give the term order and the
-    exponent digits the factors, so no Monomial is built."""
+    see groebner.py): the sorted minus keys give the term order, and each
+    term's factors are read chunk by chunk from the order's factor texts
+    (`_factor_texts`), so no Monomial is built."""
     if not work:
         return "0"
+    tables, mask = _factor_texts(order, _text_piece, "*"), order.mask
     out = []
     for i, n in enumerate(sorted(work)):
         c = work[n]
         neg = c < 0
         mag = -c if neg else c
-        mono = _render_factors(n, order)
+        mono = _chunk_text(n & mask, tables, "*")
         if not mono:
             body = str(mag)
         elif mag == 1:
@@ -572,14 +642,11 @@ def polynomial_to_json(poly, order):
 def render_packed_json(work, order, pad="\n"):
     """json.dumps(packed_to_json(work, order), indent=2) with every line
     after the first indented by `pad`, the newline and indentation of the
-    line the list starts on.  Each term is written from its exponent
-    digits, with the variables' JSON keys made once per order, so no term
-    dict is built."""
+    line the list starts on.  Each term's factors are read chunk by chunk
+    from the order's factor texts for this pad (`_factor_texts`), so no
+    term dict is built."""
     if not work:
         return "[]"
-    keys = order._json_keys
-    if keys is None:
-        keys = order._json_keys = tuple(encode_basestring_ascii(s) + ": " for s in _names(order))
     inner = pad + "  "  # a term's line
     field = inner + "  "  # "coeff" and "monomial"
     factor = field + "  "  # one variable's exponent
@@ -587,12 +654,11 @@ def render_packed_json(work, order, pad="\n"):
     head = "{" + field + '"coeff": "'
     middle = '",' + field + '"monomial": '
     tail = inner + "}"
-    exponents = order.exponents
+    tables, mask = _factor_texts(order, _json_piece, joint), order.mask
     terms = []
     for n in sorted(work):
         c = work[n]
-        e = exponents(n)
-        mono = joint.join([k + str(x) for k, x in zip(compress(keys, e), compress(e, e))])
+        mono = _chunk_text(n & mask, tables, joint)
         mono = "{" + factor + mono + field + "}" if mono else "{}"
         terms.append(f"{head}{c.numerator}/{c.denominator}{middle}{mono}{tail}")
     return "[" + inner + ("," + inner).join(terms) + pad + "]"

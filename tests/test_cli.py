@@ -44,6 +44,16 @@ def test_gens_compare_passes_on_good_fixture(capsys):
     assert len(payload["generators"]) == 10
 
 
+def test_streamed_json_is_the_json_of_the_payload(capsys):
+    # gens --json writes the payload's head, each generator in turn and the
+    # rest; the bytes are _json's, an empty list and strings with a NUL too
+    payload = {"a": "\0", "items": None, "b": {"c": [1, "x\0y"]}}
+    for items in ([], [{"k": "v", "f": lambda pad: _json([1, 2], pad)}, 3]):
+        cli._print_streamed(payload, "items", iter(items))
+        want = {**payload, "items": [{"k": "v", "f": [1, 2]}, 3] if items else []}
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
 def test_gens_compare_fails_on_mismatch(tmp_path, capsys):
     bad = tmp_path / "chain2_wrong.gens"
     bad.write_text(
@@ -61,7 +71,9 @@ def test_gens_compare_fails_on_mismatch(tmp_path, capsys):
     code = run(["gens", fixture_path("chain2.poset"), "--ideal", "J", "--json",
                 "--compare", str(bad)])
     assert code == 1
-    assert json.loads(capsys.readouterr().out)["compare"] == {
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert json.loads(text)["compare"] == {
         "file": str(bad),
         "passed": False,
         "missing": ["b1*b2 + a2*u[a,b]"],

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -294,19 +295,94 @@ def test_degree_table_goes_with_its_tree():
     assert alive() is None
 
 
-def test_the_kept_u_part_codes_stop_at_the_limit(monkeypatch):
-    # past the limit a u-part's code is computed and not kept; every code
-    # read, kept or not, is the term's degree
-    monkeypatch.setattr(grading, "MAX_KEPT_UCODES", 6)
-    ctx = DeformationContext(parse_poset("a < b\na < c\na < d\n"))
-    tree, order = ctx.tree, ctx.order
-    table = grading._DegreeTable(tree, order)
-    for (p, q), g in ctx.generators_packed():
-        for n in g:
-            assert table.decode(table.degree(n)) == monomial_degree(tree, order.monomial(-n))
-        want = monomial_degree(tree, Monomial.from_pairs([(XVar(1, p), 1), (XVar(2, q), 1)]))
-        assert table.decode(table.common(tree, g)) == want
-    assert len(table._ucodes) == 6
+def digit_sum_code(table, order, n):
+    """The degree code of the term with minus key n, digit by digit: the
+    oracle for the chunked reading."""
+    return sum(e * table.codes[v] for v, e in zip(order.variables, order.exponents(n)) if e)
+
+
+def basic_suite_blocks(monkeypatch, verifier):
+    """Every packed block the basic suite reads a degree from."""
+    blocks = []
+    common = grading._DegreeTable.common
+
+    def spy(table, tree, f):
+        blocks.append(f)
+        return common(table, tree, f)
+
+    monkeypatch.setattr(grading._DegreeTable, "common", spy)
+    assert all(r.passed for r in verifier.run_basic())
+    monkeypatch.undo()
+    return blocks
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["8-bit", "wide"])
+def test_chunked_degree_codes_are_the_digit_sums_of_every_basic_suite_term(monkeypatch, wide):
+    # the u-span is read CHUNK_BITS at a time from per-chunk tables; every
+    # term of every block the basic suite reads, on every tree of up to 7
+    # nodes, gets the code the digit-by-digit sum gives
+    for tree in all_rooted_trees(7):
+        verifier = Verifier(tree)
+        verifier.ctx = DeformationContext(verifier.tree, wide=wide)
+        verifier.order = order = verifier.ctx.order
+        assert order.digit_bits == (16 if wide else 8)
+        blocks = basic_suite_blocks(monkeypatch, verifier)
+        table = _degree_table(verifier.tree, order)
+        assert blocks
+        for f in blocks:
+            for n in f:
+                assert table.degree(n) == digit_sum_code(table, order, n), (tree, n)
+
+
+def test_chunked_degree_codes_of_random_terms():
+    # random exponent digits below the guard bit, on orders whose u-span is
+    # not a whole number of chunks, at both widths and with the variables
+    # permuted
+    rng = random.Random(7)
+    spans = set()
+    for tree in list(all_rooted_trees(6))[::3]:
+        weights = positivity_witness(tree)
+        for bits in (8, 16):
+            variables = list(weights)
+            for order in (MonomialOrder(variables, weights, bits),
+                          MonomialOrder(rng.sample(variables, len(variables)), weights, bits)):
+                table = grading._DegreeTable(tree, order)
+                spans.add(len(u_variables(tree)) % order.chunk_digits)
+                top, shift = 1 << (bits - 1), bits * len(variables)
+                for _ in range(50):
+                    digits = [rng.randrange(top) if rng.random() < 0.3 else 0 for _ in variables]
+                    n = sum(e << bits * i for i, e in enumerate(digits)) - (rng.randrange(1, 100) << shift)
+                    assert table.degree(n) == digit_sum_code(table, order, n)
+    assert len(spans) > 2  # spans that end inside a chunk, and one that does not
+
+
+MESSAGE_ACROSS_CHUNKS = (
+    "monomial a1*a2 has degree a1+a2 but a1*u[0,a]*u[d,e]^2 has 2*a1+a2-b1-c1-d1-2*d2+e1+2*e2"
+)
+
+
+def test_a_witness_across_chunks_is_unchanged():
+    # the stray term's u-digits sit in the first and the third chunk of the
+    # star's u-span; the message is the one the digit-by-digit reading gave
+    ctx = DeformationContext(star_tree(4))
+    order = ctx.order
+    (pair, g), *_ = ctx.generators_packed()
+    us = list(u_variables(ctx.tree))
+    stray = Monomial.from_pairs([(XVar(1, "a"), 1), (us[0], 1), (us[-1], 2)])
+    assert order.index[us[-1]] - order.index[us[0]] >= 2 * order.chunk_digits
+    with pytest.raises(NotHomogeneousError) as exc:
+        homogeneous_degree(ctx.tree, {**g, -order.key(stray): 1}, order)
+    assert str(exc.value) == MESSAGE_ACROSS_CHUNKS
+
+
+def test_the_chunk_tables_stay_small_on_star7():
+    # star-7's generators hold 40,370 distinct u-parts in 40,384 terms, so
+    # a cache of whole u-parts hardly hits; its chunks take few values
+    verifier = Verifier(star_tree(7))
+    assert all(r.passed for r in verifier.run_basic())
+    chunks = _degree_table(verifier.tree, verifier.order)._chunks
+    assert len(chunks) == 9  # 50 u-digits, 6 to a chunk
+    assert max(map(len, chunks)) <= 32 and sum(map(len, chunks)) <= 128
 
 
 def test_the_degree_table_holds_every_variable_at_its_degree():

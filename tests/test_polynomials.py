@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lpdeform import (
+    DeformationContext,
     DomainError,
     MinorIndexError,
     Monomial,
@@ -20,14 +21,24 @@ from lpdeform import (
     UnknownVariableError,
     UVar,
     XVar,
+    all_rooted_trees,
     parse_polynomial,
+    parse_poset,
     render_monomial,
     render_polynomial,
     polynomial_to_json,
 )
 
 from lpdeform.cli import _json
-from lpdeform.polynomials import MAX_KEY_WEIGHT, _pack_terms, packed_to_json, render_packed_json
+from lpdeform.groebner import _mul
+from lpdeform.polynomials import (
+    MAX_KEY_WEIGHT,
+    _factors,
+    _pack_terms,
+    packed_to_json,
+    render_packed,
+    render_packed_json,
+)
 
 from conftest import tuple_order_key
 
@@ -331,6 +342,59 @@ def test_packed_json_render_of_the_constant_and_zero_polynomials():
         '[\n    {\n      "coeff": "-1/2",\n      "monomial": {}\n    }\n  ]'
     )
     assert render_packed_json({}, ORDER) == "[]" == _json(packed_to_json({}, ORDER))
+
+
+def digit_render(work, order):
+    """render_packed read digit by digit, from _factors: the oracle for the
+    chunked reading."""
+    if not work:
+        return "0"
+    out = []
+    for i, n in enumerate(sorted(work)):
+        c = work[n]
+        mag = -c if c < 0 else c
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in _factors(n, order))
+        body = mono if mag == 1 and mono else f"{mag}*{mono}" if mono else str(mag)
+        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+        out.append(sign + body)
+    return "".join(out)
+
+
+def assert_renders(work, order, pad):
+    assert render_packed_json(work, order, pad) == _json(packed_to_json(work, order), pad)
+    assert render_packed(work, order) == digit_render(work, order)
+
+
+def test_chunked_renders_of_every_generator_up_to_7_nodes():
+    # the generators' factor texts are read chunk by chunk from the order's
+    # tables, in the 8-bit orders `lp gens` writes with
+    for tree in all_rooted_trees(7):
+        ctx = DeformationContext(tree)
+        for _, g in ctx.generators_packed():
+            assert_renders(g, ctx.order, "\n      ")
+
+
+def test_chunked_renders_of_16_bit_orders_and_higher_exponents():
+    # squares and products of the generators in the 16-bit order, three
+    # digits to a chunk, so that exponents above 1 are written
+    for tree in all_rooted_trees(5):
+        ctx = DeformationContext(tree, wide=True)
+        order = ctx.order
+        assert order.digit_bits == 16
+        gens = [g for _, g in ctx.generators_packed()]
+        for g, h in zip(gens, gens[1:] + gens[:1]):
+            assert_renders(_mul(g, g, order), order, "\n  ")
+            assert_renders(_mul(g, h, order), order, "\n")
+
+
+def test_one_order_renders_at_two_pads():
+    # an order keeps factor texts per pad: the second pad must not read the
+    # first one's
+    ctx = DeformationContext(parse_poset("a < b\na < c\nc < d\n"))
+    order, gens = ctx.order, [g for _, g in ctx.generators_packed()]
+    for pad in ("\n    ", "\n", "\n    "):
+        for g in gens:
+            assert render_packed_json(g, order, pad) == _json(packed_to_json(g, order), pad)
 
 
 # -- hypothesis round trips ------------------------------------------------------------
