@@ -366,7 +366,7 @@ def test_a_witness_across_chunks_is_unchanged():
     # star's u-span; the message is the one the digit-by-digit reading gave
     ctx = DeformationContext(star_tree(4))
     order = ctx.order
-    (pair, g), *_ = ctx.generators_packed()
+    (_, g), *_ = ctx.generators_packed()
     us = list(u_variables(ctx.tree))
     stray = Monomial.from_pairs([(XVar(1, "a"), 1), (us[0], 1), (us[-1], 2)])
     assert order.index[us[-1]] - order.index[us[0]] >= 2 * order.chunk_digits
