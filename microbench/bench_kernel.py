@@ -5,12 +5,20 @@
 The file name does not match test_*.py, so a plain `pytest` run does not
 collect it; it runs only when named on the command line.
 
+pytest's `pythonpath = ["src"]` (pyproject.toml) puts the checkout's own
+src ahead of PYTHONPATH, so a comparison of two versions runs each side
+from its own checkout, with the same command in each.  When PYTHONPATH
+names a directory holding another lpdeform than the one imported, the file
+stops at collection and names both directories.
+
 The kernel inputs are the packed flat-basic instances of one wide 7-node
 tree (a root with five children, one of which has a child), reduced modulo
 the tree's basis of J with one divisor memo per round, as
 `Verifier.check_flat_basic` does; a second case builds the packed lemma
-and relation-lift instances of the star with six leaves, as the verifier's
-checks do, without reducing them.  The Buchberger cases build the basis of
+instances and the relation lifts' residues of the star with six leaves, as
+the verifier's checks do, without reducing them, and the lift cases run
+`Verifier.check_relation_lifts` alone on the wide tree and on the star
+with seven leaves.  The Buchberger cases build the basis of
 J for that star, which its generators already are, for the wide tree in
 the verifier's 8-bit order, whose generators the flatness checks certify,
 and for each single sign flip of a generator's u-part on the trees of up
@@ -72,8 +80,25 @@ from lpdeform import (
     t1_generators,
     truncated_hilbert,
 )
+import lpdeform
 from lpdeform import cli
 from lpdeform.groebner import _divisor_memo, _reduce
+
+
+def _check_import_path():
+    """Raise when PYTHONPATH names a directory holding an lpdeform other
+    than the imported one, whose code the run would time instead."""
+    here = os.path.dirname(os.path.dirname(os.path.realpath(lpdeform.__file__)))
+    for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+        if entry and os.path.isdir(os.path.join(entry, "lpdeform")):
+            if os.path.realpath(entry) != here:
+                raise RuntimeError(
+                    f"PYTHONPATH names {os.path.realpath(entry)}, but lpdeform was imported "
+                    f"from {here}: run the benchmarks from the checkout whose code they time"
+                )
+
+
+_check_import_path()
 
 WIDE_TREE = "a < b\na < c\na < d\na < e\na < f\nb < g\n"
 STAR6 = "a < b\na < c\na < d\na < e\na < f\na < g\n"
@@ -91,15 +116,15 @@ TREE7 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tree7.po
 
 def recording_instances(verifier):
     """Replace the verifier's membership test by a recorder that keeps each
-    packed instance and lets it pass, and record each relation lift as its
-    test receives it; returns the record."""
+    packed instance and lets it pass, and record each relation lift's two
+    residues as its test receives them; returns the record."""
     instances = []
     verifier._member = lambda label, f: instances.append(f)
     lift_fault = verifier._lift_fault
 
-    def recording_lift_fault(label, lhs, factored):
-        instances.append(lhs)
-        return lift_fault(label, lhs, factored)
+    def recording_lift_fault(label, m, left, left0, n, right, right0):
+        instances.append((left, right))
+        return lift_fault(label, m, left, left0, n, right, right0)
 
     verifier._lift_fault = recording_lift_fault
     return instances
@@ -140,6 +165,32 @@ def test_divide_flat_basic(benchmark, wide):
     assert len(remainders) == len(instances) and not any(remainders)
 
 
+def lift_checks(benchmark, text, rounds):
+    """check_relation_lifts alone, each round on a new verifier whose
+    context already holds the generators, as run_full finds them: the
+    rounds build the residues, not the blocks."""
+    tree = as_rooted_tree(parse_poset(text))
+
+    def fresh_verifier():
+        verifier = Verifier(tree)
+        verifier.ctx.generators_packed()
+        return (verifier,), {}
+
+    return benchmark.pedantic(
+        lambda verifier: verifier.check_relation_lifts(), setup=fresh_verifier, rounds=rounds
+    )
+
+
+def test_relation_lifts_wide7(benchmark):
+    reports = lift_checks(benchmark, WIDE_TREE, rounds=50)
+    assert [r.params["instances"] for r in reports] == [22, 22] and all(r.passed for r in reports)
+
+
+def test_relation_lifts_star7(benchmark):
+    reports = lift_checks(benchmark, STAR7, rounds=5)
+    assert [r.params["instances"] for r in reports] == [28, 22] and all(r.passed for r in reports)
+
+
 def test_build_star6_lemma_and_lift_instances(benchmark):
     verifier = Verifier(parse_poset(STAR6))
     instances = recording_instances(verifier)
@@ -149,7 +200,8 @@ def test_build_star6_lemma_and_lift_instances(benchmark):
         return verifier.check_lemma_identities() + verifier.check_relation_lifts()
 
     # the warm-up round fills the deformation context's memo, which every
-    # timed round reads: the rounds build the instances, not the blocks
+    # timed round reads: the rounds build the instances and the lifts'
+    # residues, not the blocks
     reports = benchmark.pedantic(build, rounds=5, warmup_rounds=1)
     assert all(r.passed for r in reports)
     assert len(instances) == sum(r.params["instances"] for r in reports) > 0

@@ -57,19 +57,24 @@ def _minimal_bound_sets(poset, targets, within, lower):
     A set bounds every target exactly when it bounds the extremal ones (the
     maximal targets for upper bounds, the minimal for lower), so the answer
     is the family of minimal transversals of the bounder sets B(t) of the
-    extremal t, built by Berge's recurrence over them in rank order: from
-    the family holding only the empty set, keep each set that meets B(t),
-    grow each set f that misses it into f + {s} for every s in B(t), and
-    drop a grown set that holds a kept one.  No grown set holds another:
-    f + {s} within f' + {s'} forces s = s' (f' misses B(t)), then f within
-    f', so f = f' in a family of minimal sets.  Nor does a kept set hold a
-    grown f + {s}, since it would then hold f properly.  So the one
-    containment test keeps the family minimal.  When the pool holds the
-    extremal targets, as in t1_generators, each bounds itself and no other
-    one, so no family is larger than the answer; a pool that misses them
-    can make a family exponentially larger.  On a rooted tree each target
-    of the lower search has one bounder, itself, and the upper search has
-    one extremal target, so the family stays small.
+    extremal t, built by Berge's recurrence over them in ascending size,
+    ties broken by rank: from the family holding only the empty set, keep
+    each set that meets B(t), grow each set f that misses it into f + {s}
+    for every s in B(t), and drop a grown set that holds a kept one.  No
+    grown set holds another: f + {s} within f' + {s'} forces s = s' (f'
+    misses B(t)), then f within f', so f = f' in a family of minimal sets.
+    Nor does a kept set hold a grown f + {s}, since it would then hold f
+    properly.  So the one containment test keeps the family minimal.  Once
+    a bounder set is processed every member meets it, so a superset of it,
+    which comes later, keeps the family as it is: no pairwise subset test
+    is needed for that.  When the pool holds the extremal targets, as in
+    t1_generators, each bounds itself and no other one, so no family is
+    larger than the answer.  A pool that misses them can still make an
+    intermediate family larger than the answer on some hypergraphs: the
+    recurrence is not output-polynomial in general, and the search has no
+    budget yet (ROADMAP.md, item 10).  On a rooted tree each target of the
+    lower search has one bounder, itself, and the upper search has one
+    extremal target, so the family stays small.
 
     Deterministic: results sorted by size, then by linear-extension index
     tuple.  The trivial answer for no targets is the empty set.
@@ -81,15 +86,15 @@ def _minimal_bound_sets(poset, targets, within, lower):
     def bounds(s, t):
         return poset.le(s, t) if lower else poset.le(t, s)
 
-    pos = poset.rank
-    extremal = sorted(
-        (t for t in targets if not any(u != t and bounds(u, t) for u in targets)),
-        key=pos.__getitem__,
-    )
-    pool = set(within)
+    pos, pool = poset.rank, set(within)
+    hits = {
+        t: {s for s in pool if bounds(s, t)}
+        for t in targets
+        if not any(u != t and bounds(u, t) for u in targets)
+    }
     family = [frozenset()]
-    for t in extremal:
-        hit = {s for s in pool if bounds(s, t)}
+    for t in sorted(hits, key=lambda t: (len(hits[t]), pos[t])):
+        hit = hits[t]
         kept = [f for f in family if f & hit]
         grown = [f | {s} for f in family if not f & hit for s in hit]
         family = kept + [g for g in grown if not any(k <= g for k in kept)]

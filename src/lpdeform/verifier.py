@@ -13,7 +13,7 @@ the verdict, the count, the witness and the wall time.  Instances are
 tested through three helpers: _member (membership in J), _degree (a
 generator's homogeneity or a degree law, its p1, p2 and hat(p) read from
 the tree's degree table) and _lift_fault (a relation lift's factorization
-and u-positivity).
+and u-positivity, decided from two shifted residues).
 
 Every check reads its blocks (S_p, T, T_c, the sibling entries, the
 minors, R, the generators and the x-variables) in the division kernel's
@@ -28,8 +28,11 @@ or written; _member reduces it with groebner._reduce.  The degree checks read pa
 terms too: u-freeness is an AND with the u-digits, and a multidegree is
 an int in the order's own digits, read off the exponent digits and
 compared with the law's int (see grading.py); a degree and a monomial are
-decoded only to render a witness.  _lift_fault compares a lift with its
-factorization as packed dicts and reads u-positivity off the u-digits.
+decoded only to render a witness.  No relation lift is built: a lift
+minus its factorization is a difference of two residues shifted by a
+variable (see check_relation_lifts), so _lift_fault compares the shifted
+keys of two packed dicts, and the lift's u-free part, read off the
+u-digits, likewise.
 
 The checks, in run_full order:
 
@@ -43,9 +46,11 @@ The checks, in run_full order:
   lemma-sum-dt1..3    the child-sum minor identities lie in J
   flat-p2             a1 T(b) - T(a) R(a,b) b1 lies in J    (all a<=b)
   relation-lift-x2,   the two Koszul-type relation lifts: exact
-  relation-lift-x1    factorization and u-positivity; membership holds by
-                      construction and is not re-checked; with flat-basic
-                      and flat-p2 they certify the basis (see below)
+  relation-lift-x1    factorization and u-positivity, each decided from
+                      two shifted residues, such as g + T S made once
+                      per generator; membership holds by construction and
+                      is not re-checked; with flat-basic and flat-p2 they
+                      certify the basis (see below)
   hilbert             truncated weighted Hilbert functions of J and L agree
 
 lemma-sum-dt2 vanishes in B itself, before any reduction: T_a(x) =
@@ -101,7 +106,13 @@ Two leads that share a variable share a1, as a1b2 and a1c2 (x2), or c2,
 as a1c2 and b1c2 (x1), where a < b say, since the down-set of c is a
 chain in a rooted tree.  So by 1 and 3 every such pair's lift held, its
 lhs is the S-polynomial of the pair, and it equals
-T(a)*flat-basic(a,c,b) (x2) or S_b(c)*flat-p2(a,b) (x1).  The flat
+T(a)*flat-basic(a,c,b) (x2) or S_b(c)*flat-p2(a,b) (x1).  The check
+decides that equality without building either side: expanding the
+products, the lift minus its factorization is c2 h(a,b) - b2 h(a,c) (x2)
+or b1 k - a1 h(b,c) (x1), where h(p,q) = g(p,q) + T(p) S_p(q) and
+k = g(a,c) + T(a) R(a,b) S_b(c).  These are identities of polynomials,
+whatever the generators and blocks hold, so a passing instance is exactly
+an equal factorization.  The flat
 instance divides to zero by the generators, so it is a sum of h_i g_i with
 no lm(h_i g_i) above its own lead; times T(a) or S_b(c), that is a
 representation of the S-polynomial whose every term lies strictly below
@@ -201,6 +212,14 @@ class CheckReport:
 
 def _clip(s, n=160):
     return s if len(s) <= n else s[: n - 3] + "..."
+
+
+def _shifted_equal(f, m, g, n):
+    """Whether m*f == n*g for the packed f and g and the minus keys m and n
+    of two monomials.  A product of monomials is one addition, so the test
+    shifts keys and builds neither product."""
+    d, get = m - n, g.get
+    return len(f) == len(g) and all(get(k + d) == c for k, c in f.items())
 
 
 def _require_degree(max_degree):
@@ -409,15 +428,16 @@ class Verifier:
             return None
         return f"{label}{of}{table.decode(got).render()}, wanted {table.decode(want).render()}"
 
-    def _lift_fault(self, label, lhs, factored):
-        """A relation lift, packed, must equal its packed closed-form
-        factorization and vanish at u = 0 (every monomial carries a
-        u-parameter: a nonzero u-digit).  Its membership in J holds by
-        construction, so it is not tested (see check_relation_lifts)."""
-        if lhs != factored:
+    def _lift_fault(self, label, m, left, left0, n, right, right0):
+        """A relation lift, decided from its packed residues (see
+        check_relation_lifts): the lift minus its factorization is
+        m*left - n*right, which must vanish, and the lift's u-free part is
+        m*left0 - n*right0, which must vanish too (every monomial of the
+        lift carries a u-parameter), m and n being packed monomials."""
+        (mk,), (nk,) = m, n
+        if not _shifted_equal(left, mk, right, nk):
             return f"{label}: factorization mismatch"
-        umask = self.ctx.umask
-        if any(not n & umask for n in lhs):
+        if not _shifted_equal(left0, mk, right0, nk):
             return f"{label}: lift has a u-free monomial"
         return None
 
@@ -599,32 +619,67 @@ class Verifier:
         a flat-basic or flat-p2 instance is what certifies the generators
         as the basis (see the module docstring).  An override list that
         lacks a generator the lift needs fails the instance, naming the pair.
-        """
-        tree, ctx, order = self.tree, self.ctx, self.order
-        s, x, g = ctx.s_op_packed, ctx.x_packed, dict(self._packed_generators())
 
-        def lift(abc, m, p, n, q, factored):
-            """The fault of the lift m g(p) - n g(q) at the triple abc."""
+        Neither the lift nor its factorization is built.  With the
+        residue h(p,q) = g(p,q) + T(p) S_p(q), made once per generator,
+
+          x2 at a, b < c in above(a):
+            c2 g(a,b) - b2 g(a,c) - T(a) (S_a(c) b2 - c2 S_a(b))
+              = c2 h(a,b) - b2 h(a,c)
+          x1 at a <= b <= c, with k = g(a,c) + T(a) R(a,b) S_b(c):
+            b1 g(a,c) - a1 g(b,c) - S_b(c) (a1 T(b) - T(a) R(a,b) b1)
+              = b1 k - a1 h(b,c)
+
+        so the factorization holds when the two shifted residues are equal,
+        which _shifted_equal reads off their keys.  The identities are
+        expanded products, exact whatever the generators and blocks are;
+        for the context's generators h(p,q) is p1 q2.  A monomial times g
+        keeps g's u-digits (digits never carry), so the lift's u-free part
+        is c2 g0(a,b) - b2 g0(a,c) (x2) or b1 g0(a,c) - a1 g0(b,c) (x1),
+        g0 being g's u-free part, also made once per generator.  Each
+        instance checks the lift's two products against the key bound, as
+        a lift built in place would; the residues' block products lie
+        within the context's bound (see deformation.py).
+        """
+        tree, ctx, order, umask = self.tree, self.ctx, self.order, self.ctx.umask
+        t, s, x = ctx.t_full_packed, ctx.s_op_packed, ctx.x_packed
+        g, residues = dict(self._packed_generators()), {}
+
+        def residue(pair):
+            """(h, g0) of the generator g(pair), made at its first use."""
+            if pair not in residues:
+                p, q = pair
+                f = g[pair]
+                u_free = {n: c for n, c in f.items() if not n & umask}
+                residues[pair] = _addmul(dict(f), t(p), s(p, q)), u_free
+            return residues[pair]
+
+        def lift(abc, m, p, n, q, tr=None):
+            """The fault of the lift m g(p) - n g(q) at the triple abc, whose
+            left residue is h(p), or g(p) + tr S_b(c) in x1."""
             label = "(a,b,c)=({},{},{})".format(*abc)
             for pair in (p, q):
                 if pair not in g:
                     return f"{label}: no generator g{pair} to lift"
-            lhs = self._combination((1, m, g[p]), (-1, n, g[q]))
-            return self._lift_fault(label, lhs, factored)
+            _check_product(m, g[p], order)
+            _check_product(n, g[q], order)
+            left, left0 = residue(p)
+            right, right0 = residue(q)
+            if tr is not None:
+                _, b, c = abc
+                left = _addmul(dict(g[p]), tr, s(b, c))
+            return self._lift_fault(label, m, left, left0, n, right, right0)
 
         x2 = (
-            lift(
-                (a, b, c), x(2, c), (a, b), x(2, b), (a, c),
-                _mul(ctx.t_full_packed(a), self._flat_basic(a, c, b), order),
-            )
+            lift((a, b, c), x(2, c), (a, b), x(2, b), (a, c))
             for a in tree
             for b, c in combinations(tree.above(a), 2)
         )
         x1 = (
-            lift((a, b, c), x(1, b), (a, c), x(1, a), (b, c), _mul(s(b, c), p2, order))
+            lift((a, b, c), x(1, b), (a, c), x(1, a), (b, c), tr)
             for a in tree
             for b in tree.above(a)
-            for p2 in (self._flat_p2(a, b),)
+            for tr in (_mul(t(a), ctx.cover_product_r_packed(a, b), order),)
             for c in tree.above(b)
         )
         return [self._run("relation-lift-x2", x2), self._run("relation-lift-x1", x1)]

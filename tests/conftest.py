@@ -68,10 +68,15 @@ def star_tree(m):
     return tree_from("\n".join(f"a < {x}" for x in names))
 
 
+def u_free(g):
+    """The terms of g that carry no u-parameter."""
+    return Polynomial({m: c for m, c in g.terms.items() if m.u_degree() == 0})
+
+
 def sign_flip(g):
     """g with the sign of its u-part flipped."""
-    u_free = Polynomial({m: c for m, c in g.terms.items() if m.u_degree() == 0})
-    return u_free - (g - u_free)
+    free = u_free(g)
+    return free - (g - free)
 
 
 def poset_text(tree):
@@ -275,10 +280,12 @@ def oracle_json(poly, order):
 def oracle_instances(verifier):
     """Check name -> a lazy stream of the instances of `verifier`'s
     flatness checks as Polynomial expressions, in the order the checks
-    draw them: (label, polynomial) for a membership check, (label, lift,
-    factorization) for a relation lift.  The verifier builds the same
-    instances in packed form from its context; these expressions, from the
-    Polynomial recursion, are its oracle."""
+    draw them: (label, polynomial) for a membership check, and for a
+    relation lift m*g(p) - n*g(q) the arguments of Verifier._lift_fault,
+    (label, m, left, left0, n, right, right0), followed by the lift and its
+    factorization.  The verifier builds the same instances in packed form
+    from its context; these expressions, from the Polynomial recursion, are
+    its oracle."""
     tree, ctx = verifier.tree, PolynomialContext(verifier.tree)
     above, kids = verifier.tree.above, tree.children
     gens = verifier._override
@@ -298,6 +305,10 @@ def oracle_instances(verifier):
 
     def flat_p2(a, b):
         return x(1, a) * ctx.t_full(b) - ctx.t_full(a) * ctx.cover_product_r(a, b) * x(1, b)
+
+    def residue(p, q):
+        """h(p,q) = g(p,q) + T(p) S_p(q)."""
+        return g[(p, q)] + ctx.t_full(p) * ctx.s_op(p, q)
 
     def column_pairs(a):
         return combinations(enumerate(kids(a), start=1), 2)
@@ -344,6 +355,8 @@ def oracle_instances(verifier):
         "relation-lift-x2": (
             (
                 f"(a,b,c)=({a},{b},{c})",
+                x(2, c), residue(a, b), u_free(g[(a, b)]),
+                x(2, b), residue(a, c), u_free(g[(a, c)]),
                 x(2, c) * g[(a, b)] - x(2, b) * g[(a, c)],
                 ctx.t_full(a) * (x(2, b) * ctx.s_op(a, c) - x(2, c) * ctx.s_op(a, b)),
             )
@@ -353,6 +366,10 @@ def oracle_instances(verifier):
         "relation-lift-x1": (
             (
                 f"(a,b,c)=({a},{b},{c})",
+                x(1, b),
+                g[(a, c)] + ctx.t_full(a) * ctx.cover_product_r(a, b) * ctx.s_op(b, c),
+                u_free(g[(a, c)]),
+                x(1, a), residue(b, c), u_free(g[(b, c)]),
                 x(1, b) * g[(a, c)] - x(1, a) * g[(b, c)],
                 ctx.s_op(b, c) * flat_p2(a, b),
             )

@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -131,6 +133,68 @@ def test_a_star_with_a_thousand_leaves_searches_on_a_stack():
     star = tree_from("".join(f"r < {x}\n" for x in leaves))
     assert minimal_lower_bound_sets(star, leaves, ["r", *leaves]) == [("r",), tuple(leaves)]
     assert minimal_upper_bound_sets(star, ["r"], leaves[:3]) == [(x,) for x in leaves[:3]]
+
+
+def found_hypergraph(k):
+    """x_i < a_i, x_i < b_i and y_i < a_i for i < k, with targets every x_i
+    and y_i: the bounder sets are {a_i, b_i} and {a_i}, and the one
+    minimal upper bound set within the a's and b's is every a_i."""
+    poset = Poset(
+        [f"{c}{i}" for i in range(k) for c in "xyab"],
+        [(f"{lo}{i}", f"{hi}{i}") for i in range(k) for lo, hi in ("xa", "xb", "ya")],
+    )
+    targets = [f"{c}{i}" for c in "xy" for i in range(k)]
+    return poset, targets, [f"{c}{i}" for c in "ab" for i in range(k)]
+
+
+def test_a_pool_that_misses_the_targets_grows_no_large_family():
+    # in rank order the x's come first and double the family k times before
+    # the y's shrink it to one set; the singleton bounder sets {a_i} come
+    # first by size, and each {a_i, b_i} then keeps the family as it is
+    poset, targets, pool = found_hypergraph(14)
+    t0 = time.perf_counter()
+    found = minimal_upper_bound_sets(poset, targets, pool)
+    elapsed = time.perf_counter() - t0
+    assert found == [tuple(sorted((f"a{i}" for i in range(14)), key=poset.rank.__getitem__))]
+    assert elapsed < 0.1
+
+
+def minimal_transversals(edges):
+    """The inclusion-minimal sets that meet every edge, by trying every
+    subset of the edges' union."""
+    union = sorted(set().union(*edges))
+    hitting = [
+        frozenset(c)
+        for size in range(len(union) + 1)
+        for c in combinations(union, size)
+        if all(e & set(c) for e in edges)
+    ]
+    return {h for h in hitting if not any(o < h for o in hitting)}
+
+
+def test_bound_sets_are_the_minimal_transversals_of_every_targets_bounders():
+    # random posets, targets, pools and directions against the transversal
+    # oracle over the bounder sets of all targets, extremal or not
+    rng = random.Random(28)
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        names = [f"e{i}" for i in range(n)]
+        rng.shuffle(names)
+        pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+        poset = Poset(names, rng.sample(pairs, min(len(pairs), rng.randint(0, 2 * n))))
+        targets = rng.sample(names, rng.randint(0, n))
+        pool = rng.sample(names, rng.randint(0, n))
+        lower = rng.random() < 0.5
+
+        def bounds(s, t):
+            return poset.le(s, t) if lower else poset.le(t, s)
+
+        got = _minimal_bound_sets(poset, targets, pool, lower)
+        edges = [{s for s in pool if bounds(s, t)} for t in targets]
+        assert {frozenset(f) for f in got} == minimal_transversals(edges)
+        rank = poset.rank.__getitem__
+        assert got == sorted(got, key=lambda f: (len(f), tuple(map(rank, f))))
+        assert all(list(f) == sorted(f, key=rank) for f in got)
 
 
 # -- the general computation on a non-tree poset -------------------------------------

@@ -31,6 +31,7 @@ from lpdeform import (
     monomial_order_for,
 )
 from lpdeform import cli, deformation
+from lpdeform import verifier as verifier_module
 from lpdeform.grading import _degree_table
 
 from conftest import chain_tree, poset_text, sign_flip_mutants, star_tree, tree_from
@@ -52,34 +53,50 @@ def test_the_context_states_its_bound_from_the_positivity_weights():
     assert DeformationContext(star_tree(3), wide=True).order.digit_bits == 16
 
 
-def test_the_weight_bound_holds_every_key_the_suite_forms():
-    # the blocks of the memo, the products each instance sums (whose leads
-    # multiply to its heaviest key), the instances, the lifts and their
-    # factorizations, and the lcms of the generators' leads.  The instances
-    # are recorded, not reduced: a division by the homogeneous generators
-    # forms no key heavier than its instance
-    trees = 0
+def test_the_weight_bound_holds_every_key_the_suite_forms(monkeypatch):
+    # the blocks of the memo, every product the checks form (the products
+    # each instance sums, whose leads multiply to its heaviest key, and the
+    # relation lifts' residues g + T S and g + T R S with T R), the
+    # instances, the lifts' residues shifted by their monomials, and the
+    # lcms of the generators' leads.  The instances are recorded, not
+    # reduced: a division by the homogeneous generators forms no key
+    # heavier than its instance
+    trees, weights, order = 0, [], None
+    addmul, mul = verifier_module._addmul, verifier_module._mul
+
+    def recording_addmul(acc, f, g, sign=1):
+        if f and g:
+            weights.append(heaviest(f, order) + heaviest(g, order))
+        return addmul(acc, f, g, sign)
+
+    def recording_mul(f, g, order_):
+        if f and g:
+            weights.append(heaviest(f, order) + heaviest(g, order))
+        return mul(f, g, order_)
+
+    monkeypatch.setattr(verifier_module, "_addmul", recording_addmul)
+    monkeypatch.setattr(verifier_module, "_mul", recording_mul)
     for tree in all_rooted_trees(8):
         trees += 1
         v = Verifier(tree)
         ctx, order = v.ctx, v.order
         assert order.digit_bits == 8
-        weights = []
-        combination, lift_fault = v._combination, v._lift_fault
+        weights.clear()
+        lift_fault = v._lift_fault
 
-        def recording_combination(*terms):
-            weights.extend(heaviest(f, order) + heaviest(g, order) for _, f, g in terms if f and g)
-            return combination(*terms)
+        def recording_lift_fault(label, m, left, left0, n, right, right0):
+            weights.extend(heaviest(f, order) for f in (left, left0, right, right0))
+            weights.extend(heaviest(m, order) + heaviest(f, order) for f in (left, left0))
+            weights.extend(heaviest(n, order) + heaviest(f, order) for f in (right, right0))
+            return lift_fault(label, m, left, left0, n, right, right0)
 
-        def recording_lift_fault(label, lhs, factored):
-            weights.extend((heaviest(lhs, order), heaviest(factored, order)))
-            return lift_fault(label, lhs, factored)
-
-        v._combination, v._lift_fault = recording_combination, recording_lift_fault
+        v._lift_fault = recording_lift_fault
         v._member = lambda label, f: weights.append(heaviest(f, order))
         # the generators hold every block the basic suite reads
         ctx.generators_packed()
-        v.check_flat_basic(), v.check_lemma_identities(), v.check_flat_p2(), v.check_relation_lifts()
+        reports = [v.check_flat_basic(), *v.check_lemma_identities(), v.check_flat_p2(),
+                   *v.check_relation_lifts()]
+        assert all(r.passed for r in reports[-2:]), tree
         weights += [heaviest(val, order) for key, val in ctx._memo.items() if key[0] != "_matrix_rows"]
         leads = [order.monomial(-min(g)) for _, g in ctx.generators_packed()]
         weights += [order.weight(a.lcm(b)) for a, b in combinations(leads, 2)]

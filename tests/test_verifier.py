@@ -1,6 +1,7 @@
 import json
 import re
 from copy import deepcopy
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +32,7 @@ from conftest import (
     sign_flip_mutants,
     star_tree,
     tree_from,
+    u_free,
 )
 
 FULL_SUITE = [
@@ -396,6 +398,14 @@ def test_packed_instances_equal_the_polynomial_oracle(tree):
         name = current[0]
         drawn[name] += 1
         want, *polys = next(oracle[name])
+        if name.startswith("relation-lift"):
+            # a lift is decided from its residues: the lift minus its
+            # factorization is m*left - n*right, its u-free part
+            # m*left0 - n*right0
+            m, left, left0, n, right, right0, lift, factored = polys
+            assert lift - factored == m * left - n * right, (name, label)
+            assert u_free(lift) == m * left0 - n * right0, (name, label)
+            polys = polys[:-2]
         assert (label, *packed) == (want, *(_pack_terms(f, order) for f in polys)), (name, label)
 
     verifier._run = comparing_run
@@ -420,12 +430,22 @@ def test_relation_lift_membership_holds_by_construction():
     assert len(golden) == 49 and len(lifts) == 98
     assert not any(r["witness"] and "remainder" in r["witness"] for r in lifts)
     assert sum(not r["passed"] for r in lifts) > 0
-    # and live: with the membership test alone, every lift of every mutant
-    # passes
+    # and live: every lift of every mutant, built from its generators,
+    # passes the membership test
     for key, tree, gens in sign_flip_mutants(4):
         v = Verifier(tree, generators=gens)
-        v._lift_fault = lambda label, lhs, factored, v=v: v._member(label, lhs)
-        assert all(r.passed for r in v.check_relation_lifts()), key
+        g, x = dict(v._packed_generators()), v.ctx.x_packed
+        lifts = [
+            ((2, c), (a, b), (2, b), (a, c))
+            for a in tree for b, c in combinations(tree.above(a), 2)
+        ] + [
+            ((1, b), (a, c), (1, a), (b, c))
+            for a in tree for b in tree.above(a) for c in tree.above(b)
+        ]
+        assert lifts, key
+        for m, p, n, q in lifts:
+            lift = v._combination((1, x(*m), g[p]), (-1, x(*n), g[q]))
+            assert v._member(f"{p} {q}", lift) is None, (key, p, q)
 
 
 @pytest.mark.parametrize("tree, gens", [
@@ -478,14 +498,26 @@ def test_generators_are_a_read_only_sequence_read_item_by_item(monkeypatch, over
 
 
 def test_lift_with_a_u_free_monomial_fails():
+    # the lift b2*g(a,a) - a2*g(a,b) on the chain a < b, decided from its
+    # residues h = g + T S, which are a1*a2 and a1*b2
     v = Verifier(chain_tree(2))
-    g = dict(v.generators)[("a", "b")]
-    # every monomial carries u[0,a], and the lift lies in J
-    lift = _pack_terms(g * Polynomial.variable(UVar(None, "a")), v.order)
-    assert v._lift_fault("L", lift, dict(lift)) is None
-    # a1*b2 carries no u-parameter
-    lift = _pack_terms(g, v.order)
-    assert v._lift_fault("L", lift, dict(lift)) == "L: lift has a u-free monomial"
+    g, x, order = dict(v._packed_generators()), v.ctx.x_packed, v.order
+    h = {pair: _pack_terms(dict(v.generators)[pair] + v.ctx.t_full(pair[0]) * v.ctx.s_op(*pair), order)
+         for pair in g}
+    assert h == {pair: v._quadric(*pair) for pair in g}
+    m, n = x(2, "b"), x(2, "a")
+    # every monomial of the lift carries a u-parameter: its u-free part,
+    # b2*a1a2 - a2*a1b2, cancels
+    quadrics = [v._quadric("a", "a"), v._quadric("a", "b")]
+    assert v._lift_fault("L", m, h["a", "a"], quadrics[0], n, h["a", "b"], quadrics[1]) is None
+    # a u-free part left over fails the instance
+    assert v._lift_fault("L", m, h["a", "a"], quadrics[0], n, h["a", "b"], {}) == (
+        "L: lift has a u-free monomial"
+    )
+    # the factorization is tested first
+    assert v._lift_fault("L", m, h["a", "a"], {}, m, h["a", "b"], {}) == "L: factorization mismatch"
+    # with the generators' residues and u-free parts, the check passes
+    assert all(r.passed for r in v.check_relation_lifts())
 
 
 def test_packed_blocks_are_built_once_and_live_with_the_context():
