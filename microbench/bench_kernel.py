@@ -38,12 +38,13 @@ and on fixtures/tree7.poset at degree 8, and the compare case runs
 included, as the `hilbert` benchmark does; the certificate case runs
 `Verifier._certified` on the wide tree once its flatness checks passed; the homogeneity test is the one
 `Verifier.check_homogeneity` makes on the wide tree's packed generators.
-The four `lp` cases time the process layer in one process, as the
+The five `lp` cases time the process layer in one process, as the
 `cli-sweep` benchmark calls it: `cli.run` with stdout captured, for
 `lp gens --ideal J --json` on the star and on the star with seven leaves
-(40,384 terms), `lp info --json` on the wide tree
-and `lp check --json` (the basic suite, expansion and degree table
-included) on the wide tree.  The cotangent cases enumerate the T^1
+(40,384 terms), `lp info --json` on the wide tree,
+`lp check --json` (the basic suite, expansion and degree table
+included) on the wide tree, and `lp check --suite full --json` on the
+wide tree, the largest answer without generators.  The cotangent cases enumerate the T^1
 generators of the 20-element chain, of the star with sixteen leaves and of
 the complete bipartite poset K_{10,10} with `t1_generators`, the general
 poset search that `lp t1` and `lp info` run, and time the root's
@@ -449,6 +450,19 @@ def test_cli_check_basic_wide7(benchmark, tmp_path):
     assert code == 0
     reports = json.loads(text)["reports"]
     assert len(reports) == 6 and all(r["passed"] for r in reports)
+
+
+def test_cli_check_full_json_wide7(benchmark, tmp_path):
+    # the largest --json answer that holds no generators: sixteen reports
+    path = tmp_path / "wide7.poset"
+    path.write_text(WIDE_TREE)
+
+    code, text = benchmark.pedantic(
+        run_lp, args=(["check", str(path), "--suite", "full", "--json"],), rounds=10, warmup_rounds=1
+    )
+    assert code == 0
+    reports = json.loads(text)["reports"]
+    assert len(reports) == 16 and all(r["passed"] for r in reports)
 
 
 def test_t1_chain20(benchmark):

@@ -14,9 +14,10 @@ failed, 2 usage or input problems, 3 a resource budget tripped.
 `run` is reentrant: it builds its argument parser once per process, at the
 first call (`build_parser` is cached; importing this module builds none),
 and every call parses into a fresh namespace, so one process can run many
-commands.  `gens --json` writes each generator as soon as it is rendered
-(`_print_streamed`), its terms straight from the packed form
-(`render_packed_json`); `_json` writes the rest of the payload.
+commands.  One writer, `_write_json`, prints every `--json` answer piece
+by piece and never holds it whole: `gens --json` hands it a generator of
+its items, each one's terms rendered from the packed form
+(`render_packed_json`) only as it is written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .cotangent import t1_generators
@@ -51,55 +53,39 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _json(x, pad="\n"):
-    """json.dumps(x, indent=2), byte for byte: CPython's C encoder does not
-    indent, so json.dumps falls back to pure Python when `indent` is set.
-    `pad` is the newline and indentation of x's own line; a callable x
-    writes itself, called with `pad`."""
+def _write_json(x, write, pad="\n"):
+    """Write json.dumps(x, indent=2) through `write`, byte for byte (with
+    `indent`, json.dumps runs pure Python anyway), each item of a list,
+    tuple or iterator in turn.  `pad` is the newline and indentation of x's
+    own line; a callable x returns its own text, called with `pad`."""
     if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if type(x) is int:
-        return int.__repr__(x)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        items = [
-            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, inner)
-            for k, v in x.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]"
-    if callable(x):
-        return x(pad)
-    return json.dumps(x)  # floats, bools, None
+        write(encode_basestring_ascii(x))
+    elif type(x) is int:
+        write(int.__repr__(x))
+    elif isinstance(x, dict):
+        inner, sep = pad + "  ", "{"
+        for k, v in x.items():
+            write(sep + inner + encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": ")
+            _write_json(v, write, inner)
+            sep = ","
+        write("{}" if sep == "{" else pad + "}")
+    elif isinstance(x, (list, tuple, Iterator)):
+        inner, sep = pad + "  ", "["
+        for v in x:
+            write(sep + inner)
+            _write_json(v, write, inner)
+            sep = ","
+        write("[]" if sep == "[" else pad + "]")
+    elif callable(x):
+        write(x(pad))
+    else:
+        write(json.dumps(x))  # floats, bools, None
 
 
-def _print_streamed(payload, key, items):
-    """print(_json(payload)) with payload[key] the list of `items`, each
-    item rendered and written in turn, so that the whole text is never
-    held at once."""
-    pads = []
-
-    def mark(pad):
-        pads.append(pad)
-        return "\0"  # _json escapes a NUL in every string it writes
-
-    head, tail = _json({**payload, key: mark}).split("\0")
-    inner = pads[0] + "  "
-    write = sys.stdout.write
-    write(head)
-    sep = "[" + inner
-    for item in items:
-        write(sep)
-        write(_json(item, inner))
-        sep = "," + inner
-    write("[]" if sep[0] == "[" else pads[0] + "]")
-    write(tail + "\n")
+def _print_json(x):
+    """print(json.dumps(x, indent=2)), written piece by piece."""
+    _write_json(x, sys.stdout.write)
+    print()
 
 
 def _order_for(poset):
@@ -155,16 +141,16 @@ def _cmd_gens(args):
         extra = [render_polynomial(f, full) for f in extra]
     status = EXIT_FAIL if args.compare and not passed else EXIT_OK
     if args.json:
-        payload = {"ideal": args.ideal, "poset": poset.to_json_dict(), "generators": None}
-        if args.compare:
-            payload["compare"] = {
-                "file": args.compare, "passed": passed, "missing": missing, "extra": extra
-            }
         items = (
             {"pair": [p, q], "terms": functools.partial(render_packed_json, g, order)}
             for (p, q), g in gens
         )
-        _print_streamed(payload, "generators", items)
+        payload = {"ideal": args.ideal, "poset": poset.to_json_dict(), "generators": items}
+        if args.compare:
+            payload["compare"] = {
+                "file": args.compare, "passed": passed, "missing": missing, "extra": extra
+            }
+        _print_json(payload)
         return status
     for _, g in gens:
         print(render_packed(g, order))
@@ -185,7 +171,7 @@ def _cmd_t1(args):
     order = _order_for(poset)
     gens = t1_generators(poset)
     if args.json:
-        payload = {
+        _print_json({
             "poset": poset.to_json_dict(),
             "generators": [
                 {
@@ -196,8 +182,7 @@ def _cmd_t1(args):
                 }
                 for t in gens
             ],
-        }
-        print(_json(payload))
+        })
     else:
         for t in gens:
             print(f"{t.source}1*{t.source}2 -> {render_monomial(t.image, order)}")
@@ -215,13 +200,12 @@ def _cmd_check(args):
         reports = verifier.run_full(max_degree=args.max_degree)
     passed = sum(1 for r in reports if r.passed)
     if args.json:
-        payload = {
+        _print_json({
             "poset": tree.to_json_dict(),
             "suite": args.suite,
             "reports": [r.to_json_dict() for r in reports],
             "passed": passed == len(reports),
-        }
-        print(_json(payload))
+        })
     else:
         for r in reports:
             print(r.line())
@@ -236,14 +220,13 @@ def _cmd_hilbert(args):
     )
     report = verifier.compare_hilbert(args.max_degree)
     if args.json:
-        payload = {
+        _print_json({
             "poset": tree.to_json_dict(),
             "max_degree": args.max_degree,
             "J": report.params["J"],
             "L": report.params["L"],
             "passed": report.passed,
-        }
-        print(_json(payload))
+        })
     else:
         print(f"J: {report.params['J']}")
         print(f"L: {report.params['L']}")
@@ -274,7 +257,7 @@ def _cmd_info(args):
         agree = info["u_parameters"] == info["t1_generators"]
     if args.json:
         info["agree"] = agree
-        print(_json(info))
+        _print_json(info)
     else:
         print(f"elements:       {info['elements']}")
         print(f"codimension:    {info['codimension']}")

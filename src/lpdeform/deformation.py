@@ -160,7 +160,10 @@ class DeformationContext:
 
     def x_packed(self, place, p):
         """The packed variable p1 or p2."""
-        return {self._x[place, p]: 1}
+        try:
+            return {self._x[place, p]: 1}
+        except KeyError:
+            raise DomainError(f"no variable {p!r} in place {place!r}") from None
 
     # -- the T family ------------------------------------------------------
 
@@ -178,7 +181,7 @@ class DeformationContext:
             raise RelationError(f"{b!r} is the root; T_c(b) needs a non-root b")
         if c == a:
             return self._charge({x[2, a] + u[a, b]: -1})
-        if c in tree.siblings(b):
+        if c != b and tree.parent(c) == a:  # a sibling
             return self._charge({x[2, q] + u[q, b]: -1 for q in tree.above(c)})
         raise RelationError(f"{c!r} is neither the parent nor a sibling of {b!r}")
 
@@ -214,7 +217,7 @@ class DeformationContext:
             return self._charge({self._x[1, b]: 1})
         if x == a:
             return self._charge({self._u[a, b]: -1})
-        if x in tree.siblings(b):
+        if tree.parent(x) == a:  # a sibling
             val = {}
             for q in tree.above(x):
                 _addmul(val, self.s_op_packed(x, q), {self._u[q, b]: -1})
@@ -251,7 +254,7 @@ class DeformationContext:
     def minor_d_child_packed(self, a, b):
         """D(a)^b for a child b of a."""
         kids = self.tree.children(a)
-        if b not in kids:
+        if self.tree.parent(b) != a:
             raise RelationError(f"{b!r} is not a child of {a!r}")
         return self.minor_d_packed(a, 1 + kids.index(b))
 

@@ -60,7 +60,7 @@ from collections import Counter
 from functools import partial
 from itertools import count
 
-from .errors import NotATreeError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
+from .errors import DomainError, NotATreeError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
 from .letterplace import _parameters_of, parameter_pairs, ring_variables, x_variables
 from .polynomials import CHUNK_BITS, CHUNK_MASK, MAX_KEY_WEIGHT, ChunkTable, MonomialOrder, UVar, XVar
 from .posets import as_rooted_tree
@@ -432,6 +432,14 @@ def _split(leads, weights, bound):
     return k
 
 
+def _check_degree(max_degree):
+    """Reject a max_degree that is not an int, or one past the key bound."""
+    if isinstance(max_degree, bool) or not isinstance(max_degree, int):
+        raise DomainError(f"max_degree must be an int, got {max_degree!r}")
+    if max_degree > MAX_KEY_WEIGHT:
+        raise ResourceLimitError(f"max_degree {max_degree} exceeds {MAX_KEY_WEIGHT}, the key bound")
+
+
 def truncated_hilbert(leads, weights, max_degree):
     """Dimensions of the weighted-degree pieces 0..max_degree of R/(leads),
     R the polynomial ring on exactly the variables listed in `weights` and
@@ -442,10 +450,9 @@ def truncated_hilbert(leads, weights, max_degree):
     initial ideal the leads generate, so pass a Groebner basis's leading
     monomials for that ideal.  The counts are K(t) / prod_v (1 - t^w(v)),
     truncated: K from _numerator, each 1 / (1 - t^w) a prefix sum of stride
-    w.  A max_degree above MAX_KEY_WEIGHT raises ResourceLimitError.
+    w.  A negative max_degree gives []; `_check_degree` rejects the rest.
     """
-    if max_degree > MAX_KEY_WEIGHT:
-        raise ResourceLimitError(f"max_degree {max_degree} exceeds {MAX_KEY_WEIGHT}, the key bound")
+    _check_degree(max_degree)
     index = {v: i for i, v in enumerate(weights)}
     try:
         ideal = [{index[v]: e for v, e in lead.pairs} for lead in leads]

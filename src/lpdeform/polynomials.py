@@ -424,7 +424,7 @@ class MonomialOrder:
             raise DomainError("duplicate variable in order")
         self.weights = {}
         for v in self.variables:
-            w = weights[v]
+            w = weights.get(v)
             if not isinstance(w, int) or w <= 0:
                 raise DomainError(f"weight of {v!r} must be a positive integer")
             self.weights[v] = w

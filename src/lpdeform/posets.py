@@ -5,7 +5,8 @@ closure (the strict filter above each element), the Hasse diagram, and its
 linear extension with each element's `rank`, all made at construction;
 `above(p)` is the order every layer reads.  Rooted trees are posets whose
 Hasse diagram is a tree with the root as the unique minimal element; for
-those we also keep the parent map.
+those we also keep the parent map.  A query on a name that is not an
+element raises DomainError.
 
 The text format, one declaration per line:
 
@@ -22,14 +23,20 @@ import heapq
 import re
 from functools import lru_cache
 
-from .errors import CycleError, NotATreeError, ParseError, SizeLimitError
+from .errors import CycleError, DomainError, NotATreeError, ParseError, SizeLimitError
 
 _NAME = r"[A-Za-z][A-Za-z0-9]*"
-_NAME_RE = re.compile(rf"^{_NAME}$")
 _REL_RE = re.compile(rf"^({_NAME})\s*<\s*({_NAME})$")
 _ELEM_RE = re.compile(rf"^elem\s+({_NAME})$")
 
 ORDER_IDEAL_LIMIT = 20
+
+
+class _Table(dict):
+    """A table keyed by the elements: a missing key is a foreign name."""
+
+    def __missing__(self, p):
+        raise DomainError(f"{p!r} is not an element of the poset")
 
 
 class Poset:
@@ -53,7 +60,7 @@ class Poset:
                 raise ParseError(f"relation mentions undeclared element: {p} < {q}")
             succ[p].add(q)
         # transitive closure by DFS from each element
-        above = {}
+        above = _Table()
         for p in self.elements:
             seen = set()
             stack = list(succ[p])
@@ -109,7 +116,7 @@ class Poset:
         return p in self._index
 
     def le(self, p, q):
-        return p == q or q in self._above[p]
+        return q in self._above[p] or p == q
 
     def lt(self, p, q):
         return q in self._above[p]
@@ -219,7 +226,7 @@ class RootedTree(Poset):
         if len(roots) != 1:
             raise NotATreeError(f"expected a unique minimal element, found {list(roots)}")
         self.root = roots[0]
-        self._parent = {}
+        self._parent = _Table({self.root: None})
         for p in self.elements:
             if p == self.root:
                 continue
@@ -229,9 +236,9 @@ class RootedTree(Poset):
                     f"element {p!r} has {len(lows)} lower covers; a tree needs exactly 1"
                 )
             self._parent[p] = lows[0]
-        self._children = {
-            p: tuple(sorted(self.upper_covers(p), key=self.rank.__getitem__)) for p in self.elements
-        }
+        self._children = _Table(
+            (p, tuple(sorted(self.upper_covers(p), key=self.rank.__getitem__))) for p in self.elements
+        )
         self._depth = {}
         for p in reversed(self._linext):
             kids = self._children[p]
@@ -239,7 +246,7 @@ class RootedTree(Poset):
 
     def parent(self, p):
         """The unique lower cover of p; None for the root."""
-        return self._parent.get(p)
+        return self._parent[p]
 
     def children(self, p):
         return self._children[p]

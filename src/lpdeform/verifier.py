@@ -148,7 +148,7 @@ from collections.abc import Sequence
 from itertools import combinations, permutations, product
 
 from .deformation import DEFAULT_MAX_TERMS, DeformationContext
-from .grading import _degree_table, truncated_hilbert
+from .grading import _check_degree, _degree_table, truncated_hilbert
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_WEIGHT,
@@ -165,9 +165,9 @@ from .groebner import (
     _unpack,
     buchberger,
 )
-from .errors import DomainError, NotHomogeneousError, ResourceLimitError
+from .errors import DomainError, NotHomogeneousError
 from .letterplace import comparable_pairs, letterplace_generators
-from .polynomials import MAX_KEY_WEIGHT, XVar, render_packed
+from .polynomials import XVar, render_packed
 from .posets import as_rooted_tree
 
 
@@ -225,12 +225,9 @@ def _shifted_equal(f, m, g, n):
 def _require_degree(max_degree):
     """A negative degree would compare two empty Hilbert functions and
     pass vacuously; a bool is not a degree."""
-    if isinstance(max_degree, bool) or not isinstance(max_degree, int):
-        raise DomainError(f"max_degree must be an int, got {max_degree!r}")
+    _check_degree(max_degree)
     if max_degree < 0:
         raise DomainError(f"max_degree must be nonnegative, got {max_degree}")
-    if max_degree > MAX_KEY_WEIGHT:
-        raise ResourceLimitError(f"max_degree {max_degree} exceeds {MAX_KEY_WEIGHT}, the key bound")
 
 
 class _Generators(Sequence):

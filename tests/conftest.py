@@ -18,6 +18,7 @@ from lpdeform import (
     rooted_tree_shapes,
     shape_to_tree,
 )
+from lpdeform.cli import _write_json
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures")
 
@@ -29,6 +30,13 @@ def src_env():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return env
+
+
+def json_text(x, pad="\n"):
+    """The pieces cli._write_json writes for x at `pad`, joined."""
+    pieces = []
+    _write_json(x, pieces.append, pad)
+    return "".join(pieces)
 
 
 def fixture_path(name):

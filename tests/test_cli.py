@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -11,9 +12,9 @@ from hypothesis import example, given, strategies as st
 
 from lpdeform import Polynomial, Verifier, all_rooted_trees, letterplace_generators, load_poset, monomial_order_for
 from lpdeform import cli
-from lpdeform.cli import _json, run
+from lpdeform.cli import run
 
-from conftest import FIXTURES, PolynomialContext, fixture_path, oracle_json, oracle_render, poset_text, src_env
+from conftest import FIXTURES, PolynomialContext, fixture_path, json_text, oracle_json, oracle_render, poset_text, src_env
 
 
 def out_lines(capsys):
@@ -44,14 +45,46 @@ def test_gens_compare_passes_on_good_fixture(capsys):
     assert len(payload["generators"]) == 10
 
 
+def indented(x):
+    """A callable value that returns json.dumps(x, indent=2) with every line
+    after the first indented by the writer's pad."""
+    text = json.dumps(x, indent=2)
+    return lambda pad: text.replace("\n", pad)
+
+
 def test_streamed_json_is_the_json_of_the_payload(capsys):
-    # gens --json writes the payload's head, each generator in turn and the
-    # rest; the bytes are _json's, an empty list and strings with a NUL too
-    payload = {"a": "\0", "items": None, "b": {"c": [1, "x\0y"]}}
-    for items in ([], [{"k": "v", "f": lambda pad: _json([1, 2], pad)}, 3]):
-        cli._print_streamed(payload, "items", iter(items))
-        want = {**payload, "items": [{"k": "v", "f": [1, 2]}, 3] if items else []}
+    # an iterator at any depth, empty or not, is written as the list of its
+    # items; strings may hold a NUL
+    for items in ([], [{"k": "v\0", "f": [1, 2]}, 3]):
+        want = {"a": "\0", "items": items, "b": {"c": [1, "x\0y", items, [[], [items]]]}}
+        cli._print_json({
+            "a": "\0",
+            "items": iter(items),
+            "b": {"c": [1, "x\0y", (v for v in items), iter([iter([]), (x for x in [iter(items)])])]},
+        })
         assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+        assert json_text(iter(items)) == json.dumps(items, indent=2)
+    payload = iter([{"k": indented({"f": [1, "\0"]})}, iter([indented([])])])
+    assert json_text(payload) == json.dumps([{"k": {"f": [1, "\0"]}}, [[]]], indent=2)
+
+
+def test_gens_json_writes_each_generator_before_rendering_the_next(monkeypatch, capsys):
+    # at every render of a generator's terms, stdout already holds the
+    # terms of the one before
+    render, out, texts = cli.render_packed_json, [], []
+
+    def spy(work, order, pad="\n"):
+        out.append(capsys.readouterr().out)
+        texts.append(render(work, order, pad))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "render_packed_json", spy)
+    assert run(["gens", fixture_path("star3.poset"), "--ideal", "J", "--json"]) == 0
+    out.append(capsys.readouterr().out)
+    assert len(texts) == len(json.loads("".join(out))["generators"]) > 3
+    for k in range(1, len(texts)):
+        so_far = "".join(out[: k + 1])
+        assert texts[k - 1] in so_far and so_far.endswith('"terms": ')
 
 
 def test_gens_compare_fails_on_mismatch(tmp_path, capsys):
@@ -268,7 +301,7 @@ def test_gens_render_the_polynomial_oracle_byte_for_byte(tmp_path, capsys):
                 "poset": load_poset(str(path)).to_json_dict(),
                 "generators": [{"pair": [p, q], "terms": oracle_json(g, order)} for (p, q), g in gens],
             }
-            assert capsys.readouterr().out == _json(payload) + "\n"
+            assert capsys.readouterr().out == json_text(payload) + "\n"
 
 
 # -- hilbert ----------------------------------------------------------------------
@@ -511,12 +544,27 @@ payloads = st.recursive(
 )
 
 
-@given(payloads)
-@example({"": [], "x": {}, "é\u2028\n": ["ü", "\ud83d", -0.0, float("nan"), float("inf"), 10**30]})
-@example([[], {}, (), [[]], {"a": {}}])
-@example({1: True, 2.5: None, None: False, True: 1.0})
-def test_json_writer_matches_json_dumps(payload):
-    assert _json(payload) == json.dumps(payload, indent=2)
+def lazy(x, rng):
+    """x with some of its lists and tuples made generators and some of its
+    values made callables that return their own text."""
+    if rng.random() < 0.2:
+        return indented(x)
+    if isinstance(x, dict):
+        return {k: lazy(v, rng) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        items = [lazy(v, rng) for v in x]
+        return (v for v in items) if rng.random() < 0.5 else type(x)(items)
+    return x
+
+
+@given(payloads, st.randoms(use_true_random=False))
+@example({"": [], "x": {}, "é\u2028\n": ["ü", "\ud83d", -0.0, float("nan"), float("inf"), 10**30]}, random.Random(0))
+@example([[], {}, (), [[]], {"a": {}}], random.Random(1))
+@example({1: True, 2.5: None, None: False, True: 1.0}, random.Random(2))
+def test_json_writer_matches_json_dumps(payload, rng):
+    want = json.dumps(payload, indent=2)
+    assert json_text(payload) == want
+    assert json_text(lazy(payload, rng)) == want
 
 
 JSON_COMMANDS = [

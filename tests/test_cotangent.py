@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpdeform import (
+    DomainError,
     Monomial,
     MonomialOrder,
     MultiDegree,
@@ -292,3 +293,11 @@ def test_single_node_tree():
     gens = t1_generators_tree(tree)
     assert [g.key() for g in gens] == [("a", (), (), Monomial())]
     assert gens == t1_generators(tree)
+
+
+def test_bound_sets_reject_a_name_outside_the_poset():
+    t = tree_from("a < b\na < c")
+    with pytest.raises(DomainError, match="'z'"):
+        minimal_upper_bound_sets(t, ["z"], ["b"])
+    with pytest.raises(DomainError, match="'z'"):
+        minimal_lower_bound_sets(t, ["b"], ["z"])

@@ -97,6 +97,41 @@ def test_t_sub_covers_whole_filter_above_sibling():
                                     + x(2, "d") * u("d", "b"))
 
 
+def test_every_context_method_rejects_a_name_outside_the_tree():
+    # every public method that takes an element raises DomainError for a
+    # foreign one, where it used to answer (R(z,z) = 1), blame the root or
+    # raise a bare KeyError; the context answers as before afterwards
+    ctx = DeformationContext(tree_from("a < b\na < c"))
+    calls = {
+        "x_packed": [(1, "z")],
+        "t_sub": [("a", "z"), ("z", "b")],
+        "t_full": [("z",)],
+        "st_entry": [("a", "z"), ("z", "b")],
+        "matrix_m": [("z",)],
+        "minor_d": [("z", 0)],
+        "minor_d_child": [("z", "b"), ("a", "z")],
+        "generalized_minor": [("z", (0,), ())],
+        "cover_product_r": [("z", "z"), ("z", "b")],
+        "s_op": [("z", "z"), ("z", "b")],
+        "deformed_generator": [("z", "z"), ("z", "b")],
+        "s_op_linear": [("z", Polynomial.variable(XVar(2, "b")))],
+    }
+    packed = {"t_sub", "t_full", "st_entry", "minor_d", "minor_d_child", "generalized_minor", "cover_product_r", "s_op"}
+    calls.update({f"{name}_packed": calls[name] for name in packed})
+    calls["generator_packed"] = calls["deformed_generator"]
+    public = {name for name in dir(ctx) if not name.startswith("_") and callable(getattr(ctx, name))}
+    assert public == set(calls) | {"clear_memos", "generators_packed", "j_ideal_generators"}
+    for name, arglists in calls.items():
+        for args in arglists:
+            with pytest.raises(DomainError, match="'z'"):
+                getattr(ctx, name)(*args)
+    # a foreign upper element is not above the lower one
+    for method in (ctx.cover_product_r, ctx.s_op, ctx.deformed_generator):
+        with pytest.raises(NotComparableError, match="need 'a' <= 'z'"):
+            method("a", "z")
+    assert ctx.j_ideal_generators() == DeformationContext(ctx.tree).j_ideal_generators()
+
+
 def test_t_relation_errors():
     ctx = DeformationContext(load_tree("vc2"))  # a < b, a < c < d
     with pytest.raises(RelationError):

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from lpdeform import (
     DeformationContext,
+    DomainError,
     Monomial,
     MonomialOrder,
     MultiDegree,
@@ -614,6 +615,16 @@ def test_truncated_hilbert_of_single_node_up_to_the_degree_budget():
         assert truncated_hilbert(quadrics, weights, degree) == list(range(1, degree + 2))
     with pytest.raises(ResourceLimitError, match=f"max_degree {MAX_KEY_WEIGHT + 1} exceeds"):
         truncated_hilbert(quadrics, weights, MAX_KEY_WEIGHT + 1)
+
+
+@pytest.mark.parametrize("degree", [2.5, "3", True, False, None])
+def test_truncated_hilbert_rejects_a_degree_that_is_not_an_int(degree):
+    # as compare_hilbert does; a bool used to count as degree 0 or 1
+    weights = positivity_witness(chain_tree(2))
+    with pytest.raises(DomainError, match=f"^max_degree must be an int, got {degree!r}$"):
+        truncated_hilbert(j_leads(chain_tree(2)), weights, degree)
+    with pytest.raises(DomainError, match=f"^max_degree must be an int, got {degree!r}$"):
+        Verifier(chain_tree(2)).compare_hilbert(degree)
 
 
 def test_truncated_hilbert_of_a_negative_degree_is_empty():

@@ -29,7 +29,6 @@ from lpdeform import (
     polynomial_to_json,
 )
 
-from lpdeform.cli import _json
 from lpdeform.groebner import _mul
 from lpdeform.polynomials import (
     MAX_KEY_WEIGHT,
@@ -40,7 +39,7 @@ from lpdeform.polynomials import (
     render_packed_json,
 )
 
-from conftest import tuple_order_key
+from conftest import json_text, tuple_order_key
 
 X1, X2 = XVar(1, "x"), XVar(2, "x")
 Y1, Y2 = XVar(1, "y"), XVar(2, "y")
@@ -272,6 +271,12 @@ def test_order_rejects_bad_weights_and_foreign_variables():
         ORDER.key(Monomial.var(XVar(1, "zz")))
 
 
+def test_order_names_a_variable_without_a_weight():
+    # as a non-positive weight does, not as a bare KeyError
+    with pytest.raises(DomainError, match="^weight of x2 must be a positive integer$"):
+        MonomialOrder([X1, X2], {X1: 1})
+
+
 def test_leading_term():
     p = poly("x1 + x1*y1 - 3*u[x,y]^3")
     mono, coeff = ORDER.leading_term(p)
@@ -334,14 +339,14 @@ PADS = ["\n", "\n  ", "\n      ", "\n\t"]
 @pytest.mark.parametrize("pad", PADS, ids=repr)
 def test_packed_json_render_is_the_json_of_packed_to_json(text, pad):
     work = _pack_terms(poly(text), ORDER)
-    assert render_packed_json(work, ORDER, pad) == _json(packed_to_json(work, ORDER), pad)
+    assert render_packed_json(work, ORDER, pad) == json_text(packed_to_json(work, ORDER), pad)
 
 
 def test_packed_json_render_of_the_constant_and_zero_polynomials():
     assert render_packed_json(_pack_terms(poly("-1/2"), ORDER), ORDER, "\n  ") == (
         '[\n    {\n      "coeff": "-1/2",\n      "monomial": {}\n    }\n  ]'
     )
-    assert render_packed_json({}, ORDER) == "[]" == _json(packed_to_json({}, ORDER))
+    assert render_packed_json({}, ORDER) == "[]" == json_text(packed_to_json({}, ORDER))
 
 
 def digit_render(work, order):
@@ -361,7 +366,7 @@ def digit_render(work, order):
 
 
 def assert_renders(work, order, pad):
-    assert render_packed_json(work, order, pad) == _json(packed_to_json(work, order), pad)
+    assert render_packed_json(work, order, pad) == json_text(packed_to_json(work, order), pad)
     assert render_packed(work, order) == digit_render(work, order)
 
 
@@ -394,7 +399,7 @@ def test_one_order_renders_at_two_pads():
     order, gens = ctx.order, [g for _, g in ctx.generators_packed()]
     for pad in ("\n    ", "\n", "\n    "):
         for g in gens:
-            assert render_packed_json(g, order, pad) == _json(packed_to_json(g, order), pad)
+            assert render_packed_json(g, order, pad) == json_text(packed_to_json(g, order), pad)
 
 
 # -- hypothesis round trips ------------------------------------------------------------
@@ -417,7 +422,7 @@ def test_render_parse_round_trip(p):
 def test_packed_json_render_matches_json_dumps(p, pad):
     work = _pack_terms(p, ORDER)
     text = render_packed_json(work, ORDER, pad)
-    assert text == _json(packed_to_json(work, ORDER), pad)
+    assert text == json_text(packed_to_json(work, ORDER), pad)
     if pad == "\n":
         assert text == json.dumps(polynomial_to_json(p, ORDER), indent=2)
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from lpdeform import (
     CycleError,
+    DomainError,
     NotATreeError,
     ParseError,
     Poset,
@@ -155,6 +156,24 @@ def test_tree_accessors():
     assert t.meet("b", "g") == "a"
     assert t.meet("a", "g") == "a"
     assert t.depth("a") == 3 and t.depth("e") == 1 and t.depth("g") == 0
+
+
+@pytest.mark.parametrize("make", [as_rooted_tree, lambda p: RootedTree(p.elements, p.covers)], ids=["shared", "built"])
+def test_every_query_rejects_a_name_outside_the_tree(make):
+    # a foreign name is not read as the root (parent None, no siblings) nor
+    # as an element at or below itself: each query raises one DomainError
+    poset = parse_poset("a < b\na < c")
+    t = make(poset)
+    queries = [
+        t.parent, t.children, t.siblings, t.above, t.filter_at_or_above, t.strict_filter_above,
+        lambda p: t.le(p, p), lambda p: t.le(p, "b"), lambda p: t.comparable("a", p),
+        poset.above, lambda p: poset.le(p, p),
+    ]
+    for query in queries:
+        with pytest.raises(DomainError, match="^'z' is not an element of the poset$"):
+            query("z")
+    assert (t.parent("a"), t.siblings("a"), t.siblings("b")) == (None, (), ("c",))
+    assert (t.le("a", "a"), t.le("a", "z"), t.above("a")) == (True, False, ("a", "b", "c"))
 
 
 def test_non_trees_rejected():
