@@ -38,10 +38,13 @@ and on fixtures/tree7.poset at degree 8, and the compare case runs
 included, as the `hilbert` benchmark does; the certificate case runs
 `Verifier._certified` on the wide tree once its flatness checks passed; the homogeneity test is the one
 `Verifier.check_homogeneity` makes on the wide tree's packed generators.
-The five `lp` cases time the process layer in one process, as the
+The tail case runs buchberger on 60 seeded random ideals, at 8 and at 16
+bits, whose loops grow the basis, so that its final tail reduction runs.
+The seven `lp` cases time the process layer in one process, as the
 `cli-sweep` benchmark calls it: `cli.run` with stdout captured, for
 `lp gens --ideal J --json` on the star and on the star with seven leaves
-(40,384 terms), `lp info --json` on the wide tree,
+(40,384 terms), `lp gens --ideal L --json` on the star with seven
+leaves, `lp t1 --json` and `lp info --json` on the wide tree,
 `lp check --json` (the basic suite, expansion and degree table
 included) on the wide tree, and `lp check --suite full --json` on the
 wide tree, the largest answer without generators.  The cotangent cases enumerate the T^1
@@ -61,13 +64,19 @@ import contextlib
 import io
 import json
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
 from lpdeform import (
     DeformationContext,
+    Monomial,
+    MonomialOrder,
     Polynomial,
+    UVar,
     Verifier,
+    XVar,
     all_rooted_trees,
     as_rooted_tree,
     buchberger,
@@ -82,7 +91,7 @@ from lpdeform import (
     truncated_hilbert,
 )
 import lpdeform
-from lpdeform import cli
+from lpdeform import cli, groebner
 from lpdeform.groebner import _divisor_memo, _reduce
 
 
@@ -244,6 +253,42 @@ def test_buchberger_sign_flip_mutants(benchmark):
     result = benchmark.pedantic(bases, rounds=5, warmup_rounds=1)
     grown = sum(set(basis) != set(gens) for basis, (gens, _) in zip(result, cases))
     assert len(cases) == 49 and grown == 48
+
+
+def random_ideals(bits, count=30):
+    """`count` seeded generator lists of four 2-term polynomials in five
+    variables of weights 1-3, packed in a `bits`-bit order."""
+    x, y, z = XVar(1, "x"), XVar(1, "y"), XVar(1, "z")
+    variables = [x, y, z, UVar("y", "x"), UVar("z", "x")]
+    order = MonomialOrder(variables, dict(zip(variables, (1, 2, 1, 1, 3))), digit_bits=bits)
+    rng = random.Random(bits)
+
+    def packed():
+        terms = {}
+        for _ in range(2):
+            chosen = rng.sample(variables, rng.randint(1, 3))
+            mono = Monomial.from_pairs((v, rng.randint(1, 2)) for v in chosen)
+            terms[-order.key(mono)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2]))
+        return terms
+
+    return [([packed() for _ in range(4)], order) for _ in range(count)]
+
+
+def test_buchberger_reducible_tails(benchmark, monkeypatch):
+    # random ideals whose loop grows the basis, so that the final tail
+    # reduction runs, at 8 and at 16 bits
+    cases = random_ideals(8) + random_ideals(16)
+    reduced, real = [], groebner._tail_reducible
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_tail_reducible", lambda *a: reduced.append(real(*a)) or reduced[-1])
+        for gens, order in cases:
+            buchberger(gens, order)
+    assert sum(reduced) > 20
+
+    def bases():
+        return [buchberger(gens, order) for gens, order in cases]
+
+    benchmark.pedantic(bases, rounds=10, warmup_rounds=1)
 
 
 def test_monomial_mul(benchmark, wide):
@@ -463,6 +508,28 @@ def test_cli_check_full_json_wide7(benchmark, tmp_path):
     assert code == 0
     reports = json.loads(text)["reports"]
     assert len(reports) == 16 and all(r["passed"] for r in reports)
+
+
+def test_cli_t1_json_wide7(benchmark, tmp_path):
+    path = tmp_path / "wide7.poset"
+    path.write_text(WIDE_TREE)
+
+    code, text = benchmark.pedantic(
+        run_lp, args=(["t1", str(path), "--json"],), rounds=50, warmup_rounds=1
+    )
+    assert code == 0
+    assert len(json.loads(text)["generators"]) == len(t1_generators(parse_poset(WIDE_TREE))) > 0
+
+
+def test_cli_gens_l_json_star7(benchmark, tmp_path):
+    path = tmp_path / "star7.poset"
+    path.write_text(STAR7)
+
+    code, text = benchmark.pedantic(
+        run_lp, args=(["gens", str(path), "--ideal", "L", "--json"],), rounds=50, warmup_rounds=1
+    )
+    assert code == 0
+    assert [len(g["terms"]) for g in json.loads(text)["generators"]] == [1] * 15
 
 
 def test_t1_chain20(benchmark):

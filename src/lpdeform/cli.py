@@ -34,9 +34,8 @@ from .deformation import DEFAULT_MAX_TERMS, DeformationContext
 from .errors import LpError, ResourceLimitError
 from .grading import monomial_order_for
 from .groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_WEIGHT, _unpack
-from .letterplace import letterplace_generators, u_variables, x_variables
+from .letterplace import letterplace_generators, u_variables
 from .polynomials import (
-    MonomialOrder,
     parse_polynomial,
     render_monomial,
     render_packed,
@@ -88,16 +87,6 @@ def _print_json(x):
     print()
 
 
-def _order_for(poset):
-    """The canonical rendering/working order: the full weighted tree order
-    when possible, otherwise plain weight-1 on the x-variables."""
-    try:
-        return monomial_order_for(as_rooted_tree(poset))
-    except LpError:
-        xs = x_variables(poset)
-        return MonomialOrder(xs, {v: 1 for v in xs})
-
-
 def compare_fixture(computed, fixture_path, variables):
     """Compare a computed polynomial collection against a fixture file
     (one polynomial per line, '#' comments) as canonical sets.
@@ -123,17 +112,17 @@ def _cmd_gens(args):
     unpacked only for --compare, which reads the fixture and renders the
     differences, so a fixture past the key bound raises, before anything is
     written.  The fixture's polynomials are the user's, so --compare parses
-    and renders them in `_order_for(poset)`, the 16-bit order with the same
-    term order, whatever the width of the context's."""
+    and renders them in `monomial_order_for(poset)`, the 16-bit order with
+    the same term order, whatever the width of the context's."""
     poset = load_poset(args.poset)
     if args.ideal == "L":
-        order = _order_for(poset)
+        order = monomial_order_for(poset)
         gens = [(pair, {-order.key(m): 1}) for pair, m in letterplace_generators(poset)]
     else:
-        ctx = DeformationContext(as_rooted_tree(poset), args.max_terms)
+        ctx = DeformationContext(poset, args.max_terms)
         order, gens = ctx.order, ctx.generators_packed()
     if args.compare:
-        full = _order_for(poset)
+        full = monomial_order_for(poset)
         passed, missing, extra = compare_fixture(
             [_unpack(g, order) for _, g in gens], args.compare, full.variables
         )
@@ -168,7 +157,7 @@ def _cmd_gens(args):
 
 def _cmd_t1(args):
     poset = load_poset(args.poset)
-    order = _order_for(poset)
+    order = monomial_order_for(poset)
     gens = t1_generators(poset)
     if args.json:
         _print_json({

@@ -73,7 +73,7 @@ from .errors import (
     ShapeError,
 )
 from .grading import positivity_witness
-from .groebner import _addmul, _iadd, _mul, _unpack
+from .groebner import _addmul, _check_budget, _iadd, _mul, _unpack
 from .letterplace import comparable_pairs
 from .polynomials import DIGIT_BITS, Monomial, MonomialOrder, Polynomial, PolyMatrix, UVar, XVar
 from .posets import as_rooted_tree
@@ -123,6 +123,7 @@ class DeformationContext:
         """`wide` keeps 16-bit digits whatever the weight bound, for
         polynomials from outside the recursion, which it does not cover:
         an 8-bit order raises ResourceLimitError past weight 127."""
+        _check_budget("max_terms", max_terms)
         self.tree = tree = as_rooted_tree(tree)
         weights = positivity_witness(tree)
         # the heaviest quadric is root1*root2; see the module docstring

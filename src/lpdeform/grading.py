@@ -62,7 +62,7 @@ from itertools import count
 
 from .errors import DomainError, NotATreeError, NotHomogeneousError, ResourceLimitError, UnknownVariableError
 from .letterplace import _parameters_of, parameter_pairs, ring_variables, x_variables
-from .polynomials import CHUNK_BITS, CHUNK_MASK, MAX_KEY_WEIGHT, ChunkTable, MonomialOrder, UVar, XVar
+from .polynomials import CHUNK_BITS, CHUNK_MASK, MAX_KEY_WEIGHT, ChunkTable, MonomialOrder, UVar, XVar, _check_weight
 from .posets import as_rooted_tree
 
 DEGREE_DIGIT_BITS = 32
@@ -142,8 +142,8 @@ _ZERO_DEGREE = MultiDegree({})
 
 
 def hat_degree(tree, p):
-    """hat(p) = p2 - sum of b1 over the children b of p."""
-    return MultiDegree({XVar(2, p): 1, **{XVar(1, b): -1 for b in tree.children(p)}})
+    """hat(p) = p2 - sum of b1 over the children b of p (NotATreeError off a tree)."""
+    return MultiDegree({XVar(2, p): 1, **{XVar(1, b): -1 for b in as_rooted_tree(tree).children(p)}})
 
 
 def variable_degree(tree, v):
@@ -364,8 +364,10 @@ def positivity_witness(tree):
 
     Returns an ordered map over ring_variables(tree), written down from the
     tree as the module docstring derives it: p2 -> 1, p1 -> 1 + the
-    children's p1, u_{q,p} -> 1 and the root's u_{0,r} -> 2.
+    children's p1, u_{q,p} -> 1 and the root's u_{0,r} -> 2.  A poset that
+    is no rooted tree raises NotATreeError.
     """
+    tree = as_rooted_tree(tree)
     d1 = {}
     for p in reversed(tree.linear_extension()):
         d1[p] = 1 + sum(d1[b] for b in tree.children(p))
@@ -378,10 +380,14 @@ def positivity_witness(tree):
     return weights
 
 
-def monomial_order_for(tree):
-    """The package's working order on B(2,P): positivity-witness weights,
-    reverse-lex tie-break, the witness's keys (x before u) as variables."""
-    weights = positivity_witness(tree)
+def monomial_order_for(poset):
+    """The package's working order on B(2,P), reverse-lex tie-break: when
+    P's Hasse diagram is a rooted tree, the positivity witness's weights
+    and keys (x before u); otherwise weight 1 on x_variables(P)."""
+    try:
+        weights = positivity_witness(poset)
+    except NotATreeError:
+        weights = dict.fromkeys(x_variables(poset), 1)
     return MonomialOrder(weights, weights)
 
 
@@ -451,8 +457,12 @@ def truncated_hilbert(leads, weights, max_degree):
     monomials for that ideal.  The counts are K(t) / prod_v (1 - t^w(v)),
     truncated: K from _numerator, each 1 / (1 - t^w) a prefix sum of stride
     w.  A negative max_degree gives []; `_check_degree` rejects the rest.
+    A weight must be a positive int: with weight 0 a degree's piece is
+    infinite.
     """
     _check_degree(max_degree)
+    for v, w in weights.items():
+        _check_weight(v, w)
     index = {v: i for i, v in enumerate(weights)}
     try:
         ideal = [{index[v]: e for v, e in lead.pairs} for lead in leads]

@@ -117,13 +117,14 @@ with a list that never does:
     A loop that appends nothing, as on generators that are the basis,
     keeps the memo throughout.
 
-buchberger's textbook step (`_divide` on the pair's S-polynomial) and its
-final tail reduction, whose lists serve one reduction each, scan.  Which
-entries that reduction needs is asked of a memo (`_tail_reducible`): the
-generators' while nothing was appended, else one made for the grown list.
+buchberger's textbook step (`_divide` on the pair's S-polynomial) scans.
+Its final tail reduction runs through a memo of the whole list, the
+generators' while nothing was appended, else one made for the grown list:
+it tells which entries need it (`_tail_reducible`) and reduces their tails.
 A lead divides no monomial below it, and every lead minimalization drops
 is a multiple of a kept one, so "some lead of the list divides a tail
-term" is "another kept lead does".
+term" is "another kept lead does"; the list is a Groebner basis by then,
+so a tail's remainder modulo it is the tail's normal form.
 """
 
 from __future__ import annotations
@@ -137,6 +138,13 @@ from .polynomials import Polynomial, _as_coeff, _pack_terms, key_bound_error
 DEFAULT_MAX_PAIRS = 1_000_000
 DEFAULT_MAX_WEIGHT = 10_000
 _UNSEEN = object()  # _reduce's memo has no entry for these digits yet
+
+
+def _check_budget(name, value):
+    """Reject a budget that is a bool, not an int, or negative.  Budget 0
+    is valid: it trips at the first charge."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DomainError(f"{name} must be a nonnegative int, got {value!r}")
 
 
 def _unpack(work, order):
@@ -498,8 +506,11 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
 
     The order keeps its digit width: a generator or an S-pair lcm that
     passes its key bound (127 with 8-bit digits) raises
-    MonomialOrder.key's ResourceLimitError.
+    MonomialOrder.key's ResourceLimitError.  A budget that is not a
+    nonnegative int raises DomainError.
     """
+    _check_budget("max_pairs", max_pairs)
+    _check_budget("max_weight", max_weight)
     leads = _entries(gens, order)
     if not leads:
         raise DomainError("no nonzero generators")
@@ -542,18 +553,17 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, max_weight=DEFAULT_MAX_
     # a survivor no kept lead divides a tail term of is reduced already;
     # tail-reduce the others.  A dropped lead is a multiple of a kept one,
     # so some lead of `leads` divides a term exactly when a kept lead does,
-    # and the generators' memo answers while nothing was appended.  The
-    # leads stay, so the result is sorted by lead
+    # and the generators' memo answers while nothing was appended.  `leads`
+    # is a Groebner basis, so a tail's remainder modulo it is the tail's
+    # normal form.  The leads stay, so the result is sorted by lead
     if memo is None:
         memo = _divisor_memo(leads, order)
     entries = []
     for entry in kept:
         _, n, tail = entry
         if _tail_reducible(tail, leads, guard, memo):
-            work = dict(tail)
-            work[n] = 1
-            rem = _reduce(work, [e for e in kept if e is not entry], mask, guard)
-            entries.append(_entry({nm: _as_coeff(c) for nm, c in rem.items()}, order))
+            rem = _reduce(dict(tail), leads, mask, guard, memo)
+            entries.append(_entry({n: 1, **{nm: _as_coeff(c) for nm, c in rem.items()}}, order))
         else:
             entries.append(entry)
     return GroebnerBasis._from_packed(entries, order)

@@ -413,6 +413,14 @@ class ChunkTable(dict):
         return value
 
 
+def _check_weight(v, w):
+    """w, the weight of the variable v, when it is a positive int (a bool
+    is not one); DomainError otherwise."""
+    if isinstance(w, bool) or not isinstance(w, int) or w <= 0:
+        raise DomainError(f"weight of {v!r} must be a positive integer")
+    return w
+
+
 class MonomialOrder:
     """Weighted degree, ties broken reverse-lexicographically against the
     fixed variable sequence (exponents on later variables lose)."""
@@ -422,12 +430,7 @@ class MonomialOrder:
         self.index = {v: i for i, v in enumerate(self.variables)}
         if len(self.index) != len(self.variables):
             raise DomainError("duplicate variable in order")
-        self.weights = {}
-        for v in self.variables:
-            w = weights.get(v)
-            if not isinstance(w, int) or w <= 0:
-                raise DomainError(f"weight of {v!r} must be a positive integer")
-            self.weights[v] = w
+        self.weights = {v: _check_weight(v, weights.get(v)) for v in self.variables}
         if digit_bits not in (8, 16):
             raise DomainError(f"exponent digits are 8 or 16 bits wide, got {digit_bits!r}")
         # the packed encoding of `key`: the weight above one exponent digit
@@ -695,8 +698,6 @@ def parse_polynomial(text, variables):
         chunks = chunks[1:]
     else:
         chunks = ["+"] + chunks
-    if len(chunks) % 2 != 0:
-        raise ParseError(f"cannot parse polynomial: {text!r}")
     terms = []
     for sign, body in zip(chunks[0::2], chunks[1::2]):
         if not body:

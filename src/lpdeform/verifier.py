@@ -154,6 +154,7 @@ from .groebner import (
     DEFAULT_MAX_WEIGHT,
     GroebnerBasis,
     _addmul,
+    _check_budget,
     _check_product,
     _divisor_memo,
     _entry,
@@ -270,6 +271,8 @@ class Verifier:
         max_weight=DEFAULT_MAX_WEIGHT,
         max_terms=DEFAULT_MAX_TERMS,
     ):
+        _check_budget("max_pairs", max_pairs)
+        _check_budget("max_weight", max_weight)
         self.tree = as_rooted_tree(tree)
         self.ctx = DeformationContext(self.tree, max_terms, wide=generators is not None)
         self.order = self.ctx.order

@@ -141,6 +141,19 @@ def test_each_condition_of_the_certificate_is_needed():
     assert v._certified() is None
 
 
+def test_a_zero_generator_in_an_override_list_is_no_certificate(buchberger_calls):
+    # every certifying check passes, but one generator has no entry: the
+    # certificate refuses and buchberger builds the basis of the others
+    tree = star_tree(3)
+    gens = [*Verifier(tree).generators, (("b", "c"), Polynomial.zero())]
+    v = Verifier(tree, generators=gens)
+    assert all(r.passed for r in run_checks(v, ["flat_basic", "flat_p2", "relation_lifts"]))
+    assert CERTIFYING <= v._passed and len(v._entries) == len(gens) - 1
+    assert v._certified() is None
+    assert v.basis._leads == buchberger([g for _, g in gens[:-1]], v.order)._leads
+    assert len(buchberger_calls) == 1
+
+
 def patch(ctx, method, change):
     orig = getattr(ctx, method)
     setattr(ctx, method, lambda *args: change(ctx, args, orig(*args)))

@@ -133,6 +133,23 @@ def test_gens_compare_reads_the_fixture_before_any_output(fixture, code, message
     assert captured.err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("a1*a2 - 1/0*b1*u[0,a]", "lp: zero denominator in '1/0'\n"),
+        ("a1*a2 - a1**b2", "lp: cannot parse factor ''\n"),
+        ("a1*a2 + b1^x", "lp: cannot parse factor 'b1^x'\n"),
+    ],
+    ids=["zero-denominator", "empty-factor", "bad-exponent"],
+)
+def test_gens_compare_rejects_a_fixture_line_it_cannot_parse(line, message, tmp_path, capsys):
+    path = tmp_path / "chain2.gens"
+    path.write_text(f"# chain2\nb1*b2 - a2*u[a,b]\n{line}\n")
+    for extra in ([], ["--json"]):
+        assert run(["gens", fixture_path("chain2.poset"), "--ideal", "J", "--compare", str(path), *extra]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 def test_gens_compare_takes_a_fixture_past_the_narrow_key_bound(tmp_path, capsys):
     # a1^200*b2 weighs 401, past an 8-bit key (127): the fixture is the
     # user's, so --compare renders it at 16 bits and reports the difference

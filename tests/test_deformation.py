@@ -1,4 +1,5 @@
 import os
+import re
 from itertools import combinations
 
 import pytest
@@ -140,6 +141,16 @@ def test_t_relation_errors():
         ctx.t_sub("d", "b")  # d is neither the parent nor a sibling of b
     with pytest.raises(RelationError):
         ctx.st_entry("a", "a")  # matrix entries live below the root
+
+
+def test_matrix_entry_and_child_minor_relation_errors():
+    ctx = DeformationContext(load_tree("vc2"))  # a < b, a < c < d
+    with pytest.raises(RelationError, match="^'d' is not 'b' or its parent or a sibling$"):
+        ctx.st_entry_packed("d", "b")
+    with pytest.raises(RelationError, match="^'d' is not a child of 'a'$"):
+        ctx.minor_d_child_packed("a", "d")
+    with pytest.raises(RelationError, match="^'a' is not a child of 'b'$"):
+        ctx.minor_d_child_packed("b", "a")
 
 
 def test_st_entry_conventions():
@@ -462,6 +473,14 @@ def test_term_budget():
     # star-8, the largest tree run, expands to 362,961 generator terms, and
     # its context holds 1,147,989; the default leaves room for them
     assert DEFAULT_MAX_TERMS > 1_147_989
+
+
+@pytest.mark.parametrize("value", [True, -1, "5", 2.0])
+def test_context_rejects_a_term_budget_that_is_not_a_nonnegative_int(value):
+    # max_terms=True expanded and reported "exceeded True terms", -1 read as
+    # a tripped budget and "5" raised TypeError inside the expansion
+    with pytest.raises(DomainError, match=f"^max_terms must be a nonnegative int, got {re.escape(repr(value))}$"):
+        DeformationContext(load_tree("chain2"), max_terms=value).generators_packed()
 
 
 def test_term_budget_charges_each_kept_block_once():

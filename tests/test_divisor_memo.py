@@ -24,7 +24,7 @@ from lpdeform import (
 )
 from lpdeform import groebner
 from lpdeform.groebner import _divisor_memo, _entry, _reduce, _spairs
-from lpdeform.polynomials import _pack_terms
+from lpdeform.polynomials import _as_coeff, _pack_terms
 
 from conftest import sign_flip_mutants
 
@@ -202,3 +202,49 @@ def test_pair_keys_are_the_order_keys_of_the_lcms(bits):
         assert pairs == want
         formed += len(pairs)
     assert formed > 50
+
+
+def per_entry_tail_reduction(leads, reducible, order):
+    """The reduced basis as buchberger made it from its final entries
+    `leads`: the minimal ones, largest lead first, each whose tail is
+    `reducible` reduced, lead included, by a list of the other minimal
+    entries, on the scan."""
+    kept = []
+    for entry in sorted(leads, key=lambda e: -e[1]):
+        digits = order.exponents(entry[1])
+        if not any(all(a >= b for a, b in zip(digits, order.exponents(k[1]))) for k in kept):
+            kept.append(entry)
+    assert len(kept) == len(reducible)
+    entries = []
+    for entry, tail_reducible in zip(kept, reducible):
+        if tail_reducible:
+            _, n, tail = entry
+            rem = scan_reduce({n: 1, **dict(tail)}, [e for e in kept if e is not entry], order)
+            entry = _entry({nm: _as_coeff(c) for nm, c in rem.items()}, order)
+        entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_final_tail_reduction_gives_the_per_entry_reduction(bits, monkeypatch):
+    # buchberger asks _tail_reducible once per minimal entry, in basis
+    # order, and reduces the tails it answers True for through the memo
+    order = MonomialOrder(VARIABLES, WEIGHTS, digit_bits=bits)
+    rng = random.Random(bits)
+    real, asked = groebner._tail_reducible, []
+
+    def spy(tail, leads, guard, memo):
+        answer = real(tail, leads, guard, memo)
+        asked.append((leads, answer))
+        return answer
+
+    monkeypatch.setattr(groebner, "_tail_reducible", spy)
+    ran = 0
+    for _ in range(30):
+        asked.clear()
+        basis = buchberger([random_packed(rng, order, 2, 2) for _ in range(4)], order)
+        [leads] = {id(leads): leads for leads, _ in asked}.values()
+        reducible = [answer for _, answer in asked]
+        assert basis._leads == per_entry_tail_reduction(leads, reducible, order)
+        ran += sum(reducible)
+    assert ran > 10

@@ -11,6 +11,7 @@ from lpdeform import (
     Monomial,
     MonomialOrder,
     MultiDegree,
+    NotATreeError,
     NotHomogeneousError,
     Polynomial,
     ResourceLimitError,
@@ -46,6 +47,7 @@ from conftest import (
     brute_standard_count,
     chain_tree,
     load_tree,
+    poset_text,
     sign_flip_mutants,
     star_tree,
 )
@@ -729,3 +731,46 @@ def test_truncated_hilbert_matches_enumeration_on_sign_flip_mutants():
         assert truncated_hilbert(leads, weights, 3) == brute_standard_count(leads, weights, 3), key
         seen += 1
     assert seen == 49
+
+
+# -- the working order of any poset, and weights the library takes -------------
+
+def test_a_parsed_tree_gets_the_rooted_trees_order_witness_and_hats():
+    # parse_poset returns a Poset, on which these three raised AttributeError
+    for tree in (load_tree("tree7"), star_tree(3), chain_tree(1)):
+        poset = parse_poset(poset_text(tree))
+        assert type(poset) is not RootedTree
+        assert list(positivity_witness(poset).items()) == list(positivity_witness(tree).items())
+        order, want = monomial_order_for(poset), monomial_order_for(tree)
+        assert order.variables == want.variables and order.weights == want.weights
+        assert all(hat_degree(poset, p) == hat_degree(tree, p) for p in tree)
+
+
+@pytest.mark.parametrize("text", ["a < b\nc < b\nc < d\n", "elem a\nelem b\n"], ids=["fence", "antichain"])
+def test_a_poset_that_is_no_tree_gets_weight_one_on_its_x_variables(text):
+    poset = parse_poset(text)
+    order = monomial_order_for(poset)
+    assert order.variables == tuple(x_variables(poset))
+    assert order.weights == {v: 1 for v in x_variables(poset)}
+    with pytest.raises(NotATreeError):
+        positivity_witness(poset)
+    with pytest.raises(NotATreeError):
+        hat_degree(poset, "a")
+
+
+@pytest.mark.parametrize("weight", [0, -1, 1.5, True, False, None, "1"])
+def test_truncated_hilbert_rejects_a_weight_that_is_not_a_positive_int(weight):
+    # weight 0 answered [2, 0, 0, 0], though degree 0 is then infinite;
+    # -1 raised IndexError, 1.5 TypeError, and True counted as weight 1
+    a1 = XVar(1, "a")
+    with pytest.raises(DomainError, match="^weight of a1 must be a positive integer$"):
+        truncated_hilbert([], {a1: weight}, 3)
+    with pytest.raises(DomainError, match="^weight of a1 must be a positive integer$"):
+        truncated_hilbert([Monomial.var(a1)], {XVar(2, "a"): 1, a1: weight}, 3)
+
+
+def test_an_order_rejects_weight_true():
+    # MonomialOrder kept True as the weight
+    a1 = XVar(1, "a")
+    with pytest.raises(DomainError, match="^weight of a1 must be a positive integer$"):
+        MonomialOrder([a1], {a1: True})

@@ -63,6 +63,13 @@ def test_s_polynomial_cancels_leads():
     assert s == poly("x1 - y1") or s == poly("y1 - x1")
 
 
+def test_s_polynomial_of_non_monic_leads():
+    # leads 2*x*y and 3*x^2, lcm x^2*y: each side is divided by its leading
+    # coefficient, x*(2*x*y - y^2)/2 - y*(3*x^2 - 1)/3
+    f, g = poly("2*x1*y1 - y1^2"), poly("3*x1^2 - 1")
+    assert s_polynomial(f, g, ORDER) == poly("-1/2*x1*y1^2 + 1/3*y1")
+
+
 def test_basis_of_unit_ideal():
     basis = gb("x1", "x1 - 1")
     assert list(basis) == [Polynomial.one()]
@@ -450,6 +457,29 @@ def test_pair_budget():
 def test_weight_budget():
     with pytest.raises(ResourceLimitError):
         gb("x1*y1 - 1", "y1^2 - 1", max_weight=1)
+
+
+@pytest.mark.parametrize(
+    "texts, budget, value",
+    [
+        (("x1*y1 - 1", "y1^2 - 1"), "max_weight", -1),  # read as a tripped budget
+        (("x1*y1 - 1", "y1^2 - 1"), "max_pairs", -1),  # read as a tripped budget
+        (("x1",), "max_pairs", "x"),  # no pair to compare it with: a basis came back
+        (("x1*y1 - 1", "y1^2 - 1"), "max_pairs", 2.0),
+        (("x1*y1 - 1", "y1^2 - 1"), "max_weight", True),
+    ],
+    ids=["weight-negative", "pairs-negative", "pairs-str", "pairs-float", "weight-bool"],
+)
+def test_buchberger_rejects_a_budget_that_is_not_a_nonnegative_int(texts, budget, value):
+    with pytest.raises(DomainError, match=f"^{budget} must be a nonnegative int, got {re.escape(repr(value))}$"):
+        gb(*texts, **{budget: value})
+
+
+def test_budget_zero_is_a_budget():
+    # the budgets trip at the first charge; a basis with no pair needs none
+    assert list(gb("x1", max_pairs=0, max_weight=0)) == [poly("x1")]
+    with pytest.raises(ResourceLimitError, match="S-pair lcm weight exceeded 0"):
+        gb("x1*y1 - 1", "y1^2 - 1", max_weight=0)
 
 
 def test_coprime_leads_past_the_key_bound_are_their_own_basis():

@@ -277,6 +277,13 @@ def test_order_names_a_variable_without_a_weight():
         MonomialOrder([X1, X2], {X1: 1})
 
 
+def test_order_rejects_a_duplicate_variable_and_a_digit_width_other_than_8_or_16():
+    with pytest.raises(DomainError, match="^duplicate variable in order$"):
+        MonomialOrder([X1, X2, X1], {X1: 1, X2: 1})
+    with pytest.raises(DomainError, match="^exponent digits are 8 or 16 bits wide, got 12$"):
+        MonomialOrder([X1], {X1: 1}, digit_bits=12)
+
+
 def test_leading_term():
     p = poly("x1 + x1*y1 - 3*u[x,y]^3")
     mono, coeff = ORDER.leading_term(p)

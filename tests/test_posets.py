@@ -58,6 +58,11 @@ def test_unknown_element_in_relation():
         Poset(["a"], [("a", "z")])
 
 
+def test_duplicate_element_rejected():
+    with pytest.raises(ParseError, match="^duplicate element in element list$"):
+        Poset(["a", "b", "a"], [("a", "b")])
+
+
 def test_minimal_and_maximal():
     p = parse_poset("a < c\nb < c\nc < d")
     assert p.minimal_elements() == ("a", "b")

@@ -631,3 +631,21 @@ def test_an_override_past_the_narrow_key_bound_keeps_16_bit_keys():
         ("flat-basic", True, {"instances": 1}, None),
         ("flat-p2", True, {"instances": 3}, None),
     ]
+
+
+def test_verifier_rejects_a_negative_pair_budget():
+    # compare_hilbert reported it as "S-pair budget of -1 exceeded"
+    with pytest.raises(DomainError, match="^max_pairs must be a nonnegative int, got -1$"):
+        Verifier(star_tree(2), max_pairs=-1).compare_hilbert(2)
+
+
+def test_verifier_rejects_a_bool_weight_budget():
+    # compare_hilbert reported it as "S-pair lcm weight exceeded True"
+    with pytest.raises(DomainError, match="^max_weight must be a nonnegative int, got True$"):
+        Verifier(star_tree(2), max_weight=True).compare_hilbert(2)
+
+
+def test_verifier_rejects_a_term_budget_that_is_not_an_int():
+    # run_basic raised TypeError inside the expansion
+    with pytest.raises(DomainError, match="^max_terms must be a nonnegative int, got '5'$"):
+        Verifier(star_tree(2), max_terms="5").run_basic()
